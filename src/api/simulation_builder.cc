@@ -1,5 +1,6 @@
 #include "api/simulation_builder.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <utility>
 
@@ -132,14 +133,13 @@ SimulationBuilder& SimulationBuilder::StreamTrace(const std::string& trace_path,
 SimulationBuilder& SimulationBuilder::WithTravelModel(
     const TravelCostModel& model) {
   borrowed_travel_ = &model;
-  owned_travel_ = nullptr;
   return *this;
 }
 
 SimulationBuilder& SimulationBuilder::WithStraightLineTravel(
     double speed_mps, double detour_factor) {
-  owned_travel_ =
-      std::make_shared<const StraightLineCostModel>(speed_mps, detour_factor);
+  line_speed_mps_ = speed_mps;
+  line_detour_ = detour_factor;
   borrowed_travel_ = nullptr;
   return *this;
 }
@@ -225,6 +225,21 @@ StatusOr<Simulation> SimulationBuilder::Build() const {
         "BorrowWorkload() or StreamTrace() before Build()");
   }
   MRVD_RETURN_NOT_OK(config_.Validate());
+  if (borrowed_travel_ == nullptr) {
+    // The TravelCostModel::SpeedMps contract that candidate generation
+    // prunes on: a finite positive speed, and no trip shorter than the
+    // crow-fly distance.
+    if (!(line_speed_mps_ > 0.0) || !std::isfinite(line_speed_mps_)) {
+      return Status::InvalidArgument(
+          "straight-line travel speed_mps must be positive and finite, got " +
+          std::to_string(line_speed_mps_));
+    }
+    if (!(line_detour_ >= 1.0) || !std::isfinite(line_detour_)) {
+      return Status::InvalidArgument(
+          "straight-line travel detour must be finite and >= 1, got " +
+          std::to_string(line_detour_));
+    }
+  }
 
   Simulation sim;
   sim.generator_ = generator_;
@@ -258,12 +273,8 @@ StatusOr<Simulation> SimulationBuilder::Build() const {
   if (borrowed_travel_ != nullptr) {
     sim.travel_ = borrowed_travel_;
   } else {
-    sim.owned_travel_ =
-        owned_travel_ != nullptr
-            ? owned_travel_
-            // The workload-derived default: the examples' straight-line
-            // taxi model (11 m/s, 1.3 detour factor).
-            : std::make_shared<const StraightLineCostModel>(11.0, 1.3);
+    sim.owned_travel_ = std::make_shared<const StraightLineCostModel>(
+        line_speed_mps_, line_detour_);
     sim.travel_ = sim.owned_travel_.get();
   }
 

@@ -12,11 +12,12 @@
 //   if (!sim.ok()) return Fail(sim.status());
 //   StatusOr<SimResult> result = sim->Run("LS");
 //
-// Build() validates (SimConfig::Validate, forecast/grid region match,
-// missing workload) and returns Status instead of crashing later; the built
-// Simulation owns (or borrows) its pieces and can run any dispatcher from
-// the DispatcherRegistry by spec string. Simulator::Run remains the thin
-// engine underneath — the Simulation just assembles its arguments.
+// Build() validates (SimConfig::Validate, straight-line travel parameters,
+// forecast/grid region match, missing workload) and returns Status instead
+// of crashing later; the built Simulation owns (or borrows) its pieces and
+// can run any dispatcher from the DispatcherRegistry by spec string.
+// Simulator::Run remains the thin engine underneath — the Simulation just
+// assembles its arguments.
 #pragma once
 
 #include <memory>
@@ -147,6 +148,8 @@ class SimulationBuilder {
   SimulationBuilder& WithTravelModel(const TravelCostModel& model);
 
   /// Owns a straight-line model with the given speed/detour factor.
+  /// Build() rejects a speed that is not positive and finite and a detour
+  /// that is not finite and >= 1.
   SimulationBuilder& WithStraightLineTravel(double speed_mps,
                                             double detour_factor);
 
@@ -191,8 +194,9 @@ class SimulationBuilder {
   const SimConfig& config() const { return config_; }
 
   /// Validates and assembles. Fails with InvalidArgument when no workload
-  /// source was set, the config does not pass SimConfig::Validate(), or a
-  /// forecast's region count does not match the grid.
+  /// source was set, the config does not pass SimConfig::Validate(), the
+  /// straight-line travel parameters are out of range, or a forecast's
+  /// region count does not match the grid.
   StatusOr<Simulation> Build() const;
 
  private:
@@ -201,7 +205,8 @@ class SimulationBuilder {
   const Workload* borrowed_workload_ = nullptr;
   std::shared_ptr<const Grid> grid_;
   const TravelCostModel* borrowed_travel_ = nullptr;
-  std::shared_ptr<const TravelCostModel> owned_travel_;
+  double line_speed_mps_ = 11.0;  ///< straight-line model, when not borrowed
+  double line_detour_ = 1.3;
   const DemandForecast* borrowed_forecast_ = nullptr;
   std::shared_ptr<const DemandForecast> owned_forecast_;
   int oracle_slots_ = 0;  ///< > 0: derive the oracle forecast at Build()

@@ -1,7 +1,7 @@
 #include "dispatch/candidates.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "geo/region_partitioner.h"
 #include "util/thread_pool.h"
@@ -10,52 +10,52 @@ namespace mrvd {
 
 namespace {
 
-/// Smallest cell dimension in meters (ring distance lower bound unit).
-double MinCellMeters(const Grid& grid) {
-  BoundingBox cell = grid.CellBox(grid.RegionAt(grid.rows() / 2, 0));
-  LatLon c0{cell.lat_min, cell.lon_min};
-  LatLon c_w{cell.lat_min, cell.lon_max};
-  LatLon c_h{cell.lat_max, cell.lon_min};
-  return std::min(EquirectangularMeters(c0, c_w),
-                  EquirectangularMeters(c0, c_h));
-}
-
-/// Emits rider `ri`'s valid pairs in the canonical order: rings outward,
-/// regions in ring order, drivers in region order. Every generation path
-/// (serial or sharded) goes through this function with the same per-rider
-/// order, so the concatenated pair list is identical no matter how the
-/// riders were distributed over workers.
+/// Emits rider `ri`'s valid pairs in the canonical order: rings outward
+/// around the pickup region, regions in Grid::Ring order, drivers in bucket
+/// order. Only regions that the rider's reach box touches are visited and
+/// only drivers inside the box are priced: by the speed contract of
+/// TravelCostModel::SpeedMps a driver outside the box cannot make the
+/// deadline, so the pairs are exactly the Def.-3-valid ones (drivers are
+/// bucketed by RegionOf their location, as the engine maintains). Every
+/// generation path (serial or sharded) goes through this function with the
+/// same per-rider order, so the concatenated pair list is identical no
+/// matter how the riders were distributed over workers.
 template <typename Sink>
-void ForRiderValidPairs(const BatchContext& ctx, int ri, double min_cell_m,
-                        Sink&& sink) {
+void ForRiderValidPairs(const BatchContext& ctx, int ri, Sink&& sink) {
   const Grid& grid = ctx.grid();
-  const double speed = ctx.cost_model().SpeedMps();
-  const int max_possible_ring = std::max(grid.rows(), grid.cols());
-  const bool region_local =
-      ctx.candidate_mode() == CandidateMode::kRegionLocal;
-
   const WaitingRider& r = ctx.riders()[static_cast<size_t>(ri)];
-  double budget_seconds = r.pickup_deadline - ctx.now();
+  const double budget_seconds = r.pickup_deadline - ctx.now();
   if (budget_seconds < 0.0) return;
-  int max_ring = 0;
-  if (!region_local) {
-    // Crow-fly reach (optimistic: ignores detour, so it over-covers).
-    // Drivers at ring g are at least (g-1) * min_cell_m away.
-    double reach_m = budget_seconds * speed;
-    max_ring = std::min(max_possible_ring,
-                        static_cast<int>(reach_m / min_cell_m) + 2);
-  }
 
-  for (int g = 0; g <= max_ring; ++g) {
-    for (RegionId reg : grid.Ring(r.pickup_region, g)) {
-      for (int di : ctx.drivers_by_region()[static_cast<size_t>(reg)]) {
-        const AvailableDriver& d = ctx.drivers()[static_cast<size_t>(di)];
-        double tt = ctx.PickupSeconds(d, r);
-        if (ctx.now() + tt <= r.pickup_deadline) {
-          sink(ri, di, tt);
-        }
+  // now + tt <= deadline is evaluated in doubles; 1 µs of slack covers its
+  // rounding for clock values below 2^32 s. A speed that bounds nothing
+  // (<= 0 or NaN) gives an unbounded box.
+  const double speed = ctx.cost_model().SpeedMps();
+  const double reach_m = speed > 0.0
+                             ? (budget_seconds + 1e-6) * speed
+                             : std::numeric_limits<double>::infinity();
+  const BoundingBox box = EquirectangularReachBox(r.pickup, reach_m);
+  const int row = grid.RowOf(r.pickup_region);
+  const int col = grid.ColOf(r.pickup_region);
+  const CellSpan span =
+      ctx.candidate_mode() == CandidateMode::kRegionLocal
+          ? CellSpan{row, row, col, col}
+          : grid.SpanOf(box);
+  const int max_ring = std::max({row - span.row_lo, span.row_hi - row,
+                                 col - span.col_lo, span.col_hi - col});
+
+  auto visit = [&](RegionId reg) {
+    for (int di : ctx.drivers_by_region()[static_cast<size_t>(reg)]) {
+      const AvailableDriver& d = ctx.drivers()[static_cast<size_t>(di)];
+      if (!box.Contains(d.location)) continue;
+      double tt = ctx.PickupSeconds(d, r);
+      if (ctx.now() + tt <= r.pickup_deadline) {
+        sink(ri, di, tt);
       }
     }
+  };
+  for (int g = 0; g <= max_ring; ++g) {
+    grid.ForEachRingCell(r.pickup_region, g, span, visit);
   }
 }
 
@@ -66,7 +66,6 @@ void ForRiderValidPairs(const BatchContext& ctx, int ri, double min_cell_m,
 /// exactly the serial ones.
 void GeneratePerRider(const BatchContext& ctx,
                       std::vector<std::vector<CandidatePair>>* out) {
-  const double min_cell_m = MinCellMeters(ctx.grid());
   const BatchExecution* exec = ctx.execution();
   if (exec != nullptr && exec->Parallel() && ctx.riders().size() > 1) {
     const RegionPartitioner& parts = *exec->partitioner;
@@ -76,20 +75,18 @@ void GeneratePerRider(const BatchContext& ctx,
     exec->pool->ParallelFor(parts.num_shards(), [&](int s) {
       for (int ri : index.riders[static_cast<size_t>(s)]) {
         auto& dst = (*out)[static_cast<size_t>(ri)];
-        ForRiderValidPairs(ctx, ri, min_cell_m,
-                           [&dst](int rr, int di, double tt) {
-                             dst.push_back({rr, di, tt});
-                           });
+        ForRiderValidPairs(ctx, ri, [&dst](int rr, int di, double tt) {
+          dst.push_back({rr, di, tt});
+        });
       }
     });
     return;
   }
   for (int ri = 0; ri < static_cast<int>(ctx.riders().size()); ++ri) {
     auto& dst = (*out)[static_cast<size_t>(ri)];
-    ForRiderValidPairs(ctx, ri, min_cell_m,
-                       [&dst](int rr, int di, double tt) {
-                         dst.push_back({rr, di, tt});
-                       });
+    ForRiderValidPairs(ctx, ri, [&dst](int rr, int di, double tt) {
+      dst.push_back({rr, di, tt});
+    });
   }
 }
 
@@ -100,12 +97,10 @@ std::vector<CandidatePair> GenerateValidPairs(const BatchContext& ctx) {
   if (exec == nullptr || !exec->Parallel() || ctx.riders().size() <= 1) {
     // Serial: sink straight into the flat list, no per-rider buffers.
     std::vector<CandidatePair> out;
-    const double min_cell_m = MinCellMeters(ctx.grid());
     for (int ri = 0; ri < static_cast<int>(ctx.riders().size()); ++ri) {
-      ForRiderValidPairs(ctx, ri, min_cell_m,
-                         [&out](int rr, int di, double tt) {
-                           out.push_back({rr, di, tt});
-                         });
+      ForRiderValidPairs(ctx, ri, [&out](int rr, int di, double tt) {
+        out.push_back({rr, di, tt});
+      });
     }
     return out;
   }

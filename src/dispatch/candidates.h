@@ -1,6 +1,9 @@
 // Valid rider-and-driver pair generation (Def. 3). Candidate drivers are
-// found by expanding grid rings around the rider's pickup region until the
-// pickup-deadline bound proves no farther driver can arrive in time.
+// found by walking grid rings outward from the rider's pickup region,
+// clipped to the rider's reach box: the lat/lon box holding every point
+// within (deadline - now) * SpeedMps() equirectangular metres of the
+// pickup, which by the TravelCostModel speed contract holds every driver
+// that can arrive in time.
 #pragma once
 
 #include <vector>
@@ -16,8 +19,8 @@ struct CandidatePair {
   double pickup_seconds = 0.0;
 };
 
-/// All valid pairs of the batch. O(sum over riders of drivers within the
-/// deadline-feasible ring radius); the radius shrinks as deadlines tighten.
+/// All valid pairs of the batch. O(sum over riders of drivers in the cells
+/// the rider's reach box touches); the box shrinks as deadlines tighten.
 std::vector<CandidatePair> GenerateValidPairs(const BatchContext& ctx);
 
 /// Candidate pairs grouped per rider (same contents as GenerateValidPairs).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace mrvd {
 
@@ -42,22 +43,24 @@ std::vector<RegionId> Grid::Neighbors(RegionId r) const {
 
 std::vector<RegionId> Grid::Ring(RegionId r, int ring) const {
   assert(r >= 0 && r < num_regions());
-  if (ring == 0) return {r};
   std::vector<RegionId> out;
-  int row = RowOf(r), col = ColOf(r);
-  int r0 = row - ring, r1 = row + ring;
-  int c0 = col - ring, c1 = col + ring;
-  for (int c = c0; c <= c1; ++c) {
-    if (c < 0 || c >= cols_) continue;
-    if (r0 >= 0) out.push_back(RegionAt(r0, c));
-    if (r1 < rows_) out.push_back(RegionAt(r1, c));
-  }
-  for (int rr = r0 + 1; rr <= r1 - 1; ++rr) {
-    if (rr < 0 || rr >= rows_) continue;
-    if (c0 >= 0) out.push_back(RegionAt(rr, c0));
-    if (c1 < cols_) out.push_back(RegionAt(rr, c1));
-  }
+  ForEachRingCell(r, ring, {0, rows_ - 1, 0, cols_ - 1},
+                  [&out](RegionId g) { out.push_back(g); });
   return out;
+}
+
+CellSpan Grid::SpanOf(const BoundingBox& b) const {
+  // RegionOf's index rule, with the clamp done in double first so huge,
+  // infinite or NaN offsets never reach the int cast.
+  auto index = [](double offset_cells, int n) {
+    double x = std::fmin(std::fmax(offset_cells, -1.0), n);
+    return std::clamp(static_cast<int>(x), 0, n - 1);
+  };
+  constexpr double kPad = 1e-9;
+  return {index((b.lat_min - box_.lat_min) / cell_h_deg_ - kPad, rows_),
+          index((b.lat_max - box_.lat_min) / cell_h_deg_ + kPad, rows_),
+          index((b.lon_min - box_.lon_min) / cell_w_deg_ - kPad, cols_),
+          index((b.lon_max - box_.lon_min) / cell_w_deg_ + kPad, cols_)};
 }
 
 int Grid::RingDistance(RegionId a, RegionId b) const {

@@ -1,5 +1,7 @@
 #include "geo/point.h"
 
+#include <limits>
+
 namespace mrvd {
 
 namespace {
@@ -21,6 +23,20 @@ double EquirectangularMeters(const LatLon& a, const LatLon& b) {
   double x = Deg2Rad(b.lon - a.lon) * std::cos(mean_lat);
   double y = Deg2Rad(b.lat - a.lat);
   return kEarthRadiusMeters * std::sqrt(x * x + y * y);
+}
+
+BoundingBox EquirectangularReachBox(const LatLon& center, double meters) {
+  const double reach = meters * (1.0 + 1e-9);
+  // |dlat| (rad) * R <= EquirectangularMeters.
+  const double half_lat = reach / kEarthRadiusMeters * (180.0 / M_PI);
+  // |dlon| (rad) * cos(mean lat) * R <= EquirectangularMeters, and the mean
+  // latitude of a point in the band is within half_lat / 2 of the center's.
+  const double far_mean_lat = std::abs(center.lat) + 0.5 * half_lat;
+  const double half_lon = far_mean_lat < 89.0
+                              ? half_lat / std::cos(Deg2Rad(far_mean_lat))
+                              : std::numeric_limits<double>::infinity();
+  return {center.lon - half_lon, center.lon + half_lon,
+          center.lat - half_lat, center.lat + half_lat};
 }
 
 }  // namespace mrvd

@@ -55,6 +55,16 @@ struct BoundingBox {
   }
 };
 
+/// A box holding every point within `meters` equirectangular metres of
+/// `center`: EquirectangularMeters(p, center) <= meters implies
+/// Contains(p). The latitude half-width is meters / R; the longitude
+/// half-width divides that by the smallest cos(mean latitude) a point of
+/// the latitude band can give, and is unbounded when the band comes within
+/// 1° of a pole. Both are padded by 1e-9 relative against rounding. An
+/// infinite radius gives an unbounded box; a NaN radius one that contains
+/// nothing.
+BoundingBox EquirectangularReachBox(const LatLon& center, double meters);
+
 /// The evaluation-area box from the paper (§6.2): New York City,
 /// -73.77° ~ -74.03° longitude, 40.58° ~ 40.92° latitude.
 inline constexpr BoundingBox kNycBoundingBox = {

@@ -23,6 +23,10 @@ class TravelCostModel {
   virtual double TravelMeters(const LatLon& from, const LatLon& to) const;
 
   /// Reference cruising speed in m/s used for time<->distance conversion.
+  /// Contract: no trip is faster than the crow flies at this speed, i.e.
+  /// TravelSeconds(a, b) >= EquirectangularMeters(a, b) / SpeedMps() for
+  /// all a and b. Candidate generation prunes every driver outside the
+  /// rider's reach box on it, so a model that breaks it loses valid pairs.
   virtual double SpeedMps() const = 0;
 };
 

@@ -3,6 +3,7 @@
 // heuristic, and a travel-cost model adapter for the simulator.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -71,7 +72,12 @@ class RoadNetworkCostModel : public TravelCostModel {
                        const BoundingBox& box, double fallback_speed_mps = 7.0);
 
   double TravelSeconds(const LatLon& from, const LatLon& to) const override;
-  double SpeedMps() const override { return fallback_speed_mps_; }
+
+  /// The fastest leg speed: the access legs and the fallback run at the
+  /// fallback speed, network edges at most at the network's max speed.
+  double SpeedMps() const override {
+    return std::max(fallback_speed_mps_, net_->max_speed_mps());
+  }
 
  private:
   std::shared_ptr<const RoadNetwork> net_;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -301,6 +302,27 @@ TEST_F(ApiTest, BuildRejectsInvalidConfig) {
   StatusOr<Simulation> sim = bad.Build();
   ASSERT_FALSE(sim.ok());
   EXPECT_NE(sim.status().message().find("batch_interval"), std::string::npos);
+
+  // Straight-line travel must keep the SpeedMps contract candidate
+  // generation prunes on: a positive finite speed and a detour >= 1.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double speed : {nan, inf, -inf, 0.0, -7.0}) {
+    SimulationBuilder b = *builder_;
+    StatusOr<Simulation> s = b.WithStraightLineTravel(speed, 1.3).Build();
+    ASSERT_FALSE(s.ok()) << speed;
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.status().message().find("speed_mps"), std::string::npos);
+  }
+  for (double detour : {nan, inf, 0.5, 0.0, -1.3}) {
+    SimulationBuilder b = *builder_;
+    StatusOr<Simulation> s = b.WithStraightLineTravel(11.0, detour).Build();
+    ASSERT_FALSE(s.ok()) << detour;
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.status().message().find("detour"), std::string::npos);
+  }
+  SimulationBuilder direct = *builder_;
+  EXPECT_TRUE(direct.WithStraightLineTravel(0.5, 1.0).Build().ok());
 }
 
 TEST_F(ApiTest, BuildRejectsForecastGridMismatch) {

@@ -135,6 +135,23 @@ TEST(WorkloadCatalogTest, BuildsARunnableSimulation) {
   EXPECT_EQ(no_oracle->forecast(), nullptr);
 }
 
+TEST(WorkloadCatalogTest, BuildRejectsTravelThatBreaksTheSpeedContract) {
+  // ParseDouble accepts "nan" and "inf", so these specs canonicalise; the
+  // built simulation must still refuse them with a Status.
+  const std::string tlc = std::string("tlc:path=") + MRVD_TEST_DATA_DIR +
+                          "/tlc_trips_sample.csv,drivers=20";
+  for (const std::string& spec :
+       {std::string("nyc:speed_mps=nan"), std::string("nyc:speed_mps=inf"),
+        std::string("nyc:speed_mps=0"), std::string("nyc:detour=0.5"),
+        std::string("nyc-skew:speed_mps=-1"), tlc + ",detour=nan"}) {
+    ASSERT_TRUE(WorkloadCatalog::Global().Canonicalize(spec).ok()) << spec;
+    StatusOr<Simulation> sim = WorkloadCatalog::Global().Build(spec);
+    ASSERT_FALSE(sim.ok()) << spec;
+    EXPECT_EQ(sim.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  EXPECT_TRUE(WorkloadCatalog::Global().Build(tlc).ok());
+}
+
 TEST(ScenarioCatalogTest, RosterAndFactories) {
   ScenarioCatalog& catalog = ScenarioCatalog::Global();
   for (const char* name :

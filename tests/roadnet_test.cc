@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "roadnet/graph.h"
@@ -31,6 +32,15 @@ TEST(RoadNetworkTest, BuildRejectsNegativeCost) {
   std::vector<LatLon> nodes = {{40.7, -74.0}, {40.71, -74.0}};
   auto bad = RoadNetwork::Build(nodes, {{0, 1, -1.0}});
   EXPECT_FALSE(bad.ok());
+}
+
+TEST(RoadNetworkTest, FreeEdgeBetweenDistinctNodesIsInfinitelyFast) {
+  // A zero-cost edge covers distance in no time: no finite speed bounds it,
+  // for A*'s heuristic or for RoadNetworkCostModel::SpeedMps.
+  std::vector<LatLon> nodes = {{40.70, -74.00}, {40.70, -73.99}};
+  auto net = RoadNetwork::Build(nodes, {{0, 1, 0.0}, {1, 0, 10.0}});
+  ASSERT_TRUE(net.ok());
+  EXPECT_EQ(net->max_speed_mps(), std::numeric_limits<double>::infinity());
 }
 
 TEST(RoadNetworkTest, CsrAdjacency) {
@@ -146,6 +156,34 @@ TEST(RoadNetworkCostModelTest, CostsArePositiveAndRoughlyMetric) {
   double straight = EquirectangularMeters(a, b) / 7.0;
   EXPECT_GE(t, straight * 0.95);
   EXPECT_LE(t, straight * 2.2);
+}
+
+TEST(RoadNetworkCostModelTest, NoTripIsFasterThanTheCrowFliesAtSpeedMps) {
+  // The SpeedMps contract candidate generation prunes on, on the
+  // roadnet_routing example's network: jittered edges run faster than the
+  // nominal 8 m/s, so SpeedMps must be the network's top speed.
+  auto net = std::make_shared<RoadNetwork>(
+      MakeGridNetwork(kNycBoundingBox, 48, 48, 8.0, 0.25, 7));
+  RoadNetworkCostModel model(net, kNycBoundingBox, 8.0);
+  EXPECT_GT(model.SpeedMps(), 8.0);
+  Rng rng(29);
+  const BoundingBox& box = kNycBoundingBox;
+  for (int i = 0; i < 2000; ++i) {
+    LatLon a{rng.Uniform(box.lat_min, box.lat_max),
+             rng.Uniform(box.lon_min, box.lon_max)};
+    // Nearby pairs (where a few fast edges dominate), pairs sharing a
+    // latitude or a longitude, and pairs off the network's box.
+    LatLon near{a.lat + rng.Uniform(-0.01, 0.01),
+                a.lon + rng.Uniform(-0.01, 0.01)};
+    LatLon off{rng.Uniform(box.lat_min - 0.05, box.lat_max + 0.05),
+               rng.Uniform(box.lon_min - 0.05, box.lon_max + 0.05)};
+    for (LatLon b : {near, LatLon{a.lat, near.lon}, LatLon{near.lat, a.lon},
+                     off}) {
+      EXPECT_GE(model.TravelSeconds(a, b),
+                EquirectangularMeters(a, b) / model.SpeedMps())
+          << a << " " << b;
+    }
+  }
 }
 
 TEST(GridNetworkTest, NodeAndEdgeCounts) {
