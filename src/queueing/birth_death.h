@@ -11,6 +11,7 @@
 // discrete-event simulator in queue_sim.h validates them empirically.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +37,35 @@ class RenegingFunction {
   double mu_;
 };
 
+/// The growth term e^{min(βn, 700)} of π(n) = e^{βn}/μ for states
+/// n = 1..kSize, built once from β. β is fixed for a whole simulation run
+/// (SimConfig::reneging_beta), so the run builds one table and every ET
+/// solve of the run reads its positive tail from it instead of calling
+/// std::exp per state. Entries are computed with the same expression as
+/// RenegingFunction, so entry ÷ μ equals RenegingFunction(β, μ)(n) bit for
+/// bit; states past kSize fall back to std::exp of that expression.
+/// Immutable once built, so any number of threads may read one table.
+class RenegingGrowthTable {
+ public:
+  /// Covers every positive tail measured on the repository benchmark with
+  /// room to spare: the longest were 514 states (city_rush), 341
+  /// (paper_day) and 65 (paper_grid). 8 KiB.
+  static constexpr int64_t kSize = 1024;
+
+  /// β < 0 is read as 0 (no growth), as EstimateIdleTimeSeconds does. A NaN
+  /// or infinite β is kept: solves through the table then return their cap.
+  explicit RenegingGrowthTable(double beta);
+
+  double beta() const { return beta_; }
+
+  /// e^{min(βn, 700)} for state n >= 1.
+  double operator()(int64_t n) const;
+
+ private:
+  double beta_;
+  std::array<double, kSize> growth_{};
+};
+
 /// Parameters of one region's queue during the current scheduling window.
 struct QueueParams {
   double lambda = 0.0;  ///< rider arrival rate (1/s)
@@ -48,8 +78,9 @@ struct QueueParams {
 /// idle time ET(λ, μ) of a driver that rejoins this region's queue.
 class BirthDeathChain {
  public:
-  /// Validates and solves the chain. λ and μ must be positive and finite; K
-  /// must be >= 0. (Degenerate rates are the caller's job to clamp; see
+  /// Validates and solves the chain. λ and μ must be positive and finite, K
+  /// must be >= 0 and β finite and >= 0; anything else is InvalidArgument.
+  /// (Degenerate rates are the caller's job to clamp; see
   /// EstimateIdleTimeSeconds for a forgiving wrapper.)
   static StatusOr<BirthDeathChain> Solve(const QueueParams& params);
 
@@ -81,7 +112,6 @@ class BirthDeathChain {
 
  private:
   BirthDeathChain() = default;
-  void SolveInternal();
 
   QueueParams params_;
   double p0_ = 0.0;
@@ -89,18 +119,30 @@ class BirthDeathChain {
   /// pos_products_[i] = Π_{j=1}^{i+1} λ/(μ+π(j)), i.e. p_{i+1}/p0 (Eq. 6).
   std::vector<double> pos_products_;
   double pos_sum_ = 0.0;  ///< Σ_n>=1 p_n / p0
-  double neg_sum_ = 0.0;  ///< Σ_n<0  p_n / p0 (λ>μ regime only)
   /// θ>=1 regime: normalizer B with p_{-j} = θ^{j-K}/B (overflow-safe form).
   double scaled_norm_b_ = 0.0;
 };
 
-/// Forgiving one-shot helper used by the dispatchers: clamps λ and μ to a
-/// small positive floor (an empty region still has *some* chance of an
-/// arrival) and caps the returned idle time at `max_idle_seconds` (a driver
+/// Forgiving one-shot ET(λ, μ): clamps λ and μ to a small positive floor
+/// (an empty region still has *some* chance of an arrival), K to >= 0 and β
+/// to >= 0, and caps the returned idle time at `max_idle_seconds` (a driver
 /// will not wait forever; the platform would reposition him, and unbounded
-/// ET would drown every travel cost in Eq. 17).
+/// ET would drown every travel cost in Eq. 17). Returns the cap when the
+/// clamped chain is still rejected (a NaN or infinite rate or β). The result
+/// is in the reciprocal unit of the rates, the unit the cap must be given
+/// in: seconds for rates per second, minutes for rates per minute (the
+/// dispatch path solves per minute; see BatchContext::ComputeIdleSeconds).
+/// Solves without allocating and keeps no product chain.
 double EstimateIdleTimeSeconds(double lambda, double mu, int64_t max_drivers,
                                double beta,
+                               double max_idle_seconds = 3600.0,
+                               double rate_floor = 1e-6);
+
+/// The dispatch path's solve: EstimateIdleTimeSeconds with β = growth.beta()
+/// and the positive tail's growth terms read from `growth`. Returns the same
+/// bits as the β overload.
+double EstimateIdleTimeSeconds(double lambda, double mu, int64_t max_drivers,
+                               const RenegingGrowthTable& growth,
                                double max_idle_seconds = 3600.0,
                                double rate_floor = 1e-6);
 

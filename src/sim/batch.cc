@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "geo/region_partitioner.h"
-#include "queueing/birth_death.h"
 #include "util/thread_pool.h"
 
 namespace mrvd {
@@ -15,18 +14,32 @@ bool BatchExecution::Parallel() const {
 }
 
 BatchContext::BatchContext(double now, double window_seconds,
+                           const RenegingGrowthTable& growth, const Grid& grid,
+                           const TravelCostModel& cost_model,
+                           CandidateMode candidate_mode)
+    : now_(now),
+      window_seconds_(window_seconds),
+      growth_(growth),
+      grid_(grid),
+      cost_model_(cost_model),
+      candidate_mode_(candidate_mode),
+      drivers_by_region_(static_cast<size_t>(grid.num_regions())),
+      snapshots_(static_cast<size_t>(grid.num_regions())) {}
+
+BatchContext::BatchContext(double now, double window_seconds,
                            double reneging_beta, const Grid& grid,
                            const TravelCostModel& cost_model,
                            CandidateMode candidate_mode)
     : now_(now),
       window_seconds_(window_seconds),
-      reneging_beta_(reneging_beta),
+      owned_growth_(
+          std::make_unique<const RenegingGrowthTable>(reneging_beta)),
+      growth_(*owned_growth_),
       grid_(grid),
       cost_model_(cost_model),
-      candidate_mode_(candidate_mode) {
-  drivers_by_region_.resize(static_cast<size_t>(grid.num_regions()));
-  snapshots_.resize(static_cast<size_t>(grid.num_regions()));
-}
+      candidate_mode_(candidate_mode),
+      drivers_by_region_(static_cast<size_t>(grid.num_regions())),
+      snapshots_(static_cast<size_t>(grid.num_regions())) {}
 
 void BatchContext::AddRider(const WaitingRider& r) {
   assert(r.pickup_region != kInvalidRegion &&
@@ -92,51 +105,46 @@ const BatchContext::ShardIndex* BatchContext::EnsureShardIndex() const {
   return &shard_index_;
 }
 
-RegionRates BatchContext::RatesFor(RegionId region, int extra_drivers) const {
+BatchContext::RegionQueue BatchContext::QueueFor(RegionId region,
+                                                  int extra_drivers) const {
   RegionSnapshot snap = snapshots_[static_cast<size_t>(region)];
   if (candidate_mode_ == CandidateMode::kRingExpand) {
     // Under cross-region matching a driver rejoining region k competes in
     // (and is served from) the 3x3 service neighbourhood, so the queue that
     // determines his idle time aggregates those regions' demand and supply.
     // Under strict per-region matching (Algorithm 2) the region's own
-    // snapshot is the exact queue.
-    for (RegionId nb : grid_.Neighbors(region)) {
+    // snapshot is the exact queue. The walk adds the neighbours in
+    // Grid::Ring's order; the floating-point sums depend on it.
+    const CellSpan whole_grid{0, grid_.rows() - 1, 0, grid_.cols() - 1};
+    grid_.ForEachRingCell(region, 1, whole_grid, [&](RegionId nb) {
       const RegionSnapshot& s = snapshots_[static_cast<size_t>(nb)];
       snap.waiting_riders += s.waiting_riders;
       snap.available_drivers += s.available_drivers;
       snap.predicted_riders += s.predicted_riders;
       snap.predicted_drivers += s.predicted_drivers;
-    }
+    });
   }
+  RegionQueue queue;
+  // K truncates the predicted rejoiners before adding the tentative ones.
+  queue.max_drivers = std::max<int64_t>(
+      snap.available_drivers + static_cast<int64_t>(snap.predicted_drivers) +
+          extra_drivers,
+      1);
   snap.predicted_drivers += static_cast<double>(extra_drivers);
-  return EstimateRegionRates(snap, window_seconds_);
-}
-
-int64_t BatchContext::MaxDriversFor(RegionId region, int extra_drivers) const {
-  RegionSnapshot snap = snapshots_[static_cast<size_t>(region)];
-  if (candidate_mode_ == CandidateMode::kRingExpand) {
-    for (RegionId nb : grid_.Neighbors(region)) {
-      const RegionSnapshot& s = snapshots_[static_cast<size_t>(nb)];
-      snap.available_drivers += s.available_drivers;
-      snap.predicted_drivers += s.predicted_drivers;
-    }
-  }
-  int64_t k = snap.available_drivers +
-              static_cast<int64_t>(snap.predicted_drivers) + extra_drivers;
-  return std::max<int64_t>(k, 1);
+  queue.rates = EstimateRegionRates(snap, window_seconds_);
+  return queue;
 }
 
 double BatchContext::ComputeIdleSeconds(RegionId region,
                                         int extra_drivers) const {
-  RegionRates rates = RatesFor(region, extra_drivers);
+  const RegionQueue queue = QueueFor(region, extra_drivers);
   // Solve the chain in per-minute units: the reneging practice
   // π(n) = e^{βn}/μ from [25] is calibrated for arrival rates on the order
   // of "customers per minute" (§4.1 states rates in number per minute);
   // feeding per-second rates would make 1/μ a huge reneging rate.
   double et_minutes = EstimateIdleTimeSeconds(
-      rates.lambda * 60.0, rates.mu * 60.0,
-      MaxDriversFor(region, extra_drivers), reneging_beta_,
-      /*max_idle_seconds=*/60.0);  // cap: 60 min
+      queue.rates.lambda * 60.0, queue.rates.mu * 60.0, queue.max_drivers,
+      growth_, /*max_idle_seconds=*/60.0);  // cap: 60 min
   return et_minutes * 60.0;
 }
 

@@ -5,12 +5,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "geo/grid.h"
 #include "geo/travel.h"
+#include "queueing/birth_death.h"
 #include "queueing/rates.h"
 #include "workload/types.h"
 
@@ -82,6 +84,15 @@ enum class CandidateMode {
 /// their tentative selections shift future driver supply (§5.1, line 11).
 class BatchContext {
  public:
+  /// Borrows the run's reneging-growth table (built from the run's β),
+  /// which must outlive the context; the engine's BatchBuilder owns it.
+  BatchContext(double now, double window_seconds,
+               const RenegingGrowthTable& growth, const Grid& grid,
+               const TravelCostModel& cost_model,
+               CandidateMode candidate_mode = CandidateMode::kRingExpand);
+
+  /// For a context assembled by hand: builds and owns a growth table for
+  /// `reneging_beta`.
   BatchContext(double now, double window_seconds, double reneging_beta,
                const Grid& grid, const TravelCostModel& cost_model,
                CandidateMode candidate_mode = CandidateMode::kRingExpand);
@@ -103,11 +114,6 @@ class BatchContext {
   /// Region demand/supply snapshots (inputs of Eqs. 18/19).
   const std::vector<RegionSnapshot>& snapshots() const { return snapshots_; }
 
-  /// λ(k), μ(k) for the scheduling window (Eqs. 18/19), with
-  /// `extra_drivers` added to the rejoining-driver count of the region —
-  /// used by the dispatchers to price tentative selections.
-  RegionRates RatesFor(RegionId region, int extra_drivers = 0) const;
-
   /// Expected idle time ET(λ(k), μ(k)) in seconds for a driver rejoining
   /// `region`, given `extra_drivers` additional rejoiners (cached).
   /// NOT thread-safe (the memo table is shared); shard workers go through
@@ -115,7 +121,12 @@ class BatchContext {
   double ExpectedIdleSeconds(RegionId region, int extra_drivers = 0) const;
 
   /// Same value as ExpectedIdleSeconds but bypassing the memo table: a pure
-  /// function of the immutable snapshots, safe to call concurrently.
+  /// function of the immutable snapshots, safe to call concurrently. Under
+  /// kRingExpand the queue is the region's 3x3 service neighbourhood; λ(k)
+  /// and μ(k) (Eqs. 18/19) get `extra_drivers` more rejoining drivers, and
+  /// K is the neighbourhood's available drivers plus predicted rejoiners
+  /// plus `extra_drivers` (at least 1). The chain is solved in per-minute
+  /// rates with a 60-minute cap, reading the growth table; no allocation.
   double ComputeIdleSeconds(RegionId region, int extra_drivers = 0) const;
 
   /// Inserts a precomputed ET value into the memo table (first write wins).
@@ -196,14 +207,21 @@ class BatchContext {
     return shard_index_.partitioner == nullptr ? nullptr : &shard_index_;
   }
 
-  /// Cap on congested drivers K for region ET queries: available drivers in
-  /// the region now plus predicted rejoiners (at least 1).
-  int64_t MaxDriversFor(RegionId region, int extra_drivers) const;
-
  private:
+  /// The queue a driver rejoining `region` joins: its rates (Eqs. 18/19)
+  /// and its cap K on congested drivers.
+  struct RegionQueue {
+    RegionRates rates;
+    int64_t max_drivers = 1;
+  };
+  RegionQueue QueueFor(RegionId region, int extra_drivers) const;
+
   double now_;
   double window_seconds_;
-  double reneging_beta_;
+  /// Set only by the hand-assembly constructor; growth_ refers to it then.
+  /// Held on the heap so a moved-to context's growth_ still refers to it.
+  std::unique_ptr<const RenegingGrowthTable> owned_growth_;
+  const RenegingGrowthTable& growth_;
   const Grid& grid_;
   const TravelCostModel& cost_model_;
   CandidateMode candidate_mode_;

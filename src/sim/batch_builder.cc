@@ -62,15 +62,15 @@ BatchBuilder::BatchBuilder(const Grid& grid, const TravelCostModel& cost_model,
       cost_model_(cost_model),
       forecast_(forecast),
       window_seconds_(window_seconds),
-      reneging_beta_(reneging_beta),
+      growth_(reneging_beta),
       candidate_mode_(candidate_mode),
       execution_(execution) {}
 
 std::unique_ptr<BatchContext> BatchBuilder::Build(
     double now, const OrderBook& orders, const FleetState& fleet,
     const std::vector<double>* demand_multipliers) const {
-  auto ctx = std::make_unique<BatchContext>(now, window_seconds_,
-                                            reneging_beta_, grid_, cost_model_,
+  auto ctx = std::make_unique<BatchContext>(now, window_seconds_, growth_,
+                                            grid_, cost_model_,
                                             candidate_mode_);
   const bool sharded = execution_ != nullptr && execution_->Parallel();
   if (execution_ != nullptr) ctx->SetExecution(execution_);

@@ -13,7 +13,9 @@
 //     per-batch recount over every rider, driver, and busy schedule;
 //   * the per-shard rider/driver index lists (BatchContext::ShardIndex)
 //     are produced in the same pass, replacing the former O(S·(R+D))
-//     per-shard membership scans of ShardedBatchContext.
+//     per-shard membership scans of ShardedBatchContext;
+//   * the run's reneging-growth table is built once, with the builder, and
+//     every context borrows it for its ET solves.
 #pragma once
 
 #include <memory>
@@ -22,6 +24,7 @@
 #include "geo/grid.h"
 #include "geo/travel.h"
 #include "prediction/forecast.h"
+#include "queueing/birth_death.h"
 #include "sim/batch.h"
 #include "sim/fleet_state.h"
 #include "sim/order_book.h"
@@ -31,7 +34,8 @@ namespace mrvd {
 class BatchBuilder {
  public:
   /// `forecast` and `execution` may be null (no prediction / serial build).
-  /// All referenced objects must outlive the builder.
+  /// All referenced objects must outlive the builder. The builder owns the
+  /// run's RenegingGrowthTable for `reneging_beta`.
   BatchBuilder(const Grid& grid, const TravelCostModel& cost_model,
                const DemandForecast* forecast, double window_seconds,
                double reneging_beta, CandidateMode candidate_mode,
@@ -42,7 +46,9 @@ class BatchBuilder {
   /// driver entries carry their FleetState index as driver_id. Signed-off
   /// (scenario shift) drivers are never materialised. `demand_multipliers`
   /// (may be null = all 1.0) scales each region's predicted rider demand —
-  /// the engine passes the active surge windows' per-region product.
+  /// the engine passes the active surge windows' per-region product. The
+  /// context borrows the builder's growth table, so it must not outlive
+  /// the builder.
   std::unique_ptr<BatchContext> Build(
       double now, const OrderBook& orders, const FleetState& fleet,
       const std::vector<double>* demand_multipliers = nullptr) const;
@@ -60,7 +66,7 @@ class BatchBuilder {
   const TravelCostModel& cost_model_;
   const DemandForecast* forecast_;
   const double window_seconds_;
-  const double reneging_beta_;
+  const RenegingGrowthTable growth_;
   const CandidateMode candidate_mode_;
   const BatchExecution* execution_;
 };
