@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "experiment_common.h"
-#include "util/histogram.h"
 #include "util/strings.h"
 
 using namespace mrvd;

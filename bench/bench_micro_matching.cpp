@@ -6,8 +6,8 @@
 
 #include <algorithm>
 
+#include "api/dispatcher_registry.h"
 #include "dispatch/candidates.h"
-#include "dispatch/dispatchers.h"
 #include "dispatch/irg_core.h"
 #include "geo/travel.h"
 #include "matching/bipartite.h"
@@ -107,10 +107,15 @@ struct BatchFixture {
 void BM_OneBatchDispatch(benchmark::State& state, const char* which) {
   BatchFixture fx(static_cast<int>(state.range(0)),
                   static_cast<int>(state.range(1)));
-  std::unique_ptr<Dispatcher> d = MakeDispatcherByName(which);
+  StatusOr<std::unique_ptr<Dispatcher>> d =
+      DispatcherRegistry::Global().Create(which);
+  if (!d.ok()) {
+    state.SkipWithError(d.status().ToString().c_str());
+    return;
+  }
   for (auto _ : state) {
     std::vector<Assignment> out;
-    d->Dispatch(fx.ctx, &out);
+    (*d)->Dispatch(fx.ctx, &out);
     benchmark::DoNotOptimize(out.size());
   }
 }

@@ -51,7 +51,6 @@
 
 #include "api/api.h"
 #include "campaign/campaign.h"
-#include "dispatch/dispatchers.h"
 #include "geo/region_partitioner.h"
 #include "geo/travel.h"
 #include "sim/batch.h"
@@ -219,10 +218,15 @@ int Main() {
         // does for every batch of a real run.
         auto ctx = MakeBatch(grid, cost, num_riders, num_drivers, seed);
         if (pool != nullptr) ctx->SetExecution(&exec);
-        auto dispatcher = MakeDispatcherByName(name);
+        auto dispatcher = DispatcherRegistry::Global().Create(name);
+        if (!dispatcher.ok()) {
+          std::fprintf(stderr, "FATAL: %s\n",
+                       dispatcher.status().ToString().c_str());
+          return 1;
+        }
         out.clear();
         Stopwatch watch;
-        dispatcher->Dispatch(*ctx, &out);
+        (*dispatcher)->Dispatch(*ctx, &out);
         ms.push_back(watch.ElapsedSeconds() * 1e3);
       }
       double median = MedianMs(ms);
@@ -247,110 +251,6 @@ int Main() {
                      threads);
         return 1;
       }
-    }
-  }
-
-  // ---- LS parallel phase: the conflict-decomposed parallel local search
-  // ("LS:parallel=1") against the sequential sweep ("LS:parallel=0") on
-  // the same batch, swept over thread counts. Both paths must produce the
-  // identical assignment (the decomposition commits in slot order with
-  // exact revalidation), so next to the timing the series records the
-  // speculation economics: proposals made per run vs. proposals the commit
-  // pass had to recompute because an earlier swap dirtied a footprint
-  // region. recomputed/proposals is the conflict rate — the fraction of
-  // parallel work thrown away.
-  struct LsRecord {
-    int threads;
-    double median_ms;
-    double speedup;  ///< serial ("parallel=0") median over this median
-    int64_t proposals;
-    int64_t recomputed;
-    int64_t swaps;
-    bool identical;
-  };
-  std::printf("\nls_parallel phase: conflict-decomposed LS vs sequential\n");
-  std::printf("%-14s %8s %12s %9s %10s %11s %10s\n", "variant", "threads",
-              "ms/batch", "speedup", "proposals", "recomputed", "identical");
-
-  auto run_ls = [&](const std::string& spec, BatchExecution* exec,
-                    std::vector<Assignment>* out, DispatchCounters* counters) {
-    std::vector<double> ms;
-    for (int rep = 0; rep < reps; ++rep) {
-      auto ctx = MakeBatch(grid, cost, num_riders, num_drivers, seed);
-      if (exec != nullptr) ctx->SetExecution(exec);
-      auto dispatcher = DispatcherRegistry::Global().Create(spec);
-      if (!dispatcher.ok()) return -1.0;
-      out->clear();
-      Stopwatch watch;
-      (*dispatcher)->Dispatch(*ctx, out);
-      ms.push_back(watch.ElapsedSeconds() * 1e3);
-      if (const DispatchCounters* c = (*dispatcher)->counters()) {
-        *counters = *c;
-      }
-    }
-    return MedianMs(ms);
-  };
-
-  std::vector<LsRecord> ls_records;
-  std::vector<Assignment> ls_serial_out;
-  DispatchCounters ls_serial_counters;
-  double ls_serial_ms =
-      run_ls("LS:parallel=0", nullptr, &ls_serial_out, &ls_serial_counters);
-  if (ls_serial_ms < 0.0) {
-    std::fprintf(stderr, "FATAL: could not create LS:parallel=0\n");
-    return 1;
-  }
-  std::printf("%-14s %8d %12.2f %9s %10lld %11lld %10s\n", "LS:parallel=0",
-              1, ls_serial_ms, "1.00x",
-              static_cast<long long>(ls_serial_counters.proposals),
-              static_cast<long long>(ls_serial_counters.proposals_recomputed),
-              "base");
-  for (int threads : thread_counts) {
-    std::unique_ptr<ThreadPool> pool;
-    std::unique_ptr<RegionPartitioner> parts;
-    BatchExecution exec;
-    if (threads > 1) {
-      pool = std::make_unique<ThreadPool>(threads);
-      parts = std::make_unique<RegionPartitioner>(
-          RegionPartitioner::RowBands(grid,
-                                      SimConfig().ResolveShards(threads)));
-      exec.pool = pool.get();
-      exec.partitioner = parts.get();
-    }
-    std::vector<Assignment> out;
-    DispatchCounters counters;
-    double median = run_ls("LS:parallel=1", pool != nullptr ? &exec : nullptr,
-                           &out, &counters);
-    if (median < 0.0) {
-      std::fprintf(stderr, "FATAL: could not create LS:parallel=1\n");
-      return 1;
-    }
-    bool identical = out.size() == ls_serial_out.size() &&
-                     counters.sweeps == ls_serial_counters.sweeps &&
-                     counters.swaps_applied == ls_serial_counters.swaps_applied;
-    for (size_t i = 0; identical && i < out.size(); ++i) {
-      identical = out[i].rider_index == ls_serial_out[i].rider_index &&
-                  out[i].driver_index == ls_serial_out[i].driver_index;
-    }
-    LsRecord rec{threads,
-                 median,
-                 ls_serial_ms / median,
-                 counters.proposals,
-                 counters.proposals_recomputed,
-                 counters.swaps_applied,
-                 identical};
-    ls_records.push_back(rec);
-    std::printf("%-14s %8d %12.2f %8.2fx %10lld %11lld %10s\n",
-                "LS:parallel=1", threads, median, rec.speedup,
-                static_cast<long long>(rec.proposals),
-                static_cast<long long>(rec.recomputed),
-                identical ? "yes" : "NO");
-    if (!identical) {
-      std::fprintf(stderr,
-                   "FATAL: parallel LS diverged from sequential LS at %d "
-                   "threads\n",
-                   threads);
-      return 1;
     }
   }
 
@@ -734,10 +634,15 @@ int Main() {
         session.emplace(tcfg);
         cfg.telemetry = &*session;
       }
-      auto near = MakeDispatcherByName("NEAR");
+      auto near = DispatcherRegistry::Global().Create("NEAR");
+      if (!near.ok()) {
+        std::fprintf(stderr, "FATAL: %s\n",
+                     near.status().ToString().c_str());
+        return 1;
+      }
       Stopwatch watch;
       StatusOr<SimResult> run =
-          engine_sim->RunWith(cfg, *near, /*scenario=*/nullptr);
+          engine_sim->RunWith(cfg, **near, /*scenario=*/nullptr);
       wall.push_back(watch.ElapsedSeconds());
       if (!run.ok()) {
         std::fprintf(stderr, "FATAL: %s\n", run.status().ToString().c_str());
@@ -896,10 +801,15 @@ int Main() {
                    stream_sim.status().ToString().c_str());
       return 1;
     }
-    auto near = MakeDispatcherByName("NEAR");
+    auto near = DispatcherRegistry::Global().Create("NEAR");
+    if (!near.ok()) {
+      std::fprintf(stderr, "FATAL: %s\n",
+                   near.status().ToString().c_str());
+      return 1;
+    }
     Stopwatch run_watch;
     StatusOr<SimResult> run =
-        stream_sim->RunWith(stream_cfg, *near, /*scenario=*/nullptr);
+        stream_sim->RunWith(stream_cfg, **near, /*scenario=*/nullptr);
     double wall = run_watch.ElapsedSeconds();
     if (!run.ok()) {
       std::fprintf(stderr, "FATAL: %s\n", run.status().ToString().c_str());
@@ -958,10 +868,15 @@ int Main() {
                    mat_sim.status().ToString().c_str());
       return 1;
     }
-    auto near = MakeDispatcherByName("NEAR");
+    auto near = DispatcherRegistry::Global().Create("NEAR");
+    if (!near.ok()) {
+      std::fprintf(stderr, "FATAL: %s\n",
+                   near.status().ToString().c_str());
+      return 1;
+    }
     Stopwatch run_watch;
     StatusOr<SimResult> run =
-        mat_sim->RunWith(stream_cfg, *near, /*scenario=*/nullptr);
+        mat_sim->RunWith(stream_cfg, **near, /*scenario=*/nullptr);
     double wall = run_watch.ElapsedSeconds();
     if (!run.ok()) {
       std::fprintf(stderr, "FATAL: %s\n", run.status().ToString().c_str());
@@ -1013,30 +928,6 @@ int Main() {
     w.EndObject();
   }
   w.EndArray();
-  // Conflict-decomposed LS vs the sequential sweep: timing plus the
-  // speculation counters (conflict_rate = recomputed / proposals).
-  w.Key("ls_parallel").BeginObject();
-  w.Key("serial_ms_per_batch").Number(ls_serial_ms);
-  w.Key("serial_proposals").Number(ls_serial_counters.proposals);
-  w.Key("serial_swaps").Number(ls_serial_counters.swaps_applied);
-  w.Key("results").BeginArray();
-  for (const LsRecord& r : ls_records) {
-    w.BeginObject();
-    w.Key("threads").Number(r.threads);
-    w.Key("ms_per_batch").Number(r.median_ms);
-    w.Key("speedup").Number(r.speedup);
-    w.Key("proposals").Number(r.proposals);
-    w.Key("recomputed").Number(r.recomputed);
-    w.Key("conflict_rate")
-        .Number(r.proposals > 0
-                    ? static_cast<double>(r.recomputed) / r.proposals
-                    : 0.0);
-    w.Key("swaps_applied").Number(r.swaps);
-    w.Key("identical").Bool(r.identical);
-    w.EndObject();
-  }
-  w.EndArray();
-  w.EndObject();
   w.Key("engine").BeginObject();
   w.Key("orders").Number(static_cast<int64_t>(day.orders.size()));
   w.Key("drivers").Number(engine_drivers);

@@ -1,6 +1,7 @@
 #include "api/dispatcher_registry.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "dispatch/dispatchers.h"
@@ -38,13 +39,12 @@ void RegisterBuiltins(DispatcherRegistry* r) {
   must(r->Register(
       "LS",
       {{"max_sweeps", DispatcherParam::Type::kInt64, 16.0,
-        "local-search pass cap (L_max)"},
-       {"parallel", DispatcherParam::Type::kInt64, 1.0,
-        "1 = conflict-decomposed parallel sweeps, 0 = sequential sweep"}},
+        "local-search pass cap (L_max)", 1,
+        std::numeric_limits<int>::max()}},
       [](const DispatcherParams& p) {
+        // The declared range makes the narrowing exact.
         return MakeLocalSearchDispatcher(
-            static_cast<int>(p.GetInt("max_sweeps")),
-            p.GetInt("parallel") != 0);
+            static_cast<int>(p.GetInt("max_sweeps")));
       }));
   must(r->Register("SHORT", {}, [](const DispatcherParams&) {
     return MakeShortDispatcher();
@@ -56,6 +56,15 @@ void RegisterBuiltins(DispatcherRegistry* r) {
       "UPPER", {},
       [](const DispatcherParams&) { return MakeUpperBoundDispatcher(); },
       /*requires_zero_pickup_travel=*/true));
+}
+
+/// InvalidArgument unless the parsed int `value` lies in `decl`'s range.
+Status CheckIntRange(const DispatcherParam& decl, int64_t value) {
+  if (value >= decl.min_int && value <= decl.max_int) return Status::OK();
+  return Status::InvalidArgument(
+      "parameter '" + decl.name + "': " + std::to_string(value) +
+      " is outside [" + std::to_string(decl.min_int) + ", " +
+      std::to_string(decl.max_int) + "]");
 }
 
 std::string DeclaredParamList(const std::vector<DispatcherParam>& params) {
@@ -150,6 +159,11 @@ StatusOr<std::unique_ptr<Dispatcher>> DispatcherRegistry::Create(
         return Status::InvalidArgument("dispatcher '" + name + "' parameter '" +
                                        key + "': not an int64: '" + raw + "'");
       }
+      Status in_range = CheckIntRange(*decl, *v);
+      if (!in_range.ok()) {
+        return Status::InvalidArgument("dispatcher '" + name + "' " +
+                                       in_range.message());
+      }
       params.values_[key] = {*v, static_cast<double>(*v)};
     } else {
       StatusOr<double> v = ParseDouble(raw);
@@ -207,6 +221,7 @@ StatusOr<std::string> DispatcherRegistry::CanonicalizeSpec(
           return Status::InvalidArgument("parameter '" + decl.name +
                                          "': not an int64: '" + *raw + "'");
         }
+        MRVD_RETURN_NOT_OK(CheckIntRange(decl, *v));
         value = *v;
       }
       return std::to_string(value);
@@ -316,28 +331,6 @@ DispatcherRegistrar::DispatcherRegistrar(std::string name,
   if (!st.ok()) {
     MRVD_LOG(Warn) << "dispatcher self-registration ignored: " << st;
   }
-}
-
-/// Legacy shim kept for the pre-registry call sites (declared in
-/// dispatch/dispatchers.h). Prefer DispatcherRegistry::Create, which
-/// reports unknown names with a Status instead of nullptr. The full uint64
-/// seed domain is preserved: seeds above int64 max are formatted as their
-/// two's-complement int64 (spec parameters are int64), and the factory's
-/// cast back to uint64 restores the exact bit pattern.
-std::unique_ptr<Dispatcher> MakeDispatcherByName(const std::string& name,
-                                                 uint64_t seed,
-                                                 int max_sweeps) {
-  DispatcherRegistry& registry = DispatcherRegistry::Global();
-  std::vector<std::pair<std::string, std::string>> overrides;
-  if (registry.HasParam(name, "seed")) {
-    overrides.emplace_back("seed",
-                           std::to_string(static_cast<int64_t>(seed)));
-  }
-  if (registry.HasParam(name, "max_sweeps")) {
-    overrides.emplace_back("max_sweeps", std::to_string(max_sweeps));
-  }
-  StatusOr<std::unique_ptr<Dispatcher>> d = registry.Create(name, overrides);
-  return d.ok() ? std::move(d).value() : nullptr;
 }
 
 }  // namespace mrvd

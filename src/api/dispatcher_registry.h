@@ -1,5 +1,5 @@
-// Self-registering dispatcher factory registry — the experiment API's
-// replacement for the old MakeDispatcherByName if/else chain.
+// Self-registering dispatcher factory registry: the one way to build a
+// dispatcher by name.
 //
 // Every dispatcher registers a factory keyed by its display name together
 // with the typed parameters it accepts, so callers assemble dispatchers
@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -41,6 +42,10 @@ struct DispatcherParam {
   /// by this: they are stored at full int64 fidelity).
   double default_value = 0.0;
   std::string help;
+  /// Inclusive range of a kInt64 value: Create and CanonicalizeSpec reject
+  /// an override outside it with InvalidArgument naming the parameter.
+  int64_t min_int = std::numeric_limits<int64_t>::min();
+  int64_t max_int = std::numeric_limits<int64_t>::max();
 };
 
 /// Parsed parameter values handed to a factory: every declared parameter is

@@ -13,14 +13,13 @@
 // Every dispatcher consumes the batch through the sharded-context protocol:
 // when the BatchContext carries a BatchExecution (thread pool + region
 // partitioner, see sim/batch.h), candidate generation and the idle-time
-// solves fan out per region shard and the selection reconciles
-// sequentially, producing bit-identical assignments to the serial path.
-// Without an execution the same code runs serially.
+// solves fan out per region shard and the selection runs sequentially,
+// producing bit-identical assignments to the serial path. Without an
+// execution the same code runs serially.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "sim/batch.h"
 
@@ -33,24 +32,10 @@ std::unique_ptr<Dispatcher> MakeIrgDispatcher();
 
 /// `max_sweeps` caps local-search passes (L_max in the complexity analysis;
 /// convergence is guaranteed by Lemma 5.1 but bounded here defensively).
-/// `parallel` selects the conflict-decomposed sweep (speculative parallel
-/// propose + in-order commit with exact revalidation; bit-identical to the
-/// sequential sweep, which `parallel = false` keeps as the A/B baseline).
-std::unique_ptr<Dispatcher> MakeLocalSearchDispatcher(int max_sweeps = 16,
-                                                      bool parallel = true);
+std::unique_ptr<Dispatcher> MakeLocalSearchDispatcher(int max_sweeps = 16);
 
 std::unique_ptr<Dispatcher> MakeShortDispatcher();
 std::unique_ptr<Dispatcher> MakePolarDispatcher();
 std::unique_ptr<Dispatcher> MakeUpperBoundDispatcher();
-
-/// Legacy factory by display name ("IRG", "LS", "SHORT", "RAND", "NEAR",
-/// "LTG", "POLAR", "UPPER"); nullptr for unknown names. `seed` feeds RAND,
-/// `max_sweeps` feeds LS. Implemented as a thin shim over the
-/// DispatcherRegistry (api/dispatcher_registry.h) — prefer the registry,
-/// whose Create() parses "LS:max_sweeps=8"-style specs and reports unknown
-/// names with a Status listing the known roster instead of nullptr.
-std::unique_ptr<Dispatcher> MakeDispatcherByName(const std::string& name,
-                                                 uint64_t seed = 1,
-                                                 int max_sweeps = 16);
 
 }  // namespace mrvd

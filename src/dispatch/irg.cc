@@ -20,7 +20,7 @@ class IrgDispatcher final : public Dispatcher {
     // Sharded preparation (parallel when the batch carries an execution),
     // then the exact sequential selection over the canonical pair list.
     counters_ = {};
-    PreparedBatch prepared = PrepareShardedBatch(ctx, objective_);
+    PreparedBatch prepared = PrepareShardedBatch(ctx);
     counters_.shards = std::move(prepared.shard_stats);
     IrgState state = RunGreedySelection(ctx, prepared.pairs, objective_);
     *out = std::move(state.assignments);

@@ -36,9 +36,7 @@ struct IrgState {
 };
 
 /// ET oracle: seconds of expected idle time for (region, extra_drivers).
-/// The serial path uses BatchContext::ExpectedIdleSeconds; shard workers
-/// pass ShardedBatchContext::ExpectedIdleSeconds so memoisation stays
-/// thread-local.
+/// RunGreedySelection passes BatchContext::ExpectedIdleSeconds.
 using IdleTimeFn = std::function<double(RegionId, int)>;
 
 /// Score from an already-resolved ET value (pure arithmetic shared by every
@@ -47,7 +45,7 @@ double ScoreFromIdle(double idle_seconds, const WaitingRider& rider,
                      GreedyObjective objective, double pickup_seconds = 0.0);
 
 /// ScoreFromIdle with the rider's trip time passed directly — for SoA hot
-/// loops (parallel LS propose) that carry trip seconds in a dense array
+/// loops (the LS sweep) that carry trip seconds in a dense array
 /// instead of dereferencing a WaitingRider. ScoreFromIdle delegates here,
 /// so both spellings evaluate the one compiled expression and stay
 /// bit-identical.
@@ -68,9 +66,9 @@ IrgState RunGreedySelection(const BatchContext& ctx,
                             const std::vector<CandidatePair>& pairs,
                             GreedyObjective objective);
 
-/// Greedy selection with ET queries routed through `idle`. Used by the
-/// sharded pipeline's speculative per-shard pass; semantics are identical
-/// to RunGreedySelection when `idle` returns the same values.
+/// Greedy selection with ET queries routed through `idle`, for callers that
+/// count or time the solves; semantics are identical to RunGreedySelection
+/// when `idle` returns the same values.
 IrgState RunGreedySelectionWithIdle(const BatchContext& ctx,
                                     const std::vector<CandidatePair>& pairs,
                                     GreedyObjective objective,

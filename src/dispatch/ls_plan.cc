@@ -1,6 +1,4 @@
-#include "dispatch/conflict_partition.h"
-
-#include <algorithm>
+#include "dispatch/ls_plan.h"
 
 namespace mrvd {
 
@@ -12,7 +10,6 @@ LsSwapPlan BuildLsSwapPlan(const BatchContext& ctx,
   const int num_regions = ctx.grid().num_regions();
   plan.needs_minus1.assign(static_cast<size_t>(num_regions), 0);
   plan.cand_offsets.assign(static_cast<size_t>(plan.num_slots) + 1, 0);
-  plan.region_offsets.assign(static_cast<size_t>(plan.num_slots) + 1, 0);
   if (plan.num_slots == 0) return plan;
 
   // driver context index -> slot (assignment index); -1 for unmatched.
@@ -23,7 +20,7 @@ LsSwapPlan BuildLsSwapPlan(const BatchContext& ctx,
   }
 
   // CSR counts, then a stable fill — candidate order within a slot is the
-  // pair order, exactly the order the serial sweep scans per driver.
+  // pair order.
   for (const CandidatePair& cp : pairs) {
     int slot = driver_slot[static_cast<size_t>(cp.driver_index)];
     if (slot >= 0) ++plan.cand_offsets[static_cast<size_t>(slot) + 1];
@@ -48,66 +45,22 @@ LsSwapPlan BuildLsSwapPlan(const BatchContext& ctx,
     plan.cand_trip[at] = r.trip_seconds;
   }
 
-  // Distinct-region footprints, the global region list, and the
-  // extra-minus-one flags (a repeated dropoff region within one slot means
-  // the "released current rider" adjustment can fire there).
+  // The global region list and the extra-minus-one flags (a repeated
+  // dropoff region within one slot means the "released current rider"
+  // adjustment can fire there).
   std::vector<int> last_seen(static_cast<size_t>(num_regions), -1);
-  std::vector<char> in_any(static_cast<size_t>(num_regions), 0);
   for (int i = 0; i < plan.num_slots; ++i) {
     for (int c = plan.cand_offsets[static_cast<size_t>(i)];
          c < plan.cand_offsets[static_cast<size_t>(i) + 1]; ++c) {
       const auto k = static_cast<size_t>(plan.cand_dropoff[static_cast<size_t>(c)]);
-      if (last_seen[k] == i) {
-        plan.needs_minus1[k] = 1;
-        continue;
-      }
+      if (last_seen[k] == i) plan.needs_minus1[k] = 1;
       last_seen[k] = i;
-      in_any[k] = 1;
-      plan.slot_regions.push_back(plan.cand_dropoff[static_cast<size_t>(c)]);
     }
-    plan.region_offsets[static_cast<size_t>(i) + 1] =
-        static_cast<int>(plan.slot_regions.size());
   }
   for (RegionId k = 0; k < static_cast<RegionId>(num_regions); ++k) {
-    if (in_any[static_cast<size_t>(k)]) plan.regions.push_back(k);
-  }
-
-  // Ordered independence levels via a per-region "max level of any earlier
-  // slot touching this cell" map: level(i) must exceed every conflicting
-  // earlier slot's level, and cells are the only way slots conflict.
-  plan.level.assign(static_cast<size_t>(plan.num_slots), 0);
-  std::vector<int> cell_level(static_cast<size_t>(num_regions), -1);
-  for (int i = 0; i < plan.num_slots; ++i) {
-    int lvl = 0;
-    for (int c = plan.region_offsets[static_cast<size_t>(i)];
-         c < plan.region_offsets[static_cast<size_t>(i) + 1]; ++c) {
-      lvl = std::max(
-          lvl, cell_level[static_cast<size_t>(
-                   plan.slot_regions[static_cast<size_t>(c)])] + 1);
-    }
-    for (int c = plan.region_offsets[static_cast<size_t>(i)];
-         c < plan.region_offsets[static_cast<size_t>(i) + 1]; ++c) {
-      cell_level[static_cast<size_t>(
-          plan.slot_regions[static_cast<size_t>(c)])] = lvl;
-    }
-    plan.level[static_cast<size_t>(i)] = lvl;
-    plan.num_levels = std::max(plan.num_levels, lvl + 1);
+    if (last_seen[static_cast<size_t>(k)] >= 0) plan.regions.push_back(k);
   }
   return plan;
-}
-
-bool SlotsConflict(const LsSwapPlan& plan, int a, int b) {
-  for (int i = plan.region_offsets[static_cast<size_t>(a)];
-       i < plan.region_offsets[static_cast<size_t>(a) + 1]; ++i) {
-    for (int j = plan.region_offsets[static_cast<size_t>(b)];
-         j < plan.region_offsets[static_cast<size_t>(b) + 1]; ++j) {
-      if (plan.slot_regions[static_cast<size_t>(i)] ==
-          plan.slot_regions[static_cast<size_t>(j)]) {
-        return true;
-      }
-    }
-  }
-  return false;
 }
 
 }  // namespace mrvd

@@ -9,8 +9,7 @@
 
 namespace mrvd {
 
-PreparedBatch PrepareShardedBatch(const BatchContext& ctx,
-                                  GreedyObjective objective) {
+PreparedBatch PrepareShardedBatch(const BatchContext& ctx) {
   PreparedBatch out;
   const BatchExecution* exec = ctx.execution();
   if (exec == nullptr || !exec->Parallel()) {
@@ -35,14 +34,12 @@ PreparedBatch PrepareShardedBatch(const BatchContext& ctx,
   // Parallel per-shard candidate generation (sharded inside candidates.cc).
   auto per_rider = GenerateValidPairsPerRider(ctx);
 
-  // Flatten in the canonical rider-major order and classify: shard-internal
-  // pairs feed the speculative pass; the distinct dropoff regions are routed
-  // to their owning shard so ET(k, 0) is warmed exactly once.
+  // Flatten in the canonical rider-major order; the distinct dropoff
+  // regions are routed to their owning shard so ET(k, 0) is solved exactly
+  // once.
   size_t total = 0;
   for (const auto& g : per_rider) total += g.size();
   out.pairs.reserve(total);
-  std::vector<std::vector<CandidatePair>> internal(
-      static_cast<size_t>(num_shards));
   std::vector<std::vector<RegionId>> dests_by_shard(
       static_cast<size_t>(num_shards));
   std::vector<char> dest_seen(static_cast<size_t>(ctx.grid().num_regions()),
@@ -50,31 +47,18 @@ PreparedBatch PrepareShardedBatch(const BatchContext& ctx,
   for (const auto& g : per_rider) {
     for (const CandidatePair& cp : g) {
       out.pairs.push_back(cp);
-      const WaitingRider& r =
-          ctx.riders()[static_cast<size_t>(cp.rider_index)];
-      const AvailableDriver& d =
-          ctx.drivers()[static_cast<size_t>(cp.driver_index)];
-      RegionId dest = r.dropoff_region;
+      RegionId dest =
+          ctx.riders()[static_cast<size_t>(cp.rider_index)].dropoff_region;
       if (!dest_seen[static_cast<size_t>(dest)]) {
         dest_seen[static_cast<size_t>(dest)] = 1;
         dests_by_shard[static_cast<size_t>(parts.shard_of(dest))].push_back(
             dest);
       }
-      int rs = parts.shard_of(r.pickup_region);
-      if (parts.shard_of(d.region) == rs && parts.shard_of(dest) == rs) {
-        internal[static_cast<size_t>(rs)].push_back(cp);
-        ++out.internal_pairs;
-      }
     }
   }
 
-  // Parallel warm: per shard, solve ET(k, 0) for owned dropoff regions and
-  // speculatively run the greedy over the shard's internal pairs with a
-  // shard-local memo table. The speculative assignments are discarded; only
-  // the solved ET values survive. The speculative pass duplicates selection
-  // work, so it only runs when the pool is wide enough to hide it behind
-  // the other shards' generation work.
-  const bool speculate = exec->pool->num_threads() >= 4;
+  // Parallel warm: per shard, solve ET(k, 0) for the owned dropoff regions
+  // into a shard-local memo table.
   std::vector<std::unordered_map<int64_t, double>> caches(
       static_cast<size_t>(num_shards));
   exec->pool->ParallelFor(num_shards, [&](int s) {
@@ -87,14 +71,6 @@ PreparedBatch PrepareShardedBatch(const BatchContext& ctx,
     ShardedBatchContext sctx(ctx, parts, s);
     for (RegionId dest : dests_by_shard[static_cast<size_t>(s)]) {
       sctx.ExpectedIdleSeconds(dest, 0);
-    }
-    if (speculate && !internal[static_cast<size_t>(s)].empty()) {
-      RunGreedySelectionWithIdle(ctx, internal[static_cast<size_t>(s)],
-                                 objective,
-                                 [&sctx](RegionId region, int extra) {
-                                   return sctx.ExpectedIdleSeconds(region,
-                                                                   extra);
-                                 });
     }
     caches[static_cast<size_t>(s)] = sctx.ReleaseIdleCache();
     out.shard_stats[static_cast<size_t>(s)].seconds =

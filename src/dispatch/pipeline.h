@@ -5,55 +5,45 @@
 // generation and the birth-death idle-time solves behind every score — are
 // pure functions of the immutable batch snapshot, so they shard cleanly by
 // region. The greedy selection itself is a sequential process whose picks
-// couple arbitrary shards through the riders' dropoff regions, so it cannot
-// be split exactly; instead the pipeline runs it twice:
+// couple arbitrary shards through the riders' dropoff regions, so it is not
+// split:
 //
 //   1. Parallel phase (per shard, on the BatchExecution's pool):
-//      candidate pairs are generated for the shard's riders; each worker
-//      then warms a shard-local ET memo table by (a) solving ET(k, 0) for
-//      every dropoff region the shard owns and (b) running a *speculative*
-//      greedy over the shard's internal pairs (rider, driver and dropoff all
-//      inside the shard), which touches the ET(k, extra) keys the real
-//      selection will need.
-//   2. Sequential reconciliation: the shard caches are merged into the
-//      BatchContext memo table and the ordinary serial greedy replays over
-//      the full pair list — including the kRingExpand pairs that straddle
-//      shard boundaries, which the speculative phase deliberately skipped.
+//      candidate pairs are generated for the shard's riders, and each
+//      worker solves ET(k, 0) for every dropoff region the shard owns into
+//      a shard-local memo table — the value every pair's initial greedy
+//      score reads.
+//   2. Sequential selection: the shard tables are merged into the
+//      BatchContext memo table and the ordinary serial greedy runs over the
+//      full pair list.
 //
-// The replay is exact, not approximate: the pair list is concatenated in
-// the serial path's canonical order, the lazy-PQ comparator is a strict
-// total order, and warming a memo table with values of the same pure
-// function cannot change any score. Sharding therefore moves the expensive
-// solves onto the pool while the cheap sequential pass guarantees
-// bit-identical assignments to the serial path at any thread count.
+// The result equals the serial path's bit for bit: the pair list is
+// concatenated in the serial path's canonical order, the lazy-PQ comparator
+// is a strict total order, and warming a memo table with values of the same
+// pure function cannot change any score.
 #pragma once
 
 #include <vector>
 
 #include "dispatch/candidates.h"
-#include "dispatch/irg_core.h"
 #include "sim/batch.h"
 
 namespace mrvd {
 
 /// Output of the parallel preparation phase.
 struct PreparedBatch {
-  /// All valid pairs in the canonical serial order; the BatchContext's ET
-  /// memo table has been warmed for them.
+  /// All valid pairs in the canonical serial order. On the parallel path
+  /// the BatchContext's ET memo table then holds ET(k, 0) for every dropoff
+  /// region among them.
   std::vector<CandidatePair> pairs;
-  /// Pairs whose rider pickup, driver and rider dropoff fall in one shard
-  /// (diagnostic; the complement had to wait for reconciliation).
-  size_t internal_pairs = 0;
   /// Per-shard batch sizes and parallel-phase wall times (empty on the
   /// serial fallback). Dispatchers move this into their DispatchCounters so
-  /// shard imbalance reaches SimResult like the LS conflict rate does.
+  /// shard imbalance reaches SimResult.
   std::vector<ShardLoadStat> shard_stats;
 };
 
 /// Runs the sharded preparation when `ctx` carries a parallel
 /// BatchExecution; otherwise falls back to plain serial generation.
-/// `objective` selects the scoring the speculative pass warms for.
-PreparedBatch PrepareShardedBatch(const BatchContext& ctx,
-                                  GreedyObjective objective);
+PreparedBatch PrepareShardedBatch(const BatchContext& ctx);
 
 }  // namespace mrvd

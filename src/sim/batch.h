@@ -27,10 +27,9 @@ class TelemetrySession;
 
 /// Parallel-execution context for one batch: a reusable worker pool plus
 /// the region sharding. When a BatchContext carries one (see
-/// BatchContext::SetExecution), dispatchers shard candidate generation,
-/// idle-time evaluation and speculative greedy selection across the pool;
-/// without one every dispatcher runs the serial path. Both owned objects
-/// must outlive the batch.
+/// BatchContext::SetExecution), dispatchers shard candidate generation
+/// and idle-time evaluation across the pool; without one every dispatcher
+/// runs the serial path. Both owned objects must outlive the batch.
 struct BatchExecution {
   ThreadPool* pool = nullptr;
   const RegionPartitioner* partitioner = nullptr;
@@ -242,9 +241,9 @@ class BatchContext {
 /// It exposes the shard's riders/drivers and an idle-time memo table private
 /// to the shard's worker, so concurrent shards never touch the parent's
 /// shared cache. After the parallel phase the local tables are merged back
-/// into the parent (BatchContext::WarmIdleCache), which cannot change any
+/// into the parent (BatchContext::MergeIdleCache), which cannot change any
 /// value — ET is a pure function of the immutable snapshots — so the
-/// sequential reconciliation pass sees exactly the serial path's numbers.
+/// sequential selection sees exactly the serial path's numbers.
 ///
 /// The shard's rider/driver index lists come from the parent's shared
 /// ShardIndex when one is present for `partitioner` (the pipeline and the
@@ -303,16 +302,12 @@ struct ShardLoadStat {
 };
 
 /// Per-Dispatch work counters for iterative dispatchers (currently LS):
-/// convergence and speculation behaviour observable without a profiler.
-/// Sweep-less dispatchers leave everything zero.
+/// convergence behaviour observable without a profiler. Sweep-less
+/// dispatchers leave everything zero.
 struct DispatchCounters {
   int64_t sweeps = 0;          ///< refinement sweeps actually run
   int64_t swaps_applied = 0;   ///< improving swaps committed
   int64_t proposals = 0;       ///< best-swap evaluations proposed
-  /// Speculative proposals invalidated by an earlier commit and recomputed
-  /// serially (always 0 on the serial path) — proposals_recomputed /
-  /// proposals is the conflict rate of the parallel decomposition.
-  int64_t proposals_recomputed = 0;
   /// One entry per pipeline shard (empty on the serial path), filled by
   /// PrepareShardedBatch for every dispatcher that runs through it.
   std::vector<ShardLoadStat> shards;

@@ -65,12 +65,12 @@ struct SimResult {
   RunningStats driver_idle_seconds;  ///< realized idle gaps
 
   // Dispatcher work counters summed over the run (Dispatcher::counters);
-  // all zero for dispatchers that don't track them. For LS,
-  // dispatch_proposals_recomputed / dispatch_proposals is the conflict rate
-  // of the parallel sweep decomposition (0 on the serial path).
+  // all zero for dispatchers that don't track them.
   int64_t dispatch_sweeps = 0;
   int64_t dispatch_swaps_applied = 0;
   int64_t dispatch_proposals = 0;
+  /// Always 0: LS's single sweep never recomputes a proposal. Kept only
+  /// because the benchmark harness (perfbench/main.cc) still reads it.
   int64_t dispatch_proposals_recomputed = 0;
 
   // Shard-load telemetry of the parallel pipeline (empty/zero on serial

@@ -33,7 +33,6 @@ void MetricsCollector::OnDispatchCounters(double /*now*/,
   result_.dispatch_sweeps += c.sweeps;
   result_.dispatch_swaps_applied += c.swaps_applied;
   result_.dispatch_proposals += c.proposals;
-  result_.dispatch_proposals_recomputed += c.proposals_recomputed;
   if (!c.shards.empty()) {
     int64_t max_riders = 0;
     int64_t total_riders = 0;

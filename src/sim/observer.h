@@ -86,8 +86,8 @@ class SimObserver {
     (void)now, (void)dispatch_seconds, (void)assignments;
   }
 
-  /// The dispatcher's work counters for the batch (sweeps, swaps,
-  /// speculation stats — sim/batch.h). Fires right after OnDispatchDone,
+  /// The dispatcher's work counters for the batch (sweeps, swaps, shard
+  /// loads — sim/batch.h). Fires right after OnDispatchDone,
   /// and only for dispatchers that track counters.
   virtual void OnDispatchCounters(double now, const DispatchCounters& c) {
     (void)now, (void)c;

@@ -158,10 +158,16 @@ TEST(DispatcherRegistryTest, UnknownNameFailsListingTheRoster) {
 TEST(DispatcherRegistryTest, BadParametersFailWithDeclaredNames) {
   const DispatcherRegistry& registry = DispatcherRegistry::Global();
 
-  auto unknown_param = registry.Create("LS:bogus=1");
-  ASSERT_FALSE(unknown_param.ok());
-  EXPECT_NE(unknown_param.status().message().find("max_sweeps"),
-            std::string::npos);
+  // A removed parameter (LS's `parallel`) fails like any unknown one.
+  for (const char* spec : {"LS:bogus=1", "LS:parallel=0"}) {
+    auto unknown_param = registry.Create(spec);
+    ASSERT_FALSE(unknown_param.ok()) << spec;
+    EXPECT_EQ(unknown_param.status().code(), StatusCode::kInvalidArgument)
+        << spec;
+    EXPECT_NE(unknown_param.status().message().find("max_sweeps"),
+              std::string::npos)
+        << spec;
+  }
 
   auto param_on_paramless = registry.Create("IRG:seed=1");
   ASSERT_FALSE(param_on_paramless.ok());
@@ -194,18 +200,47 @@ TEST(DispatcherRegistryTest, Int64ParamsKeepFullFidelity) {
   ASSERT_FALSE(overflow.ok());
 }
 
-TEST(DispatcherRegistryTest, TraitsAndLegacyShim) {
+TEST(DispatcherRegistryTest, Traits) {
   const DispatcherRegistry& registry = DispatcherRegistry::Global();
   EXPECT_TRUE(registry.RequiresZeroPickupTravel("UPPER"));
   EXPECT_FALSE(registry.RequiresZeroPickupTravel("IRG"));
   EXPECT_TRUE(registry.HasParam("RAND", "seed"));
   EXPECT_FALSE(registry.HasParam("RAND", "max_sweeps"));
+}
 
-  // The legacy MakeDispatcherByName is now a shim over the registry, and
-  // keeps the full uint64 seed domain (two's-complement round-trip).
-  EXPECT_NE(MakeDispatcherByName("LS", 1, 4), nullptr);
-  EXPECT_NE(MakeDispatcherByName("RAND", 0x8000000000000001ull), nullptr);
-  EXPECT_EQ(MakeDispatcherByName("NOPE"), nullptr);
+TEST(DispatcherRegistryTest, MaxSweepsOutsideItsRangeIsRejected) {
+  const DispatcherRegistry& registry = DispatcherRegistry::Global();
+  // 0 and -1 would run no sweep (LS would return IRG's assignment under its
+  // own key); 2^32 + 1 would narrow to 1 sweep.
+  for (const char* spec :
+       {"LS:max_sweeps=0", "LS:max_sweeps=-1", "LS:max_sweeps=4294967297"}) {
+    auto created = registry.Create(spec);
+    ASSERT_FALSE(created.ok()) << spec;
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument) << spec;
+    EXPECT_NE(created.status().message().find("max_sweeps"),
+              std::string::npos)
+        << spec;
+    StatusOr<std::string> canonical = registry.CanonicalizeSpec(spec);
+    ASSERT_FALSE(canonical.ok()) << spec;
+    EXPECT_EQ(canonical.status().code(), StatusCode::kInvalidArgument)
+        << spec;
+    EXPECT_NE(canonical.status().message().find("max_sweeps"),
+              std::string::npos)
+        << spec;
+  }
+
+  // The top of the range (2^31 - 1) is accepted by both.
+  auto largest = registry.Create("LS:max_sweeps=2147483647");
+  EXPECT_TRUE(largest.ok()) << largest.status();
+  StatusOr<std::string> canonical =
+      registry.CanonicalizeSpec("LS:max_sweeps=2147483647");
+  ASSERT_TRUE(canonical.ok()) << canonical.status();
+  EXPECT_EQ(*canonical, "LS:max_sweeps=2147483647");
+
+  // The defaults spelled out: LS has exactly one parameter.
+  StatusOr<std::string> defaults = registry.CanonicalizeSpec("LS");
+  ASSERT_TRUE(defaults.ok()) << defaults.status();
+  EXPECT_EQ(*defaults, "LS:max_sweeps=16");
 }
 
 /// Minimal dispatcher for the self-registration test.

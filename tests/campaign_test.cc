@@ -331,6 +331,14 @@ TEST(GridExpansionTest, RejectsBadAndDuplicateAxes) {
   ASSERT_FALSE(typo.ok());
   EXPECT_NE(typo.status().message().find("known dispatchers"),
             std::string::npos);
+
+  // An out-of-range parameter fails the whole grid before any cell runs.
+  spec = SmallSpec();
+  spec.dispatchers = {"NEAR", "LS:max_sweeps=0"};
+  StatusOr<std::vector<CampaignCell>> sweeps = ExpandGrid(spec);
+  ASSERT_FALSE(sweeps.ok());
+  EXPECT_EQ(sweeps.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sweeps.status().message().find("max_sweeps"), std::string::npos);
 }
 
 // ---------------------------------------------------------- campaign runner

@@ -18,7 +18,6 @@
 
 #include "api/api.h"
 #include "campaign/workload_catalog.h"
-#include "dispatch/dispatchers.h"
 #include "geo/travel.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -452,12 +451,13 @@ TEST(StreamedRunTest, BitIdenticalToMaterialisedAcrossRosterAndThreads) {
       SCOPED_TRACE(std::string(name) + "@" + std::to_string(threads));
       SimConfig run_cfg = cfg;
       run_cfg.num_threads = threads;
-      auto d1 = MakeDispatcherByName(name);
-      auto d2 = MakeDispatcherByName(name);
+      auto d1 = DispatcherRegistry::Global().Create(name);
+      auto d2 = DispatcherRegistry::Global().Create(name);
+      ASSERT_TRUE(d1.ok() && d2.ok());
       StatusOr<SimResult> a =
-          materialised->RunWith(run_cfg, *d1, /*scenario=*/nullptr);
+          materialised->RunWith(run_cfg, **d1, /*scenario=*/nullptr);
       StatusOr<SimResult> b =
-          streamed->RunWith(run_cfg, *d2, /*scenario=*/nullptr);
+          streamed->RunWith(run_cfg, **d2, /*scenario=*/nullptr);
       ASSERT_TRUE(a.ok()) << a.status();
       ASSERT_TRUE(b.ok()) << b.status();
       EXPECT_EQ(a->served_orders, b->served_orders);
@@ -496,10 +496,11 @@ TEST(StreamedRunTest, MaxOrdersCapMatchesCappedMaterialisation) {
                                .WithConfig(cfg)
                                .Build();
   ASSERT_TRUE(b.ok()) << b.status();
-  auto d1 = MakeDispatcherByName("NEAR");
-  auto d2 = MakeDispatcherByName("NEAR");
-  StatusOr<SimResult> ra = a->RunWith(cfg, *d1, nullptr);
-  StatusOr<SimResult> rb = b->RunWith(cfg, *d2, nullptr);
+  auto d1 = DispatcherRegistry::Global().Create("NEAR");
+  auto d2 = DispatcherRegistry::Global().Create("NEAR");
+  ASSERT_TRUE(d1.ok() && d2.ok());
+  StatusOr<SimResult> ra = a->RunWith(cfg, **d1, nullptr);
+  StatusOr<SimResult> rb = b->RunWith(cfg, **d2, nullptr);
   ASSERT_TRUE(ra.ok()) << ra.status();
   ASSERT_TRUE(rb.ok()) << rb.status();
   EXPECT_EQ(ra->served_orders, rb->served_orders);
@@ -545,12 +546,13 @@ TEST(TraceCatalogTest, TraceEntryBuildsAndTogglesMaterialisation) {
   ASSERT_TRUE(materialised.ok()) << materialised.status();
   EXPECT_FALSE(materialised->streaming());
 
-  auto d1 = MakeDispatcherByName("NEAR");
-  auto d2 = MakeDispatcherByName("NEAR");
+  auto d1 = DispatcherRegistry::Global().Create("NEAR");
+  auto d2 = DispatcherRegistry::Global().Create("NEAR");
+  ASSERT_TRUE(d1.ok() && d2.ok());
   StatusOr<SimResult> a =
-      streamed->RunWith(streamed->config(), *d1, nullptr);
+      streamed->RunWith(streamed->config(), **d1, nullptr);
   StatusOr<SimResult> b =
-      materialised->RunWith(materialised->config(), *d2, nullptr);
+      materialised->RunWith(materialised->config(), **d2, nullptr);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(a->served_orders, b->served_orders);

@@ -20,7 +20,7 @@ namespace mrvd::test {
 /// dispatcher declares one (default: the equivalence suites' canonical
 /// seed). Fails the surrounding test (and returns null) on a registry
 /// error. The full uint64 seed domain survives the int64 spec parameter
-/// via two's-complement formatting, as in MakeDispatcherByName.
+/// via two's-complement formatting.
 inline std::unique_ptr<Dispatcher> MakeSeeded(const std::string& name,
                                               uint64_t seed = 5) {
   const DispatcherRegistry& registry = DispatcherRegistry::Global();

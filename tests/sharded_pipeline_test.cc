@@ -446,18 +446,18 @@ TEST_F(ShardedPipelineTest, AllDispatchersBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(ShardedPipelineTest, SpeculativePhaseWarmsInternalPairs) {
+TEST_F(ShardedPipelineTest, ShardedPrepareRecordsEveryShard) {
   auto ctx = MakeBatch(11, 200, 150, CandidateMode::kRingExpand);
   ThreadPool pool(4);
   RegionPartitioner parts = RegionPartitioner::RowBands(grid_, 8);
   BatchExecution exec{&pool, &parts};
   ctx->SetExecution(&exec);
-  PreparedBatch prepared =
-      PrepareShardedBatch(*ctx, GreedyObjective::kIdleRatio);
+  PreparedBatch prepared = PrepareShardedBatch(*ctx);
   EXPECT_FALSE(prepared.pairs.empty());
-  // Row-band sharding of NYC keeps a meaningful share of pairs internal.
-  EXPECT_GT(prepared.internal_pairs, 0u);
-  EXPECT_LE(prepared.internal_pairs, prepared.pairs.size());
+  ASSERT_EQ(prepared.shard_stats.size(), 8u);
+  int64_t riders = 0;
+  for (const ShardLoadStat& s : prepared.shard_stats) riders += s.riders;
+  EXPECT_EQ(riders, static_cast<int64_t>(ctx->riders().size()));
 }
 
 // ---------------------------------------------------- engine equivalence

@@ -101,9 +101,9 @@ TEST(ThreadPoolTest, ReusableAcrossBatches) {
 }
 
 TEST(ThreadPoolTest, NestedParallelForFromWorkerDoesNotDeadlock) {
-  // A task running on a worker may itself call ParallelFor (the sharded
-  // pipeline's speculative pass sorts with the pool it runs on); the nested
-  // call must run inline rather than wait on queue slots behind it.
+  // A task running on a worker may itself call ParallelFor on the same pool
+  // (code called from a pool task cannot tell it runs on a worker); the
+  // nested call must run inline rather than wait on queue slots behind it.
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
   pool.ParallelFor(4, [&](int) {

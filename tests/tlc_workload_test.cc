@@ -89,20 +89,6 @@ TEST(TlcCatalogTest, BuildsAndRunsTheFixture) {
   EXPECT_GT(result->served_orders, 0);
   EXPECT_EQ(result->served_orders + result->reneged_orders,
             result->total_orders);
-
-  // The conflict-decomposed parallel sweep must reproduce the sequential
-  // sweep on a CSV-derived workload too, aggregates included.
-  StatusOr<SimResult> serial = sim->Run("LS:max_sweeps=8,parallel=0");
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  EXPECT_EQ(result->served_orders, serial->served_orders);
-  EXPECT_EQ(result->reneged_orders, serial->reneged_orders);
-  EXPECT_EQ(result->total_revenue, serial->total_revenue);
-  EXPECT_EQ(result->served_wait_seconds.sum(),
-            serial->served_wait_seconds.sum());
-  EXPECT_EQ(result->dispatch_sweeps, serial->dispatch_sweeps);
-  EXPECT_EQ(result->dispatch_swaps_applied, serial->dispatch_swaps_applied);
-  // The serial sweep never speculates, so it never recomputes.
-  EXPECT_EQ(serial->dispatch_proposals_recomputed, 0);
 }
 
 TEST(TlcCatalogTest, MissingPathFailsWithActionableError) {
