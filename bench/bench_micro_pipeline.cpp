@@ -2,8 +2,9 @@
 // serial vs. sharded per-batch latency for IRG / LS / SHORT on one
 // synthetic NYC-scale batch, swept over thread counts — plus an
 // engine-phase section that drives the staged engine over a synthetic
-// day-slice and times batch *construction* (incremental snapshots +
-// shard-parallel materialisation) separately from dispatch, via the
+// day-slice and times batch *construction* (the in-place context refill:
+// snapshots, rider copy, dispatchable-driver walk) separately from
+// dispatch, via the
 // engine's SimResult::batch_build_seconds series.
 //
 // Emits BENCH_pipeline.json (override the path with MRVD_BENCH_JSON) with

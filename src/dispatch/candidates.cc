@@ -70,7 +70,7 @@ void GeneratePerRider(const BatchContext& ctx,
   if (exec != nullptr && exec->Parallel() && ctx.riders().size() > 1) {
     const RegionPartitioner& parts = *exec->partitioner;
     // Shared one-pass shard index (built once per batch and reused by the
-    // pipeline's ShardedBatchContexts; must be ensured before fanning out).
+    // pipeline's shard stats; must be ensured before fanning out).
     const BatchContext::ShardIndex& index = *ctx.EnsureShardIndex();
     exec->pool->ParallelFor(parts.num_shards(), [&](int s) {
       for (int ri : index.riders[static_cast<size_t>(s)]) {

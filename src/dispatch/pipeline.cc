@@ -1,7 +1,5 @@
 #include "dispatch/pipeline.h"
 
-#include <unordered_map>
-
 #include "geo/region_partitioner.h"
 #include "telemetry/trace.h"
 #include "util/stopwatch.h"
@@ -19,9 +17,9 @@ PreparedBatch PrepareShardedBatch(const BatchContext& ctx) {
   const RegionPartitioner& parts = *exec->partitioner;
   const int num_shards = parts.num_shards();
 
-  // One-pass shard index, shared by candidate generation and every
-  // ShardedBatchContext below (built here only if the engine's
-  // BatchBuilder did not already install it).
+  // One-pass shard index, shared by candidate generation and the shard
+  // stats below (built here only if the engine's BatchBuilder did not
+  // already build it).
   const BatchContext::ShardIndex* index = ctx.EnsureShardIndex();
   out.shard_stats.assign(static_cast<size_t>(num_shards), {});
   for (int s = 0; s < num_shards; ++s) {
@@ -58,9 +56,8 @@ PreparedBatch PrepareShardedBatch(const BatchContext& ctx) {
   }
 
   // Parallel warm: per shard, solve ET(k, 0) for the owned dropoff regions
-  // into a shard-local memo table.
-  std::vector<std::unordered_map<int64_t, double>> caches(
-      static_cast<size_t>(num_shards));
+  // into a vector aligned with the shard's dests_by_shard list.
+  std::vector<std::vector<double>> ets(static_cast<size_t>(num_shards));
   exec->pool->ParallelFor(num_shards, [&](int s) {
     // Each ParallelFor task is exactly one shard, so the watch reads the
     // shard's parallel-phase wall time; shard_stats writes are disjoint.
@@ -68,19 +65,22 @@ PreparedBatch PrepareShardedBatch(const BatchContext& ctx) {
     // shows the shard work on the thread that actually ran it.
     telemetry::TraceSpan shard_span(ctx.telemetry(), "shard_prepare");
     Stopwatch shard_watch;
-    ShardedBatchContext sctx(ctx, parts, s);
-    for (RegionId dest : dests_by_shard[static_cast<size_t>(s)]) {
-      sctx.ExpectedIdleSeconds(dest, 0);
-    }
-    caches[static_cast<size_t>(s)] = sctx.ReleaseIdleCache();
+    const std::vector<RegionId>& dests = dests_by_shard[static_cast<size_t>(s)];
+    std::vector<double>& et = ets[static_cast<size_t>(s)];
+    et.reserve(dests.size());
+    for (RegionId dest : dests) et.push_back(ctx.ComputeIdleSeconds(dest, 0));
     out.shard_stats[static_cast<size_t>(s)].seconds =
         shard_watch.ElapsedSeconds();
   });
 
-  // Sequential merge into the shared memo table (first write wins; every
-  // write is the pure ComputeIdleSeconds of the same snapshot).
-  for (auto& cache : caches) {
-    ctx.MergeIdleCache(std::move(cache));
+  // Serial warm of the shared memo table (each dropoff region is solved by
+  // exactly one shard; every value is the pure ComputeIdleSeconds of the
+  // batch's snapshot).
+  for (int s = 0; s < num_shards; ++s) {
+    const std::vector<RegionId>& dests = dests_by_shard[static_cast<size_t>(s)];
+    for (size_t i = 0; i < dests.size(); ++i) {
+      ctx.WarmIdleCache(dests[i], 0, ets[static_cast<size_t>(s)][i]);
+    }
   }
   return out;
 }

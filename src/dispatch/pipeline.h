@@ -10,12 +10,12 @@
 //
 //   1. Parallel phase (per shard, on the BatchExecution's pool):
 //      candidate pairs are generated for the shard's riders, and each
-//      worker solves ET(k, 0) for every dropoff region the shard owns into
-//      a shard-local memo table — the value every pair's initial greedy
-//      score reads.
-//   2. Sequential selection: the shard tables are merged into the
-//      BatchContext memo table and the ordinary serial greedy runs over the
-//      full pair list.
+//      worker solves ET(k, 0) (BatchContext::ComputeIdleSeconds) for every
+//      dropoff region the shard owns into a per-shard vector — the value
+//      every pair's initial greedy score reads.
+//   2. Sequential selection: the values are written into the BatchContext
+//      memo table (WarmIdleCache) and the ordinary serial greedy runs over
+//      the full pair list.
 //
 // The result equals the serial path's bit for bit: the pair list is
 // concatenated in the serial path's canonical order, the lazy-PQ comparator

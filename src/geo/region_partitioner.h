@@ -25,7 +25,7 @@ class RegionPartitioner {
   int num_shards() const { return static_cast<int>(shard_regions_.size()); }
 
   /// Regions of the grid this partitioner was built for. Lets consumers
-  /// (BatchContext::EnsureShardIndex, the engine's BatchBuilder) assert the
+  /// (BatchContext::EnsureShardIndex) assert the
   /// partitioner matches their grid before indexing by region id.
   int num_regions() const { return static_cast<int>(shard_of_.size()); }
 

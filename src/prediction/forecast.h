@@ -37,9 +37,27 @@ class DemandForecast {
   double WindowCount(double t_seconds, double window_seconds,
                      int region) const;
 
+  /// WindowCount of every region at once: `out` is resized to
+  /// num_regions() and entry k equals WindowCount(t_seconds,
+  /// window_seconds, k) bit for bit. The slot bounds are found once.
+  void WindowCounts(double t_seconds, double window_seconds,
+                    std::vector<double>* out) const;
+
  private:
   DemandForecast(int slots_per_day, int num_regions)
       : slots_per_day_(slots_per_day), num_regions_(num_regions) {}
+
+  /// Calls fn(slot, seconds) for each slot that overlaps the window,
+  /// in ascending slot order, with the overlap's length in seconds.
+  template <typename Fn>
+  void ForEachWindowSlot(double t_seconds, double window_seconds,
+                         Fn&& fn) const;
+
+  /// A slot's predicted `count` scaled to `seconds` of the slot.
+  static double Share(double count, double seconds, double slot_secs) {
+    return count * seconds / slot_secs;
+  }
+  double slot_seconds() const;
 
   int slots_per_day_;
   int num_regions_;

@@ -24,7 +24,8 @@ BatchContext::BatchContext(double now, double window_seconds,
       cost_model_(cost_model),
       candidate_mode_(candidate_mode),
       drivers_by_region_(static_cast<size_t>(grid.num_regions())),
-      snapshots_(static_cast<size_t>(grid.num_regions())) {}
+      snapshots_(static_cast<size_t>(grid.num_regions())),
+      idle_memo_(static_cast<size_t>(grid.num_regions())) {}
 
 BatchContext::BatchContext(double now, double window_seconds,
                            double reneging_beta, const Grid& grid,
@@ -39,48 +40,22 @@ BatchContext::BatchContext(double now, double window_seconds,
       cost_model_(cost_model),
       candidate_mode_(candidate_mode),
       drivers_by_region_(static_cast<size_t>(grid.num_regions())),
-      snapshots_(static_cast<size_t>(grid.num_regions())) {}
+      snapshots_(static_cast<size_t>(grid.num_regions())),
+      idle_memo_(static_cast<size_t>(grid.num_regions())) {}
 
-void BatchContext::AddRider(const WaitingRider& r) {
-  assert(r.pickup_region != kInvalidRegion &&
-         r.dropoff_region != kInvalidRegion);
-  riders_.push_back(r);
-  shard_index_.partitioner = nullptr;  // invalidate any cached index
-}
-
-void BatchContext::AddDriver(const AvailableDriver& d) {
-  assert(d.region != kInvalidRegion);
-  drivers_by_region_[static_cast<size_t>(d.region)].push_back(
-      static_cast<int>(drivers_.size()));
-  drivers_.push_back(d);
-  shard_index_.partitioner = nullptr;  // invalidate any cached index
+void BatchContext::Reset(double now) {
+  now_ = now;
+  riders_.clear();
+  drivers_.clear();
+  for (auto& bucket : drivers_by_region_) bucket.clear();
+  shard_index_.partitioner = nullptr;
+  BumpMemoEpoch();
 }
 
 void BatchContext::SetSnapshots(std::vector<RegionSnapshot> snapshots) {
   assert(static_cast<int>(snapshots.size()) == grid_.num_regions());
   snapshots_ = std::move(snapshots);
-  idle_cache_.clear();
-}
-
-void BatchContext::SetRiders(std::vector<WaitingRider> riders) {
-  riders_ = std::move(riders);
-  shard_index_.partitioner = nullptr;  // invalidate any cached index
-}
-
-void BatchContext::SetDrivers(std::vector<AvailableDriver> drivers) {
-  drivers_ = std::move(drivers);
-  shard_index_.partitioner = nullptr;  // invalidate any cached index
-  for (auto& bucket : drivers_by_region_) bucket.clear();
-  for (size_t j = 0; j < drivers_.size(); ++j) {
-    assert(drivers_[j].region != kInvalidRegion);
-    drivers_by_region_[static_cast<size_t>(drivers_[j].region)].push_back(
-        static_cast<int>(j));
-  }
-}
-
-void BatchContext::SetShardIndex(ShardIndex index) {
-  assert(index.partitioner != nullptr);
-  shard_index_ = std::move(index);
+  BumpMemoEpoch();
 }
 
 const BatchContext::ShardIndex* BatchContext::EnsureShardIndex() const {
@@ -148,71 +123,38 @@ double BatchContext::ComputeIdleSeconds(RegionId region,
   return et_minutes * 60.0;
 }
 
+BatchContext::IdleMemoEntry& BatchContext::MemoEntry(
+    RegionId region, int extra_drivers) const {
+  assert(extra_drivers >= 0);
+  std::vector<IdleMemoEntry>& row = idle_memo_[static_cast<size_t>(region)];
+  const size_t extra = static_cast<size_t>(extra_drivers);
+  if (extra >= row.size()) row.resize(extra + 1);
+  return row[extra];
+}
+
+void BatchContext::BumpMemoEpoch() {
+  if (++memo_epoch_ != 0) return;
+  // The stamp wrapped: clear every entry so none from 2^32 epochs ago
+  // reads as current.
+  for (auto& row : idle_memo_) {
+    for (IdleMemoEntry& entry : row) entry.epoch = 0;
+  }
+  memo_epoch_ = 1;
+}
+
 double BatchContext::ExpectedIdleSeconds(RegionId region,
                                          int extra_drivers) const {
-  int64_t key = IdleCacheKey(region, extra_drivers);
-  auto it = idle_cache_.find(key);
-  if (it != idle_cache_.end()) return it->second;
-  double et = ComputeIdleSeconds(region, extra_drivers);
-  idle_cache_.emplace(key, et);
-  return et;
+  IdleMemoEntry& entry = MemoEntry(region, extra_drivers);
+  if (entry.epoch != memo_epoch_) {
+    entry = {ComputeIdleSeconds(region, extra_drivers), memo_epoch_};
+  }
+  return entry.seconds;
 }
 
 void BatchContext::WarmIdleCache(RegionId region, int extra_drivers,
                                  double et) const {
-  idle_cache_.emplace(IdleCacheKey(region, extra_drivers), et);
-}
-
-void BatchContext::MergeIdleCache(
-    std::unordered_map<int64_t, double>&& cache) const {
-  if (idle_cache_.empty()) {
-    idle_cache_ = std::move(cache);
-    return;
-  }
-  idle_cache_.merge(cache);
-}
-
-// ------------------------------------------------------- ShardedBatchContext
-
-ShardedBatchContext::ShardedBatchContext(const BatchContext& parent,
-                                         const RegionPartitioner& partitioner,
-                                         int shard)
-    : parent_(parent), partitioner_(partitioner), shard_(shard) {
-  const BatchContext::ShardIndex* index = parent.shard_index();
-  if (index != nullptr && index->partitioner == &partitioner) {
-    rider_indices_ = &index->riders[static_cast<size_t>(shard)];
-    driver_indices_ = &index->drivers[static_cast<size_t>(shard)];
-    return;
-  }
-  // Hand-assembled context without a shared index: membership scan.
-  for (int i = 0; i < static_cast<int>(parent.riders().size()); ++i) {
-    if (partitioner.shard_of(
-            parent.riders()[static_cast<size_t>(i)].pickup_region) == shard) {
-      local_riders_.push_back(i);
-    }
-  }
-  for (int j = 0; j < static_cast<int>(parent.drivers().size()); ++j) {
-    if (partitioner.shard_of(
-            parent.drivers()[static_cast<size_t>(j)].region) == shard) {
-      local_drivers_.push_back(j);
-    }
-  }
-  rider_indices_ = &local_riders_;
-  driver_indices_ = &local_drivers_;
-}
-
-bool ShardedBatchContext::OwnsRegion(RegionId region) const {
-  return partitioner_.shard_of(region) == shard_;
-}
-
-double ShardedBatchContext::ExpectedIdleSeconds(RegionId region,
-                                                int extra_drivers) const {
-  int64_t key = BatchContext::IdleCacheKey(region, extra_drivers);
-  auto it = idle_cache_.find(key);
-  if (it != idle_cache_.end()) return it->second;
-  double et = parent_.ComputeIdleSeconds(region, extra_drivers);
-  idle_cache_.emplace(key, et);
-  return et;
+  IdleMemoEntry& entry = MemoEntry(region, extra_drivers);
+  if (entry.epoch != memo_epoch_) entry = {et, memo_epoch_};
 }
 
 }  // namespace mrvd

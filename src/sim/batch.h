@@ -4,10 +4,10 @@
 // returns rider-driver assignments.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/grid.h"
@@ -81,6 +81,9 @@ enum class CandidateMode {
 /// Read-mostly snapshot of one batch. The idle-time estimates are cached
 /// per (region, extra-driver count) because IRG/LS/SHORT re-query them as
 /// their tentative selections shift future driver supply (§5.1, line 11).
+/// The engine keeps one context for the whole run and refills it in place
+/// each batch (Reset, then the setup API below), so its vectors and memo
+/// rows keep their capacity from batch to batch.
 class BatchContext {
  public:
   /// Borrows the run's reneging-growth table (built from the run's β),
@@ -114,9 +117,11 @@ class BatchContext {
   const std::vector<RegionSnapshot>& snapshots() const { return snapshots_; }
 
   /// Expected idle time ET(λ(k), μ(k)) in seconds for a driver rejoining
-  /// `region`, given `extra_drivers` additional rejoiners (cached).
-  /// NOT thread-safe (the memo table is shared); shard workers go through
-  /// ShardedBatchContext::ExpectedIdleSeconds instead.
+  /// `region`, given `extra_drivers` >= 0 additional rejoiners (cached in a
+  /// dense region × extra table; a solve never allocates, a row grows the
+  /// first time a larger `extra_drivers` is asked for). NOT thread-safe
+  /// (the memo table is shared); parallel workers call ComputeIdleSeconds
+  /// and hand the values to WarmIdleCache.
   double ExpectedIdleSeconds(RegionId region, int extra_drivers = 0) const;
 
   /// Same value as ExpectedIdleSeconds but bypassing the memo table: a pure
@@ -129,16 +134,13 @@ class BatchContext {
   double ComputeIdleSeconds(RegionId region, int extra_drivers = 0) const;
 
   /// Inserts a precomputed ET value into the memo table (first write wins).
-  /// Called sequentially when merging shard-local caches; warming never
-  /// changes results because the cached value is the pure ComputeIdleSeconds
-  /// of the same immutable snapshot.
+  /// Called serially with values that parallel workers computed by
+  /// ComputeIdleSeconds; warming never changes results because the cached
+  /// value is the pure ComputeIdleSeconds of the same snapshot.
   void WarmIdleCache(RegionId region, int extra_drivers, double et) const;
 
-  /// Bulk variant of WarmIdleCache: merges a shard-local memo table (keys
-  /// from IdleCacheKey) into this context's table, first write wins.
-  void MergeIdleCache(std::unordered_map<int64_t, double>&& cache) const;
-
-  /// Memo key for (region, extra_drivers); extra_drivers < 2^20.
+  /// One integer key for (region, extra_drivers), extra_drivers < 2^20,
+  /// for callers that keep an ET memo of their own.
   static int64_t IdleCacheKey(RegionId region, int extra_drivers) {
     return (static_cast<int64_t>(region) << 20) | extra_drivers;
   }
@@ -169,30 +171,42 @@ class BatchContext {
     return now_ + PickupSeconds(d, r) <= r.pickup_deadline;
   }
 
+  /// Starts the next batch at `now` in place: empties riders, drivers and
+  /// the region buckets (keeping their capacity), drops the shard index and
+  /// invalidates every memoised ET. The snapshots stay as they were until
+  /// the caller overwrites them (mutable_snapshot), which it must do before
+  /// any ET is read.
+  void Reset(double now);
+
   /// Mutable setup API (used by the engine when building the batch).
-  void AddRider(const WaitingRider& r);
-  void AddDriver(const AvailableDriver& d);
+  /// Defined here so the builder's per-entity calls inline.
+  void AddRider(const WaitingRider& r) {
+    assert(r.pickup_region != kInvalidRegion &&
+           r.dropoff_region != kInvalidRegion);
+    riders_.push_back(r);
+    shard_index_.partitioner = nullptr;  // invalidate any cached index
+  }
+  void AddDriver(const AvailableDriver& d) {
+    assert(d.region != kInvalidRegion);
+    drivers_by_region_[static_cast<size_t>(d.region)].push_back(
+        static_cast<int>(drivers_.size()));
+    drivers_.push_back(d);
+    shard_index_.partitioner = nullptr;  // invalidate any cached index
+  }
+  /// Replaces every region's snapshot and invalidates every memoised ET.
   void SetSnapshots(std::vector<RegionSnapshot> snapshots);
+  /// Region `region`'s snapshot, for overwriting in place after Reset.
+  RegionSnapshot& mutable_snapshot(RegionId region) {
+    return snapshots_[static_cast<size_t>(region)];
+  }
 
-  /// Bulk setup API (the staged engine's BatchBuilder materialises the
-  /// vectors — possibly shard-parallel — and moves them in; the per-region
-  /// driver buckets are rebuilt in one pass, in the same ascending
-  /// context-index order AddDriver produces).
-  void SetRiders(std::vector<WaitingRider> riders);
-  void SetDrivers(std::vector<AvailableDriver> drivers);
-
-  /// Per-shard context-index lists, shared by every ShardedBatchContext of
-  /// the batch. Built in ONE pass over riders + drivers — the former
-  /// per-shard membership scans cost O(S·(R+D)) per batch.
+  /// Per-shard context-index lists, shared by every shard worker of the
+  /// batch. Built in ONE pass over riders + drivers.
   struct ShardIndex {
     const RegionPartitioner* partitioner = nullptr;
     std::vector<std::vector<int>> riders;   ///< by pickup-region shard
     std::vector<std::vector<int>> drivers;  ///< by current-region shard
   };
-
-  /// Installs a prebuilt shard index (engine path; `index.partitioner`
-  /// must be the execution's partitioner).
-  void SetShardIndex(ShardIndex index);
 
   /// Returns the shard index for execution()->partitioner, building it in
   /// one pass if absent. Serial and not thread-safe: call from the
@@ -215,6 +229,17 @@ class BatchContext {
   };
   RegionQueue QueueFor(RegionId region, int extra_drivers) const;
 
+  /// One memoised ET(region, extra) and the epoch it was solved in.
+  struct IdleMemoEntry {
+    double seconds = 0.0;
+    uint32_t epoch = 0;  ///< 0: never written
+  };
+  /// The memo entry of (region, extra_drivers), growing the region's row
+  /// if `extra_drivers` is past its end.
+  IdleMemoEntry& MemoEntry(RegionId region, int extra_drivers) const;
+  /// Invalidates every memo entry at once.
+  void BumpMemoEpoch();
+
   double now_;
   double window_seconds_;
   /// Set only by the hand-assembly constructor; growth_ refers to it then.
@@ -233,63 +258,9 @@ class BatchContext {
   telemetry::TelemetrySession* telemetry_ = nullptr;  ///< borrowed; may be null
   mutable ShardIndex shard_index_;  ///< lazily built; see EnsureShardIndex
 
-  /// (region << 20 | extra) -> ET cache.
-  mutable std::unordered_map<int64_t, double> idle_cache_;
-};
-
-/// Per-shard read view of one BatchContext used by the parallel pipeline.
-/// It exposes the shard's riders/drivers and an idle-time memo table private
-/// to the shard's worker, so concurrent shards never touch the parent's
-/// shared cache. After the parallel phase the local tables are merged back
-/// into the parent (BatchContext::MergeIdleCache), which cannot change any
-/// value — ET is a pure function of the immutable snapshots — so the
-/// sequential selection sees exactly the serial path's numbers.
-///
-/// The shard's rider/driver index lists come from the parent's shared
-/// ShardIndex when one is present for `partitioner` (the pipeline and the
-/// engine always prebuild it); only contexts assembled by hand fall back to
-/// a membership scan. The view *borrows* the parent's index: mutating the
-/// parent (AddRider/AddDriver/SetRiders/SetDrivers, or an EnsureShardIndex
-/// rebuild after such a mutation) invalidates every outstanding view, like
-/// iterator invalidation on the underlying containers.
-class ShardedBatchContext {
- public:
-  ShardedBatchContext(const BatchContext& parent,
-                      const RegionPartitioner& partitioner, int shard);
-
-  const BatchContext& parent() const { return parent_; }
-  int shard() const { return shard_; }
-
-  bool OwnsRegion(RegionId region) const;
-
-  /// Context rider indices whose pickup region belongs to this shard.
-  const std::vector<int>& rider_indices() const { return *rider_indices_; }
-  /// Context driver indices currently located in this shard.
-  const std::vector<int>& driver_indices() const { return *driver_indices_; }
-
-  /// ET(region, extra) memoised in the shard-local table.
-  double ExpectedIdleSeconds(RegionId region, int extra_drivers = 0) const;
-
-  /// The shard-local memo table, for merging into the parent.
-  const std::unordered_map<int64_t, double>& idle_cache() const {
-    return idle_cache_;
-  }
-
-  /// Moves the memo table out (the view is spent afterwards); lets the
-  /// merge avoid copying every shard's table.
-  std::unordered_map<int64_t, double> ReleaseIdleCache() {
-    return std::move(idle_cache_);
-  }
-
- private:
-  const BatchContext& parent_;
-  const RegionPartitioner& partitioner_;
-  int shard_;
-  const std::vector<int>* rider_indices_ = nullptr;
-  const std::vector<int>* driver_indices_ = nullptr;
-  std::vector<int> local_riders_;   ///< fallback storage (no shared index)
-  std::vector<int> local_drivers_;
-  mutable std::unordered_map<int64_t, double> idle_cache_;
+  /// [region][extra] -> ET; an entry is current iff stamped memo_epoch_.
+  mutable std::vector<std::vector<IdleMemoEntry>> idle_memo_;
+  uint32_t memo_epoch_ = 1;
 };
 
 /// Per-shard pipeline telemetry for one Dispatch: the shard's batch sizes

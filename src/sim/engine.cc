@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,6 +20,7 @@
 #include "telemetry/trace.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace mrvd {
@@ -151,6 +153,18 @@ Status SimConfig::Validate() const {
         "horizon_seconds must be positive and finite, got " +
         std::to_string(horizon_seconds));
   }
+  // The batch loop advances its clock by `now += batch_interval`. Below one
+  // ulp of `now` the sum rounds back to `now` and the loop never ends;
+  // horizon_seconds * ε is at least one ulp of every clock value below the
+  // horizon, so the clock always advances.
+  const double min_interval =
+      horizon_seconds * std::numeric_limits<double>::epsilon();
+  if (batch_interval < min_interval) {
+    return Status::InvalidArgument(StrFormat(
+        "batch_interval (Δ) %g is below horizon_seconds %g * DBL_EPSILON = "
+        "%g; the batch clock could not advance",
+        batch_interval, horizon_seconds, min_interval));
+  }
   if (num_threads < 0) {
     return Status::InvalidArgument(
         "num_threads must be >= 0 (0 = hardware concurrency), got " +
@@ -187,6 +201,27 @@ Status SimConfig::Validate() const {
   return Status::OK();
 }
 
+namespace {
+
+/// An invalid config, or a forecast for a grid with a different region
+/// count, this deep is a programming error: SimulationBuilder reports both
+/// as a Status before the engine is ever constructed. Left through, the
+/// forecast mismatch would read past the per-region forecast buffer.
+void CheckEngineInputs(const SimConfig& config, const Grid& grid,
+                       const DemandForecast* forecast) {
+  if (Status st = config.Validate(); !st.ok()) {
+    MRVD_LOG(Error) << "invalid SimConfig: " << st;
+    std::abort();
+  }
+  if (forecast != nullptr && forecast->num_regions() != grid.num_regions()) {
+    MRVD_LOG(Error) << "forecast covers " << forecast->num_regions()
+                    << " regions but the grid has " << grid.num_regions();
+    std::abort();
+  }
+}
+
+}  // namespace
+
 Simulator::Simulator(const SimConfig& config, const Workload& workload,
                      const Grid& grid, const TravelCostModel& cost_model,
                      const DemandForecast* forecast)
@@ -196,12 +231,7 @@ Simulator::Simulator(const SimConfig& config, const Workload& workload,
       grid_(grid),
       cost_model_(cost_model),
       forecast_(forecast) {
-  // An invalid config this deep is a programming error (SimulationBuilder
-  // reports it as a Status before the engine is ever constructed).
-  if (Status st = config_.Validate(); !st.ok()) {
-    MRVD_LOG(Error) << "invalid SimConfig: " << st;
-    std::abort();
-  }
+  CheckEngineInputs(config_, grid_, forecast_);
 }
 
 Simulator::Simulator(const SimConfig& config, OrderSource& source,
@@ -214,10 +244,7 @@ Simulator::Simulator(const SimConfig& config, OrderSource& source,
       grid_(grid),
       cost_model_(cost_model),
       forecast_(forecast) {
-  if (Status st = config_.Validate(); !st.ok()) {
-    MRVD_LOG(Error) << "invalid SimConfig: " << st;
-    std::abort();
-  }
+  CheckEngineInputs(config_, grid_, forecast_);
 }
 
 SimResult Simulator::Run(Dispatcher& dispatcher, SimObserver* extra) {
@@ -308,6 +335,11 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
                                     telemetry::MetricScope::kDeterministic);
     tele_shard_hist = reg.histogram("pipeline.shard_seconds");
   }
+
+  // One context for the whole run, refilled in place every batch.
+  std::unique_ptr<BatchContext> ctx = builder.NewContext();
+  ctx->SetTelemetry(tele);
+
   int64_t stage_start_ns = 0;
   auto stage_begin = [&stage_start_ns] {
     stage_start_ns = Stopwatch::NowNanos();
@@ -385,17 +417,16 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
       }
     }
 
-    // 4. Build the batch context off the incremental counters.
+    // 4. Refill the batch context off the incremental counters.
     fleet.AdvanceRejoinWindow(now, config_.window_seconds);
     Stopwatch build_watch;
-    std::unique_ptr<BatchContext> ctx;
     {
       telemetry::TraceSpan span(tele, "batch_build");
-      ctx = builder.Build(now, orders, fleet, scenario.demand_multipliers());
+      builder.Fill(now, orders, fleet, scenario.demand_multipliers(),
+                   ctx.get());
     }
     const double build_seconds = build_watch.ElapsedSeconds();
     timings.build_seconds = build_seconds;
-    ctx->SetTelemetry(tele);
     observers.OnBatchBuilt(now, build_seconds, *ctx);
     if (load_tracker != nullptr) load_tracker->Observe(ctx->snapshots());
 

@@ -6,8 +6,8 @@
 //
 // The engine is staged: FleetState (driver lifecycle + incremental supply
 // counters), OrderBook (arrivals, reneging, served-rider compaction +
-// incremental demand counters), BatchBuilder (shard-parallel context
-// materialisation off the incremental counters), and AssignmentApplier,
+// incremental demand counters), BatchBuilder (refills the run's one batch
+// context in place off the incremental counters), and AssignmentApplier,
 // with SimObserver hooks carrying every measurable event. Simulator::Run
 // wires the stages together; SimResult is produced by the MetricsCollector
 // observer.

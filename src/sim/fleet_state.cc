@@ -7,6 +7,7 @@ FleetState::FleetState(const std::vector<DriverSpec>& drivers,
   drivers_.resize(drivers.size());
   available_by_region_.assign(static_cast<size_t>(grid.num_regions()), 0);
   rejoining_in_window_.assign(static_cast<size_t>(grid.num_regions()), 0);
+  dispatchable_.assign((drivers_.size() + 63) / 64, 0);
   fresh_drivers_.reserve(drivers_.size());
   for (size_t j = 0; j < drivers_.size(); ++j) {
     DriverState& d = drivers_[j];
@@ -17,6 +18,7 @@ FleetState::FleetState(const std::vector<DriverSpec>& drivers,
     d.busy = false;
     fresh_drivers_.push_back(static_cast<int>(j));
     ++available_by_region_[static_cast<size_t>(d.region)];
+    SetDispatchable(static_cast<int>(j), true);
   }
   available_count_ = static_cast<int64_t>(drivers_.size());
 }
@@ -44,6 +46,7 @@ void FleetState::ReleaseFinished(double now) {
     }
     ++available_by_region_[static_cast<size_t>(d.region)];
     ++available_count_;
+    SetDispatchable(j, true);
     fresh_drivers_.push_back(j);
   }
 }
@@ -83,6 +86,7 @@ bool FleetState::SignOff(int j) {
     d.signed_off = true;
     --available_by_region_[static_cast<size_t>(d.region)];
     --available_count_;
+    SetDispatchable(j, false);
   }
   return true;
 }
@@ -102,6 +106,7 @@ bool FleetState::SignOn(int j, double now) {
   d.available_since = now;
   ++available_by_region_[static_cast<size_t>(d.region)];
   ++available_count_;
+  SetDispatchable(j, true);
   fresh_drivers_.push_back(j);
   return true;
 }
@@ -111,6 +116,7 @@ void FleetState::MarkBusy(int j, double busy_until, const LatLon& dest,
   DriverState& d = drivers_[static_cast<size_t>(j)];
   --available_by_region_[static_cast<size_t>(d.region)];
   --available_count_;
+  SetDispatchable(j, false);
   d.busy = true;
   d.busy_until = busy_until;
   d.busy_dest = dest;

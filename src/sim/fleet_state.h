@@ -12,9 +12,13 @@
 //     while — it lies inside the sliding window.
 //
 // Both counters are integer deltas of the quantities the monolithic engine
-// recounted per batch, so every snapshot they feed is bit-identical.
+// recounted per batch, so every snapshot they feed is bit-identical. The
+// same events keep a bitset of the dispatchable drivers, which the builder
+// walks instead of scanning every DriverState.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <queue>
 #include <vector>
 
@@ -110,6 +114,18 @@ class FleetState {
     return rejoining_in_window_;
   }
 
+  /// Calls fn(j) for every driver j with driver(j).Dispatchable(), in
+  /// ascending index order. Kept up to date by the same events that move
+  /// available_by_region(), so it costs O(fleet / 64 + dispatchable).
+  template <typename Fn>
+  void ForEachDispatchable(Fn&& fn) const {
+    for (size_t w = 0; w < dispatchable_.size(); ++w) {
+      for (uint64_t bits = dispatchable_[w]; bits != 0; bits &= bits - 1) {
+        fn(static_cast<int>(w * 64) + std::countr_zero(bits));
+      }
+    }
+  }
+
   int64_t available_count() const { return available_count_; }
   bool HasBusyDrivers() const { return !busy_heap_.empty(); }
   bool HasFreshDrivers() const { return !fresh_drivers_.empty(); }
@@ -119,12 +135,20 @@ class FleetState {
   using MinHeap = std::priority_queue<TimedDriver, std::vector<TimedDriver>,
                                       std::greater<>>;
 
+  /// Sets (`on`) or clears driver j's bit in the dispatchable set.
+  void SetDispatchable(int j, bool on) {
+    const uint64_t bit = uint64_t{1} << (static_cast<unsigned>(j) % 64);
+    uint64_t& word = dispatchable_[static_cast<size_t>(j) / 64];
+    word = on ? (word | bit) : (word & ~bit);
+  }
+
   std::vector<DriverState> drivers_;
   MinHeap busy_heap_;    ///< (busy_until, j): pending trip completions
   MinHeap window_heap_;  ///< (busy_until, j): not yet inside the window
   std::vector<int> fresh_drivers_;  ///< (re)joined since the last capture
   std::vector<int64_t> available_by_region_;
   std::vector<int32_t> rejoining_in_window_;
+  std::vector<uint64_t> dispatchable_;  ///< bit j: driver(j).Dispatchable()
   int64_t available_count_ = 0;
 };
 

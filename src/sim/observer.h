@@ -35,7 +35,7 @@ struct BatchTimings {
   double inject_seconds = 0.0;    ///< OrderBook::InjectArrivals
   double scenario_seconds = 0.0;  ///< ScenarioState::ApplyDueEvents
   double expire_seconds = 0.0;    ///< OrderBook::RemoveExpired
-  double build_seconds = 0.0;     ///< BatchBuilder::Build
+  double build_seconds = 0.0;     ///< BatchBuilder::Fill
   double dispatch_seconds = 0.0;  ///< Dispatcher::Dispatch
   double apply_seconds = 0.0;     ///< AssignmentApplier::Apply
 
@@ -75,6 +75,8 @@ class SimObserver {
 
   /// The batch context is complete (riders, drivers, snapshots, sharding).
   /// `build_seconds` is the wall time of the incremental construction.
+  /// The engine refills one context in place every batch, so `ctx` is
+  /// valid only until the next batch starts; copy what must outlive it.
   virtual void OnBatchBuilt(double now, double build_seconds,
                             const BatchContext& ctx) {
     (void)now, (void)build_seconds, (void)ctx;

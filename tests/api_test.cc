@@ -74,6 +74,31 @@ TEST(SimConfigValidateTest, RejectsNonFiniteValues) {
   }
 }
 
+TEST(SimConfigValidateTest, RejectsAnIntervalTooSmallToAdvanceTheClock) {
+  // The batch loop advances by `now += batch_interval`. At 1e-12 on a 24 h
+  // horizon the sum stops changing near 16,400 s and the loop never ends,
+  // so these configs are only validated, never run.
+  for (double tiny : {1e-12, 1e-300}) {
+    SimConfig cfg;
+    cfg.batch_interval = tiny;
+    const Status st = cfg.Validate();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << tiny;
+    EXPECT_NE(st.message().find("batch_interval"), std::string::npos);
+    EXPECT_NE(st.message().find("horizon_seconds"), std::string::npos);
+  }
+
+  // The smallest accepted interval is horizon * ε: it still advances the
+  // last clock value below the horizon, and one step below it is refused.
+  SimConfig smallest;
+  smallest.batch_interval =
+      smallest.horizon_seconds * std::numeric_limits<double>::epsilon();
+  EXPECT_TRUE(smallest.Validate().ok()) << smallest.Validate();
+  const double last = std::nextafter(smallest.horizon_seconds, 0.0);
+  EXPECT_GT(last + smallest.batch_interval, last);
+  smallest.batch_interval = std::nextafter(smallest.batch_interval, 0.0);
+  EXPECT_FALSE(smallest.Validate().ok());
+}
+
 TEST(SimConfigValidateTest, RejectsNegativeParallelism) {
   SimConfig cfg;
   cfg.num_threads = -1;
@@ -113,6 +138,28 @@ TEST(SimConfigValidateDeathTest, SimulatorConstructorAbortsOnInvalidConfig) {
   EXPECT_DEATH_IF_SUPPORTED(
       { Simulator sim(bad, day, gen.grid(), cost, nullptr); },
       "invalid SimConfig");
+}
+
+TEST(SimConfigValidateDeathTest, SimulatorConstructorAbortsOnForecastMismatch) {
+  // Built directly, past SimulationBuilder's Status check, a forecast for 4
+  // regions must not drive a 16-region run: the batch build would read
+  // past the per-region forecast buffer.
+  GeneratorConfig gcfg;
+  gcfg.grid_rows = 4;
+  gcfg.grid_cols = 4;
+  gcfg.orders_per_day = 50;
+  NycLikeGenerator gen(gcfg);
+  Workload day = gen.GenerateDay(0, 5);
+  StraightLineCostModel cost(11.0, 1.3);
+  DemandHistory history(/*num_days=*/1, /*slots_per_day=*/48,
+                        /*num_regions=*/4);
+  auto oracle = MakeOraclePredictor();
+  StatusOr<DemandForecast> forecast =
+      DemandForecast::Build(*oracle, history, /*eval_day=*/0);
+  ASSERT_TRUE(forecast.ok()) << forecast.status();
+  EXPECT_DEATH_IF_SUPPORTED(
+      { Simulator sim(SimConfig{}, day, gen.grid(), cost, &*forecast); },
+      "forecast covers 4 regions but the grid has 16");
 }
 
 // ------------------------------------------------------- DispatcherRegistry
@@ -337,6 +384,14 @@ TEST_F(ApiTest, BuildRejectsInvalidConfig) {
   StatusOr<Simulation> sim = bad.Build();
   ASSERT_FALSE(sim.ok());
   EXPECT_NE(sim.status().message().find("batch_interval"), std::string::npos);
+  // Intervals too small to advance the batch clock (never run).
+  for (double tiny : {1e-12, 1e-300}) {
+    SimulationBuilder b = *builder_;
+    StatusOr<Simulation> s = b.BatchInterval(tiny).Build();
+    ASSERT_FALSE(s.ok()) << tiny;
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.status().message().find("batch_interval"), std::string::npos);
+  }
 
   // Straight-line travel must keep the SpeedMps contract candidate
   // generation prunes on: a positive finite speed and a detour >= 1.

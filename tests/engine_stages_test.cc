@@ -1,11 +1,15 @@
 // Unit tests for the staged engine's building blocks: the incremental
-// region counters of FleetState/OrderBook must track the brute-force
-// recounts the monolithic engine used to perform every batch, the
-// BatchBuilder's shard-parallel materialisation must equal the serial
-// fill, and the SimObserver hooks must fire consistently with the
-// aggregates the MetricsCollector reports.
+// region counters of FleetState/OrderBook and FleetState's
+// dispatchable-driver set must track the brute-force recounts the
+// monolithic engine used to perform every batch, the BatchBuilder's build
+// with a parallel execution attached must equal the serial build, the one
+// context the engine refills in place must equal a freshly built context
+// on every batch, and the SimObserver hooks must fire consistently with
+// the aggregates the MetricsCollector reports.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +17,9 @@
 #include "dispatch/dispatchers.h"
 #include "geo/region_partitioner.h"
 #include "geo/travel.h"
+#include "prediction/forecast.h"
+#include "prediction/predictor.h"
+#include "sim/assignment_applier.h"
 #include "sim/batch_builder.h"
 #include "sim/engine.h"
 #include "sim/fleet_state.h"
@@ -46,12 +53,27 @@ class FleetStateTest : public ::testing::Test {
                 lon_frac * (kNycBoundingBox.lon_max - kNycBoundingBox.lon_min)};
   }
 
+  /// The kept dispatchable set must yield exactly {j : Dispatchable()},
+  /// in ascending index order.
+  static void ExpectDispatchableMatchesScan(const FleetState& fleet,
+                                            const std::string& after) {
+    std::vector<int> walked, scanned;
+    fleet.ForEachDispatchable([&](int j) { walked.push_back(j); });
+    for (int j = 0; j < fleet.size(); ++j) {
+      if (fleet.driver(j).Dispatchable()) scanned.push_back(j);
+    }
+    EXPECT_EQ(walked, scanned) << "after " << after;
+  }
+
   /// Brute-force recount of both supply counters, exactly as the
   /// monolithic engine recomputed them per batch — extended with the
   /// scenario shift semantics: signed-off drivers are out of the supply,
-  /// and a pending sign-off will not rejoin its dropoff region.
+  /// and a pending sign-off will not rejoin its dropoff region. The kept
+  /// dispatchable set is checked too.
   void ExpectCountersMatchRecount(const FleetState& fleet, double now,
                                   double window) {
+    ExpectDispatchableMatchesScan(fleet, "now=" + std::to_string(now));
+
     std::vector<int64_t> available(static_cast<size_t>(grid_.num_regions()),
                                    0);
     std::vector<int32_t> rejoining(static_cast<size_t>(grid_.num_regions()),
@@ -92,8 +114,10 @@ TEST_F(FleetStateTest, IncrementalCountersMatchRecountAcrossLifecycle) {
   LatLon dest_a = PointAt(0.1, 0.9), dest_b = PointAt(0.9, 0.1),
          dest_c = PointAt(0.5, 0.5);
   fleet.MarkBusy(2, /*busy_until=*/100.0, dest_a, grid_.RegionOf(dest_a));
+  ExpectDispatchableMatchesScan(fleet, "MarkBusy(2)");
   fleet.MarkBusy(5, /*busy_until=*/900.0, dest_b, grid_.RegionOf(dest_b));
   fleet.MarkBusy(7, /*busy_until=*/1500.0, dest_c, grid_.RegionOf(dest_c));
+  ExpectDispatchableMatchesScan(fleet, "MarkBusy(5), MarkBusy(7)");
 
   bool reassigned = false;
   for (double now = 30.0; now <= 2400.0; now += 30.0) {
@@ -123,6 +147,7 @@ TEST_F(FleetStateTest, SignOnSignOffLifecycleKeepsIncrementalCounters) {
   // Idle sign-off leaves the supply immediately; a second sign-off and a
   // sign-on of an on-duty driver are no-ops.
   EXPECT_TRUE(fleet.SignOff(1));
+  ExpectCountersMatchRecount(fleet, 0.0, window);
   EXPECT_FALSE(fleet.SignOff(1));
   EXPECT_FALSE(fleet.SignOn(4, 0.0));
   EXPECT_TRUE(fleet.driver(1).signed_off);
@@ -134,6 +159,7 @@ TEST_F(FleetStateTest, SignOnSignOffLifecycleKeepsIncrementalCounters) {
   // removes it (the driver will not rejoin).
   LatLon dest = PointAt(0.8, 0.2);
   fleet.MarkBusy(3, /*busy_until=*/300.0, dest, grid_.RegionOf(dest));
+  ExpectDispatchableMatchesScan(fleet, "MarkBusy(3)");
   fleet.AdvanceRejoinWindow(30.0, window);
   EXPECT_EQ(
       fleet.rejoining_in_window()[static_cast<size_t>(grid_.RegionOf(dest))],
@@ -155,6 +181,7 @@ TEST_F(FleetStateTest, SignOnSignOffLifecycleKeepsIncrementalCounters) {
   // off.
   fleet.CaptureIdleEstimates(nullptr);
   EXPECT_TRUE(fleet.SignOn(1, 400.0));
+  ExpectDispatchableMatchesScan(fleet, "SignOn(1)");
   EXPECT_TRUE(fleet.SignOn(3, 420.0));
   EXPECT_EQ(fleet.driver(3).region, grid_.RegionOf(dest));
   EXPECT_EQ(fleet.driver(3).available_since, 420.0);
@@ -167,7 +194,9 @@ TEST_F(FleetStateTest, SignOnSignOffLifecycleKeepsIncrementalCounters) {
   // normally, without double-counting the duplicate heap entry.
   fleet.MarkBusy(6, /*busy_until=*/700.0, dest, grid_.RegionOf(dest));
   EXPECT_TRUE(fleet.SignOff(6));
+  ExpectDispatchableMatchesScan(fleet, "busy SignOff(6)");
   EXPECT_TRUE(fleet.SignOn(6, 450.0));
+  ExpectDispatchableMatchesScan(fleet, "mid-trip SignOn(6)");
   for (double now = 450.0; now <= 900.0; now += 30.0) {
     fleet.ReleaseFinished(now);
     fleet.AdvanceRejoinWindow(now, window);
@@ -346,8 +375,8 @@ TEST_F(OrderBookTest, CancelledRidersLeaveDemandAndSkipServedAndUnknown) {
 
 TEST(BatchBuilderTest, ShardParallelBuildMatchesSerialBuild) {
   GeneratorConfig gcfg;
-  gcfg.orders_per_day = 40000.0;  // enough waiting riders for the
-  gcfg.seed = 7;                  // parallel materialisation path
+  gcfg.orders_per_day = 40000.0;  // enough waiting riders to fill
+  gcfg.seed = 7;                  // every shard
   NycLikeGenerator gen(gcfg);
   Workload workload = gen.GenerateDay(/*day_index=*/2, /*num_drivers=*/600);
   const Grid& grid = gen.grid();
@@ -368,7 +397,7 @@ TEST(BatchBuilderTest, ShardParallelBuildMatchesSerialBuild) {
 
   OrderBook orders(workload, grid, cost, /*alpha=*/1.0);
   orders.InjectArrivals(now);
-  ASSERT_GE(orders.waiting().size(), 512u) << "parallel path not exercised";
+  ASSERT_GE(orders.waiting().size(), 512u) << "too few riders per shard";
   ASSERT_GE(fleet.drivers().size(), 512u);
 
   BatchBuilder serial_builder(grid, cost, nullptr, window, 0.02,
@@ -459,6 +488,140 @@ TEST(BatchBuilderTest, ShardParallelBuildMatchesSerialBuild) {
         available_recount[static_cast<size_t>(k)])
         << k;
   }
+}
+
+// ------------------------------------------------ in-place context reuse
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/// Every field a dispatcher can read, bit for bit.
+void ExpectSameContext(const BatchContext& got, const BatchContext& want,
+                       int batch) {
+  EXPECT_TRUE(SameBits(got.now(), want.now())) << "batch " << batch;
+  ASSERT_EQ(got.riders().size(), want.riders().size()) << "batch " << batch;
+  for (size_t i = 0; i < want.riders().size(); ++i) {
+    const WaitingRider& a = got.riders()[i];
+    const WaitingRider& b = want.riders()[i];
+    const bool same =
+        a.order_id == b.order_id && SameBits(a.pickup.lat, b.pickup.lat) &&
+        SameBits(a.pickup.lon, b.pickup.lon) &&
+        SameBits(a.dropoff.lat, b.dropoff.lat) &&
+        SameBits(a.dropoff.lon, b.dropoff.lon) &&
+        SameBits(a.request_time, b.request_time) &&
+        SameBits(a.pickup_deadline, b.pickup_deadline) &&
+        SameBits(a.revenue, b.revenue) &&
+        SameBits(a.trip_seconds, b.trip_seconds) &&
+        a.pickup_region == b.pickup_region &&
+        a.dropoff_region == b.dropoff_region;
+    EXPECT_TRUE(same) << "batch " << batch << " rider " << i;
+  }
+  ASSERT_EQ(got.drivers().size(), want.drivers().size()) << "batch " << batch;
+  for (size_t j = 0; j < want.drivers().size(); ++j) {
+    const AvailableDriver& a = got.drivers()[j];
+    const AvailableDriver& b = want.drivers()[j];
+    const bool same = a.driver_id == b.driver_id &&
+                      SameBits(a.location.lat, b.location.lat) &&
+                      SameBits(a.location.lon, b.location.lon) &&
+                      a.region == b.region &&
+                      SameBits(a.available_since, b.available_since);
+    EXPECT_TRUE(same) << "batch " << batch << " driver " << j;
+  }
+  EXPECT_EQ(got.drivers_by_region(), want.drivers_by_region())
+      << "batch " << batch;
+  ASSERT_EQ(got.snapshots().size(), want.snapshots().size());
+  for (size_t k = 0; k < want.snapshots().size(); ++k) {
+    const RegionSnapshot& a = got.snapshots()[k];
+    const RegionSnapshot& b = want.snapshots()[k];
+    EXPECT_TRUE(a.waiting_riders == b.waiting_riders &&
+                a.available_drivers == b.available_drivers &&
+                SameBits(a.predicted_riders, b.predicted_riders) &&
+                SameBits(a.predicted_drivers, b.predicted_drivers))
+        << "batch " << batch << " region " << k;
+  }
+  const BatchContext::ShardIndex* gi = got.shard_index();
+  const BatchContext::ShardIndex* wi = want.shard_index();
+  ASSERT_NE(gi, nullptr) << "batch " << batch;
+  ASSERT_NE(wi, nullptr) << "batch " << batch;
+  EXPECT_EQ(gi->partitioner, wi->partitioner);
+  EXPECT_EQ(gi->riders, wi->riders) << "batch " << batch;
+  EXPECT_EQ(gi->drivers, wi->drivers) << "batch " << batch;
+}
+
+TEST(BatchContextReuseTest, RefilledContextEqualsAFreshBuildEveryBatch) {
+  GeneratorConfig gcfg;
+  gcfg.orders_per_day = 30000.0;
+  gcfg.seed = 20190417;
+  NycLikeGenerator gen(gcfg);
+  Workload workload = gen.GenerateDay(/*day_index=*/1, /*num_drivers=*/400);
+  const Grid& grid = gen.grid();
+  StraightLineCostModel cost(7.0, 1.3);
+  const double window = 1200.0, beta = 0.02, delta = 30.0;
+  const DemandHistory history = gen.GenerateHistory(2, 48);
+  auto oracle = MakeOraclePredictor();
+  StatusOr<DemandForecast> forecast =
+      DemandForecast::Build(*oracle, history, /*eval_day=*/1);
+  ASSERT_TRUE(forecast.ok()) << forecast.status();
+
+  ThreadPool pool(2);
+  RegionPartitioner parts = RegionPartitioner::RowBands(grid, 4);
+  BatchExecution exec{&pool, &parts};
+  BatchBuilder builder(grid, cost, &*forecast, window, beta,
+                       CandidateMode::kRingExpand, &exec);
+  BatchBuilder fresh_builder(grid, cost, &*forecast, window, beta,
+                             CandidateMode::kRingExpand, &exec);
+  std::unique_ptr<BatchContext> ctx = builder.NewContext();
+
+  FleetState fleet(workload, grid);
+  OrderBook orders(workload, grid, cost, /*alpha=*/1.0);
+  AssignmentApplier applier("LS", /*zero_pickup_travel=*/false);
+  auto ls = MakeLocalSearchDispatcher();
+  const std::vector<double> surge(static_cast<size_t>(grid.num_regions()),
+                                  1.5);
+
+  constexpr int kBatches = 60;
+  int64_t assigned = 0;
+  double now = 7 * 3600.0;
+  for (int b = 0; b < kBatches; ++b, now += delta) {
+    fleet.ReleaseFinished(now);
+    orders.InjectArrivals(now);
+    orders.RemoveExpired(now, nullptr);
+    fleet.AdvanceRejoinWindow(now, window);
+    const std::vector<double>* multipliers = b % 3 == 2 ? &surge : nullptr;
+    builder.Fill(now, orders, fleet, multipliers, ctx.get());
+    std::unique_ptr<BatchContext> fresh =
+        fresh_builder.Build(now, orders, fleet, multipliers);
+    ExpectSameContext(*ctx, *fresh, b);
+
+    // The drivers are the dispatchable ones, in ascending fleet index.
+    std::vector<int> scanned;
+    for (int j = 0; j < fleet.size(); ++j) {
+      if (fleet.driver(j).Dispatchable()) scanned.push_back(j);
+    }
+    ASSERT_EQ(ctx->drivers().size(), scanned.size());
+    for (size_t j = 0; j < scanned.size(); ++j) {
+      EXPECT_EQ(ctx->drivers()[j].driver_id, scanned[j]) << "batch " << b;
+    }
+
+    // ET reads the refilled memo, which the previous batch (its queries
+    // here and LS's) grew past extra 40; nothing from that batch may
+    // survive the refill.
+    for (RegionId k = 0; k < grid.num_regions(); ++k) {
+      for (int extra : {0, 1, 7, 40}) {
+        ASSERT_TRUE(SameBits(ctx->ExpectedIdleSeconds(k, extra),
+                             fresh->ExpectedIdleSeconds(k, extra)))
+            << "batch " << b << " region " << k << " extra " << extra;
+      }
+    }
+
+    std::vector<Assignment> assignments;
+    ls->Dispatch(*ctx, &assignments);
+    assigned += static_cast<int64_t>(assignments.size());
+    applier.Apply(now, *ctx, assignments, &fleet, &orders, nullptr);
+  }
+  // The day moved: riders were served and drivers left and rejoined.
+  EXPECT_GT(assigned, kBatches);
 }
 
 // ------------------------------------------------------- observer hooks

@@ -96,10 +96,12 @@ TEST(IdleTimeTest, NeighbourhoodWalkMatchesNeighborsAggregation) {
     const Grid grid(kNycBoundingBox, rows, cols);
     for (CandidateMode mode :
          {CandidateMode::kRingExpand, CandidateMode::kRegionLocal}) {
+      // One context for every rep: SetSnapshots must invalidate the ET
+      // memo the previous rep filled.
+      BatchContext ctx(0.0, kWindowSeconds, growth, grid, cost, mode);
       for (int rep = 0; rep < 3; ++rep) {
         const std::vector<RegionSnapshot> snaps =
             RandomSnapshots(grid.num_regions(), rng);
-        BatchContext ctx(0.0, kWindowSeconds, growth, grid, cost, mode);
         ctx.SetSnapshots(snaps);
         // Every region: corners, edges and interior.
         for (RegionId r = 0; r < grid.num_regions(); ++r) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "prediction/forecast.h"
 #include "prediction/gbrt.h"
@@ -206,6 +210,82 @@ TEST_F(PredictorOrderingTest, ForecastTruncatesAtMidnight) {
   double count = fc->WindowCount(near_midnight, 3600.0, 5);
   double slot_secs = kSecondsPerDay / 48;
   EXPECT_LE(count, fc->SlotCount(47, 5) * (100.0 / slot_secs) + 1e-9);
+}
+
+/// WindowCount as it summed before the shared slot walk: both forecast
+/// paths must reproduce these bits.
+double ReferenceWindowCount(const DemandForecast& fc, double t_seconds,
+                            double window_seconds, int region) {
+  const double slot_secs = kSecondsPerDay / fc.slots_per_day();
+  double t0 = std::max(0.0, t_seconds);
+  double t1 = std::min(kSecondsPerDay, t_seconds + window_seconds);
+  double total = 0.0;
+  int first_slot = static_cast<int>(t0 / slot_secs);
+  int last_slot = static_cast<int>((t1 - 1e-9) / slot_secs);
+  for (int s = first_slot; s <= last_slot && s < fc.slots_per_day(); ++s) {
+    double lo = std::max(t0, s * slot_secs);
+    double hi = std::min(t1, (s + 1) * slot_secs);
+    if (hi <= lo) continue;
+    total += fc.SlotCount(s, region) * (hi - lo) / slot_secs;
+  }
+  return total;
+}
+
+TEST(ForecastWindowCountsTest, BulkCountsEqualPerRegionCountsBitForBit) {
+  constexpr int kRegions = 37;
+  for (int slots : {48, 7}) {
+    // Fractional per-slot counts, so any change in the order or grouping
+    // of the arithmetic shows in the low bits.
+    DemandHistory history(/*num_days=*/1, slots, kRegions);
+    Rng rng(static_cast<uint64_t>(slots));
+    for (int slot = 0; slot < slots; ++slot) {
+      for (int k = 0; k < kRegions; ++k) {
+        history.set(0, slot, k, rng.Uniform(0.0, 97.0));
+      }
+    }
+    auto oracle = MakeOraclePredictor();
+    auto fc = DemandForecast::Build(*oracle, history, /*eval_day=*/0);
+    ASSERT_TRUE(fc.ok()) << fc.status();
+    const double slot_secs = kSecondsPerDay / slots;
+
+    struct Window {
+      const char* what;
+      double t, width;
+    };
+    std::vector<Window> windows = {
+        {"inside one slot", 3 * slot_secs + 100.0, 600.0},
+        {"across a slot boundary", 5 * slot_secs - 300.0, 1200.0},
+        {"longer than a slot", 2 * slot_secs + 17.5, 2.5 * slot_secs},
+        {"ending on a boundary", 4 * slot_secs - 1200.0, 1200.0},
+        {"ending exactly at a boundary", slot_secs, slot_secs},
+        {"starting before 0", -500.0, 1200.0},
+        {"crossing midnight", kSecondsPerDay - 600.0, 1200.0},
+        {"after midnight", kSecondsPerDay + 100.0, 1200.0},
+        {"zero width", 6 * slot_secs + 10.0, 0.0},
+        {"the whole day", 0.0, kSecondsPerDay},
+    };
+    // A batch clock sweeping the day with the default t_c.
+    for (double t = 0.0; t < kSecondsPerDay; t += 997.3) {
+      windows.push_back({"sweep", t, 1200.0});
+    }
+
+    std::vector<double> counts;
+    for (const Window& w : windows) {
+      fc->WindowCounts(w.t, w.width, &counts);
+      ASSERT_EQ(counts.size(), static_cast<size_t>(kRegions));
+      for (int k = 0; k < kRegions; ++k) {
+        const double want = ReferenceWindowCount(*fc, w.t, w.width, k);
+        EXPECT_EQ(std::bit_cast<uint64_t>(counts[static_cast<size_t>(k)]),
+                  std::bit_cast<uint64_t>(fc->WindowCount(w.t, w.width, k)))
+            << slots << " slots, " << w.what << " t=" << w.t
+            << " region " << k;
+        EXPECT_EQ(std::bit_cast<uint64_t>(counts[static_cast<size_t>(k)]),
+                  std::bit_cast<uint64_t>(want))
+            << slots << " slots, " << w.what << " t=" << w.t
+            << " region " << k;
+      }
+    }
+  }
 }
 
 TEST_F(PredictorOrderingTest, ForecastRejectsBadDay) {
