@@ -4,190 +4,54 @@
 // forecast rows (IRG-R/LS-R) sit slightly above their DeepST counterparts;
 // IRG/LS above the baselines.
 //
-// Ported onto the campaign subsystem following bench_fig7_vary_n: the τ
-// axis is a `fig10` workload-catalog entry (τ changes the workload itself —
-// deadlines are part of the orders), the approach roster is the dispatcher
-// axis, and CampaignRunner::Resume makes the sweep content-addressed and
-// resumable. The paper's "-R" variants become a second, smaller campaign
-// over the same entry with predictor=Real.
+// τ is the `paper` entry's tau parameter (deadlines are part of the
+// orders), the approach roster is the dispatcher axis, and
+// CampaignRunner::Resume makes the sweep content-addressed and resumable.
+// The paper's "-R" variants are a second, smaller campaign over the same
+// days with predictor=Real.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "campaign/campaign_runner.h"
-#include "campaign/campaign_spec.h"
-#include "campaign/workload_catalog.h"
 #include "experiment_common.h"
 #include "util/strings.h"
 
 using namespace mrvd;
 using namespace mrvd::bench;
 
-namespace {
-
-// CampaignRunner builds each workload once and shares it across that
-// workload's cells, but the built Simulation only borrows what the
-// Experiment owns (workload, grid, forecast, cost model) — so pin every
-// Experiment for the life of the bench process.
-Experiment& PinExperiment(const ExperimentScale& scale, int num_drivers,
-                          double tau_seconds) {
-  static std::vector<std::unique_ptr<Experiment>> pool;
-  pool.push_back(
-      std::make_unique<Experiment>(scale, num_drivers, tau_seconds));
-  return *pool.back();
-}
-
-// Out-of-tree workload entry: "fig10:tau=180" is the evaluation-day
-// workload regenerated with that base pickup waiting time, with the chosen
-// predictor's forecast attached (DeepST reproduces the "-P" rows, Real the
-// "-R" rows). Prediction-free dispatchers ignore the forecast.
-const WorkloadRegistrar kFig10Workload(
-    "fig10",
-    {
-        {"tau", CatalogParam::Type::kDouble, "120",
-         "base pickup waiting time (s)"},
-        {"drivers", CatalogParam::Type::kInt64, "3000",
-         "paper-scale fleet size (shrunk by MRVD_SCALE)"},
-        {"predictor", CatalogParam::Type::kString, "DeepST",
-         "demand predictor attached as the forecast (HA/LR/GBRT/DeepST/Real)"},
-        {"delta", CatalogParam::Type::kDouble, "3",
-         "batch interval (s)"},
-        {"tc", CatalogParam::Type::kDouble, "1200",
-         "prediction window (s)"},
-    },
-    [](const CatalogParams& p) -> StatusOr<Simulation> {
-      ExperimentScale scale = ResolveScale();
-      Experiment& exp = PinExperiment(
-          scale, scale.Count(static_cast<int>(p.GetInt("drivers"))),
-          p.GetDouble("tau"));
-      const DemandForecast* forecast = exp.ForecastFor(p.GetString("predictor"));
-      SimulationBuilder builder;
-      builder.BorrowWorkload(exp.workload(), exp.grid())
-          .WithTravelModel(exp.cost_model())
-          .BatchInterval(p.GetDouble("delta"))
-          .WindowSeconds(p.GetDouble("tc"));
-      if (forecast != nullptr) builder.WithForecast(*forecast);
-      return builder.Build();
-    });
-
-/// Runs one campaign over the τ axis with the given dispatcher roster and
-/// predictor; returns the outcome grid[tau][dispatcher] (null = failed).
-StatusOr<std::vector<std::vector<const CellOutcome*>>> RunTauSweep(
-    const ExperimentScale& scale, const std::vector<double>& taus,
-    const std::vector<std::string>& dispatchers, const std::string& predictor,
-    const std::string& campaign_name, CampaignReport* report_out) {
-  CampaignSpec spec;
-  spec.name = campaign_name;
-  for (double tau : taus) {
-    spec.workloads.push_back(
-        StrFormat("fig10:tau=%g,predictor=%s", tau, predictor.c_str()));
-  }
-  spec.dispatchers = dispatchers;
-  spec.seeds = {scale.seed ^ 0xABCD};
-
-  // Cell keys hash the canonical specs, which do not see MRVD_SCALE /
-  // MRVD_SEED — keep artifacts from different scales apart by directory.
-  std::string artifact_dir =
-      StrFormat("bench_artifacts/%s/scale_%g_seed_%llu", campaign_name.c_str(),
-                scale.scale, static_cast<unsigned long long>(scale.seed));
-  CampaignRunner runner(spec, artifact_dir);
-
-  // Serial cells: 10(b) measures per-batch dispatcher time, so nothing
-  // else may compete for the cores while a cell runs.
-  CampaignOptions options;
-  options.num_threads = 1;
-  StatusOr<CampaignReport> report = runner.Resume(options);
-  if (!report.ok()) return report.status();
-  std::printf("%s: %lld executed, %lld resumed from %s, %lld failed\n",
-              campaign_name.c_str(), static_cast<long long>(report->executed),
-              static_cast<long long>(report->loaded), artifact_dir.c_str(),
-              static_cast<long long>(report->failed));
-  *report_out = *std::move(report);
-
-  std::vector<std::vector<const CellOutcome*>> grid(
-      taus.size(),
-      std::vector<const CellOutcome*>(dispatchers.size(), nullptr));
-  for (const CellOutcome& cell : report_out->cells) {
-    if (cell.source == CellOutcome::Source::kFailed) continue;
-    grid[cell.cell.workload_index][cell.cell.dispatcher_index] = &cell;
-  }
-  return grid;
-}
-
-}  // namespace
-
 int main() {
-  ExperimentScale scale = ResolveScale();
+  const ExperimentScale scale = OrDie(ResolveScale());
   std::printf("Reproduction of Figure 10 (scale=%.2f)\n", scale.scale);
 
   const std::vector<double> taus = {60, 120, 180, 240, 300};
-  const std::vector<std::string> roster = {"RAND", "LTG",  "NEAR", "POLAR",
-                                           "IRG",  "LS",   "UPPER"};
+  std::vector<std::string> columns;
+  for (double tau : taus) columns.push_back(StrFormat("%.0fs", tau));
+  auto sweep = [&](const std::string& name, const std::string& predictor,
+                   std::vector<std::string> dispatchers) {
+    CampaignSpec spec;
+    spec.name = name;
+    for (double tau : taus) {
+      spec.workloads.push_back(scale.Paper(
+          StrFormat("tau=%g,predictor=%s", tau, predictor.c_str())));
+    }
+    spec.dispatchers = std::move(dispatchers);
+    return OrDie(RunBenchCampaign(scale, spec));
+  };
+  const std::vector<std::string> roster = {"RAND", "LTG", "NEAR", "POLAR",
+                                           "IRG",  "LS",  "UPPER"};
+  const CellGrid predicted = sweep("fig10_vary_tau", "DeepST", roster);
   // The "-R" comparison rows: the same grid with the ground-truth
   // forecast, for the dispatchers where the predictor matters most.
-  const std::vector<std::string> real_roster = {"IRG", "LS"};
+  const CellGrid real = sweep("fig10_vary_tau_real", "Real", {"IRG", "LS"});
 
-  CampaignReport deepst_report, real_report;
-  auto deepst = RunTauSweep(scale, taus, roster, "DeepST", "fig10_vary_tau",
-                            &deepst_report);
-  if (!deepst.ok()) {
-    std::fprintf(stderr, "campaign failed: %s\n",
-                 deepst.status().ToString().c_str());
-    return 1;
-  }
-  auto real = RunTauSweep(scale, taus, real_roster, "Real",
-                          "fig10_vary_tau_real", &real_report);
-  if (!real.ok()) {
-    std::fprintf(stderr, "campaign failed: %s\n",
-                 real.status().ToString().c_str());
-    return 1;
-  }
-
-  std::vector<std::string> header = {"approach"};
-  for (double tau : taus) header.push_back(StrFormat("%.0fs", tau));
-
-  auto revenue_row = [&](const std::string& label,
-                         const std::vector<std::vector<const CellOutcome*>>& g,
-                         size_t d) {
-    std::vector<std::string> row = {label};
-    for (size_t w = 0; w < taus.size(); ++w) {
-      const CellOutcome* c = g[w][d];
-      row.push_back(FormatRevenue(c != nullptr ? c->artifact.revenue : 0.0));
-    }
-    PrintTableRow(row);
-  };
-  auto ms_row = [&](const std::string& label,
-                    const std::vector<std::vector<const CellOutcome*>>& g,
-                    size_t d) {
-    std::vector<std::string> row = {label};
-    for (size_t w = 0; w < taus.size(); ++w) {
-      const CellOutcome* c = g[w][d];
-      row.push_back(
-          StrFormat("%.3f", c != nullptr ? c->artifact.dispatch_ms_mean : 0.0));
-    }
-    PrintTableRow(row);
-  };
-
-  PrintTableHeader("Figure 10(a): total revenue vs τ", header);
+  std::vector<SweepRow> rows;
   for (size_t d = 0; d < roster.size(); ++d) {
-    revenue_row(roster[d] == "IRG" || roster[d] == "LS" ? roster[d] + "-P"
-                                                        : roster[d],
-                *deepst, d);
+    rows.push_back(
+        {roster[d] == "IRG" || roster[d] == "LS" ? roster[d] + "-P" : roster[d],
+         &predicted[d]});
   }
-  for (size_t d = 0; d < real_roster.size(); ++d) {
-    revenue_row(real_roster[d] + "-R", *real, d);
-  }
-
-  PrintTableHeader("Figure 10(b): mean batch running time (ms) vs τ", header);
-  for (size_t d = 0; d < roster.size(); ++d) {
-    ms_row(roster[d] == "IRG" || roster[d] == "LS" ? roster[d] + "-P"
-                                                   : roster[d],
-           *deepst, d);
-  }
-  for (size_t d = 0; d < real_roster.size(); ++d) {
-    ms_row(real_roster[d] + "-R", *real, d);
-  }
-
-  return deepst_report.failed == 0 && real_report.failed == 0 ? 0 : 1;
+  rows.push_back({"IRG-R", &real[0]});
+  rows.push_back({"LS-R", &real[1]});
+  PrintRevenueAndBatchTime("Figure 10", "τ", columns, rows);
+  return 0;
 }

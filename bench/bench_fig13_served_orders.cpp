@@ -3,25 +3,16 @@
 // four parameter sweeps (n, t_c, Δ, τ). Expected shape: SHORT serves the
 // most orders in every sweep.
 //
-// Ported onto the campaign subsystem following bench_fig7_vary_n /
-// bench_fig10_vary_tau: the workload-shaping axes (n and τ change the
-// generated orders or fleet) are `fig13` workload-catalog entries, while
-// the engine-only axes (t_c, Δ) sweep as config deltas over one shared
-// default workload — the catalog builds that Simulation once for both
-// sweeps. The approach roster is the dispatcher axis and
-// CampaignRunner::Resume makes every sweep content-addressed and
-// resumable: kill the bench mid-run and the rerun re-executes only the
-// missing cells.
+// The workload-shaping axes (n and τ change the generated fleet or orders)
+// sweep the `paper` entry's drivers and tau parameters, while the
+// engine-only axes (t_c, Δ) sweep as config deltas over the default day
+// (DeepST forecast throughout). CampaignRunner::Resume makes every sweep
+// content-addressed and resumable: kill the bench mid-run and the rerun
+// re-executes only the missing cells.
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "campaign/campaign_runner.h"
-#include "campaign/campaign_spec.h"
-#include "campaign/workload_catalog.h"
 #include "experiment_common.h"
 #include "util/strings.h"
 
@@ -33,117 +24,25 @@ namespace {
 const std::vector<std::string> kApproaches = {"RAND", "NEAR", "POLAR",
                                               "SHORT"};
 
-// CampaignRunner builds each workload once per campaign, but the built
-// Simulation only borrows what the Experiment owns — pin every Experiment
-// for the life of the bench process. Keyed by (drivers, tau) so the four
-// campaigns share the default-parameter Experiment instead of regenerating
-// it per sweep.
-Experiment& PinExperiment(const ExperimentScale& scale, int num_drivers,
-                          double tau_seconds) {
-  static std::map<std::pair<int, double>, std::unique_ptr<Experiment>> pool;
-  std::unique_ptr<Experiment>& slot = pool[{num_drivers, tau_seconds}];
-  if (slot == nullptr) {
-    slot = std::make_unique<Experiment>(scale, num_drivers, tau_seconds);
-  }
-  return *slot;
-}
-
-// Out-of-tree workload entry: "fig13:drivers=2000" / "fig13:tau=180" is the
-// evaluation-day workload at that fleet size / base pickup waiting time,
-// with the DeepST forecast attached (SHORT and POLAR read it; the
-// prediction-free baselines ignore it — the same pairing RunApproach
-// hard-coded).
-const WorkloadRegistrar kFig13Workload(
-    "fig13",
-    {
-        {"drivers", CatalogParam::Type::kInt64, "3000",
-         "paper-scale fleet size (shrunk by MRVD_SCALE)"},
-        {"tau", CatalogParam::Type::kDouble, "120",
-         "base pickup waiting time (s)"},
-        {"delta", CatalogParam::Type::kDouble, "3",
-         "batch interval (s)"},
-        {"tc", CatalogParam::Type::kDouble, "1200",
-         "prediction window (s)"},
-    },
-    [](const CatalogParams& p) -> StatusOr<Simulation> {
-      ExperimentScale scale = ResolveScale();
-      Experiment& exp = PinExperiment(
-          scale, scale.Count(static_cast<int>(p.GetInt("drivers"))),
-          p.GetDouble("tau"));
-      const DemandForecast* forecast = exp.ForecastFor("DeepST");
-      SimulationBuilder builder;
-      builder.BorrowWorkload(exp.workload(), exp.grid())
-          .WithTravelModel(exp.cost_model())
-          .BatchInterval(p.GetDouble("delta"))
-          .WindowSeconds(p.GetDouble("tc"));
-      if (forecast != nullptr) builder.WithForecast(*forecast);
-      return builder.Build();
-    });
-
-struct SweepResult {
-  /// served[column][approach]; -1 marks a failed cell.
-  std::vector<std::vector<long long>> served;
-  int64_t failed = 0;
-};
-
-/// Runs one fig13 campaign. Columns are the workload axis when `workloads`
-/// is non-empty, otherwise the config-delta axis over the default
-/// workload.
-StatusOr<SweepResult> RunSweep(const ExperimentScale& scale,
-                               const std::string& name,
-                               const std::vector<std::string>& workloads,
-                               const std::vector<std::string>& deltas) {
+/// Runs one campaign over `workloads` x `deltas` and prints its
+/// served-orders table.
+void ServedSweep(const ExperimentScale& scale, const std::string& name,
+                 std::vector<std::string> workloads,
+                 std::vector<std::string> deltas, const std::string& title,
+                 std::vector<std::string> header) {
   CampaignSpec spec;
   spec.name = name;
-  spec.workloads =
-      workloads.empty() ? std::vector<std::string>{"fig13"} : workloads;
+  spec.workloads = std::move(workloads);
   spec.dispatchers = kApproaches;
-  // RunApproach seeded RAND with scale.seed ^ 0xABCD; the seed axis
-  // reproduces that.
-  spec.seeds = {scale.seed ^ 0xABCD};
-  if (!deltas.empty()) spec.config_deltas = deltas;
+  spec.config_deltas = std::move(deltas);
+  const CellGrid grid = OrDie(RunBenchCampaign(scale, spec));
 
-  // Cell keys hash the canonical specs, which do not see MRVD_SCALE /
-  // MRVD_SEED — keep artifacts from different scales apart by directory.
-  std::string artifact_dir = StrFormat(
-      "bench_artifacts/%s/scale_%g_seed_%llu", name.c_str(), scale.scale,
-      static_cast<unsigned long long>(scale.seed));
-  CampaignRunner runner(spec, artifact_dir);
-  CampaignOptions options;
-  options.num_threads = 1;  // comparable timings, like the other figures
-  StatusOr<CampaignReport> report = runner.Resume(options);
-  if (!report.ok()) return report.status();
-  std::printf("%s: %lld executed, %lld resumed from %s, %lld failed\n",
-              name.c_str(), static_cast<long long>(report->executed),
-              static_cast<long long>(report->loaded), artifact_dir.c_str(),
-              static_cast<long long>(report->failed));
-
-  SweepResult out;
-  const size_t columns =
-      workloads.empty() ? deltas.size() : workloads.size();
-  out.served.assign(columns,
-                    std::vector<long long>(kApproaches.size(), -1));
-  for (const CellOutcome& cell : report->cells) {
-    if (cell.source == CellOutcome::Source::kFailed) continue;
-    const size_t column = workloads.empty()
-                              ? static_cast<size_t>(cell.cell.delta_index)
-                              : static_cast<size_t>(cell.cell.workload_index);
-    out.served[column][static_cast<size_t>(cell.cell.dispatcher_index)] =
-        static_cast<long long>(cell.artifact.served);
-  }
-  out.failed = report->failed;
-  return out;
-}
-
-void PrintServedTable(const std::string& title,
-                      std::vector<std::string> header,
-                      const std::vector<std::vector<long long>>& served) {
   header.insert(header.begin(), "approach");
   PrintTableHeader(title, header);
   for (size_t a = 0; a < kApproaches.size(); ++a) {
     std::vector<std::string> row = {kApproaches[a]};
-    for (const std::vector<long long>& column : served) {
-      row.push_back(column[a] >= 0 ? StrFormat("%lld", column[a]) : "n/a");
+    for (const RunArtifact& cell : grid[a]) {
+      row.push_back(StrFormat("%lld", static_cast<long long>(cell.served)));
     }
     PrintTableRow(row);
   }
@@ -152,79 +51,44 @@ void PrintServedTable(const std::string& title,
 }  // namespace
 
 int main() {
-  ExperimentScale scale = ResolveScale();
+  const ExperimentScale scale = OrDie(ResolveScale());
   std::printf("Reproduction of Figure 13 (scale=%.2f)\n", scale.scale);
-  int64_t failed = 0;
 
   {  // (a) vary n — workload axis
     std::vector<std::string> workloads;
     for (int n : {1000, 2000, 3000, 4000, 5000}) {
-      workloads.push_back(StrFormat("fig13:drivers=%d", n));
+      workloads.push_back(scale.Paper(StrFormat("drivers=%d", n)));
     }
-    StatusOr<SweepResult> sweep =
-        RunSweep(scale, "fig13a_vary_n", workloads, {});
-    if (!sweep.ok()) {
-      std::fprintf(stderr, "fig13a failed: %s\n",
-                   sweep.status().ToString().c_str());
-      return 1;
-    }
-    PrintServedTable("Figure 13(a): served orders vs n",
-                     {"1K", "2K", "3K", "4K", "5K"}, sweep->served);
-    failed += sweep->failed;
+    ServedSweep(scale, "fig13a_vary_n", workloads, {},
+                "Figure 13(a): served orders vs n",
+                {"1K", "2K", "3K", "4K", "5K"});
   }
-  {  // (b) vary t_c — config deltas over the shared default workload
-    std::vector<std::string> deltas;
-    std::vector<std::string> header;
+  {  // (b) vary t_c — config deltas over the default day
+    std::vector<std::string> deltas, header;
     for (double tc : {5.0, 10.0, 20.0, 40.0, 80.0}) {
       deltas.push_back(StrFormat("window_seconds=%g", tc * 60.0));
       header.push_back(StrFormat("%.0fm", tc));
     }
-    StatusOr<SweepResult> sweep =
-        RunSweep(scale, "fig13b_vary_tc", {}, deltas);
-    if (!sweep.ok()) {
-      std::fprintf(stderr, "fig13b failed: %s\n",
-                   sweep.status().ToString().c_str());
-      return 1;
-    }
-    PrintServedTable("Figure 13(b): served orders vs t_c", header,
-                     sweep->served);
-    failed += sweep->failed;
+    ServedSweep(scale, "fig13b_vary_tc", {scale.Paper()}, deltas,
+                "Figure 13(b): served orders vs t_c", header);
   }
-  {  // (c) vary Δ — config deltas over the same workload
-    std::vector<std::string> deltas;
-    std::vector<std::string> header;
+  {  // (c) vary Δ — config deltas over the same day
+    std::vector<std::string> deltas, header;
     for (double delta : {3.0, 5.0, 10.0, 20.0, 30.0}) {
       deltas.push_back(StrFormat("batch_interval=%g", delta));
       header.push_back(StrFormat("%.0fs", delta));
     }
-    StatusOr<SweepResult> sweep =
-        RunSweep(scale, "fig13c_vary_delta", {}, deltas);
-    if (!sweep.ok()) {
-      std::fprintf(stderr, "fig13c failed: %s\n",
-                   sweep.status().ToString().c_str());
-      return 1;
-    }
-    PrintServedTable("Figure 13(c): served orders vs Δ", header,
-                     sweep->served);
-    failed += sweep->failed;
+    ServedSweep(scale, "fig13c_vary_delta", {scale.Paper()}, deltas,
+                "Figure 13(c): served orders vs Δ", header);
   }
   {  // (d) vary τ — workload axis (deadlines are part of the orders)
-    std::vector<std::string> workloads;
-    std::vector<std::string> header;
+    std::vector<std::string> workloads, header;
     for (double tau : {60.0, 120.0, 180.0, 240.0, 300.0}) {
-      workloads.push_back(StrFormat("fig13:tau=%g", tau));
+      workloads.push_back(scale.Paper(StrFormat("tau=%g", tau)));
       header.push_back(StrFormat("%.0fs", tau));
     }
-    StatusOr<SweepResult> sweep =
-        RunSweep(scale, "fig13d_vary_tau", workloads, {});
-    if (!sweep.ok()) {
-      std::fprintf(stderr, "fig13d failed: %s\n",
-                   sweep.status().ToString().c_str());
-      return 1;
-    }
-    PrintServedTable("Figure 13(d): served orders vs τ", header,
-                     sweep->served);
-    failed += sweep->failed;
+    ServedSweep(scale, "fig13d_vary_tau", workloads, {},
+                "Figure 13(d): served orders vs τ", header);
   }
-  return failed == 0 ? 0 : 1;
+  return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "campaign/workload_catalog.h"
 #include "experiment_common.h"
 #include "util/strings.h"
 
@@ -10,15 +11,17 @@ using namespace mrvd;
 using namespace mrvd::bench;
 
 int main() {
-  ExperimentScale scale = ResolveScale();
+  const ExperimentScale scale = OrDie(ResolveScale());
   std::printf("Reproduction of Figure 5 (scale=%.2f)\n", scale.scale);
 
-  Experiment exp(scale, scale.Count(3000), 120.0);
-  const Grid& grid = exp.grid();
+  // Only the orders are read; the ground-truth forecast is the cheapest.
+  const Simulation day = OrDie(
+      WorkloadCatalog::Global().Build(scale.Paper("predictor=Real")));
+  const Grid& grid = day.grid();
 
   std::vector<int64_t> counts(static_cast<size_t>(grid.num_regions()), 0);
   int64_t total = 0;
-  for (const Order& o : exp.workload().orders) {
+  for (const Order& o : day.workload().orders) {
     if (o.request_time >= 8 * 3600.0 && o.request_time < 8 * 3600.0 + 45 * 60) {
       ++counts[static_cast<size_t>(grid.RegionOf(o.pickup))];
       ++total;

@@ -3,159 +3,51 @@
 // every approach; IRG/LS lead at small n; the gap narrows toward UPPER as
 // the fleet saturates demand.
 //
-// This bench is the migration template for moving the hand-rolled sweep
-// binaries onto the campaign subsystem: the fleet axis is a `fig7`
-// workload-catalog entry (registered out-of-tree below), the approach
-// roster is the dispatcher axis, and CampaignRunner::Resume gives the
-// sweep content-addressed artifacts for free — kill the bench mid-run and
-// the rerun re-executes only the missing cells.
+// The fleet axis is the `paper` entry's drivers parameter (DeepST forecast:
+// the prediction-guided dispatchers read it, the others ignore it), the
+// approach roster is the dispatcher axis, and CampaignRunner::Resume makes
+// the sweep content-addressed — kill the bench mid-run and the rerun
+// re-executes only the missing cells.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "campaign/campaign_runner.h"
-#include "campaign/campaign_spec.h"
-#include "campaign/workload_catalog.h"
 #include "experiment_common.h"
 #include "util/strings.h"
 
 using namespace mrvd;
 using namespace mrvd::bench;
 
-namespace {
-
-// CampaignRunner builds each workload once and shares it across that
-// workload's cells, but the built Simulation only borrows what the
-// Experiment owns (workload, grid, forecast, cost model) — so pin every
-// Experiment for the life of the bench process.
-Experiment& PinExperiment(const ExperimentScale& scale, int num_drivers,
-                          double tau_seconds) {
-  static std::vector<std::unique_ptr<Experiment>> pool;
-  pool.push_back(
-      std::make_unique<Experiment>(scale, num_drivers, tau_seconds));
-  return *pool.back();
-}
-
-// Out-of-tree workload entry: "fig7:drivers=2000" is the evaluation-day
-// workload at the given paper-scale fleet size (MRVD_SCALE shrinks it via
-// ExperimentScale::Count), with the DeepST forecast attached. The
-// prediction-guided dispatchers (IRG, LS, SHORT, POLAR) read the forecast;
-// the prediction-free ones ignore it — the same pairing RunApproach's
-// "-P" variants hard-coded.
-const WorkloadRegistrar kFig7Workload(
-    "fig7",
-    {
-        {"drivers", CatalogParam::Type::kInt64, "3000",
-         "paper-scale fleet size (shrunk by MRVD_SCALE)"},
-        {"tau", CatalogParam::Type::kDouble, "120",
-         "base pickup waiting time (s)"},
-        {"delta", CatalogParam::Type::kDouble, "3",
-         "batch interval (s)"},
-        {"tc", CatalogParam::Type::kDouble, "1200",
-         "prediction window (s)"},
-    },
-    [](const CatalogParams& p) -> StatusOr<Simulation> {
-      ExperimentScale scale = ResolveScale();
-      Experiment& exp =
-          PinExperiment(scale, scale.Count(static_cast<int>(p.GetInt("drivers"))),
-                        p.GetDouble("tau"));
-      const DemandForecast* forecast = exp.ForecastFor("DeepST");
-      SimulationBuilder builder;
-      builder.BorrowWorkload(exp.workload(), exp.grid())
-          .WithTravelModel(exp.cost_model())
-          .BatchInterval(p.GetDouble("delta"))
-          .WindowSeconds(p.GetDouble("tc"));
-      if (forecast != nullptr) builder.WithForecast(*forecast);
-      return builder.Build();
-    });
-
-std::string FormatMs(double ms) { return StrFormat("%.3f", ms); }
-
-}  // namespace
-
 int main() {
-  ExperimentScale scale = ResolveScale();
+  const ExperimentScale scale = OrDie(ResolveScale());
   std::printf("Reproduction of Figure 7 (scale=%.2f)\n", scale.scale);
 
   const std::vector<int> fleet = {1000, 2000, 3000, 4000, 5000};
   CampaignSpec spec;
   spec.name = "fig7_vary_n";
   for (int n : fleet) {
-    spec.workloads.push_back(StrFormat("fig7:drivers=%d", n));
+    spec.workloads.push_back(scale.Paper(StrFormat("drivers=%d", n)));
   }
-  // RunApproach seeded RAND with scale.seed ^ 0xABCD; the seed axis
-  // reproduces that (the registry routes a non-zero replication seed into
-  // any dispatcher declaring a "seed" parameter).
   spec.dispatchers = {"RAND", "LTG", "NEAR", "POLAR", "IRG", "LS", "UPPER"};
-  spec.seeds = {scale.seed ^ 0xABCD};
+  const CellGrid grid = OrDie(RunBenchCampaign(scale, spec));
 
-  // Cell keys hash the canonical specs, which do not see MRVD_SCALE /
-  // MRVD_SEED — keep artifacts from different scales apart by directory.
-  std::string artifact_dir = StrFormat(
-      "bench_artifacts/fig7_vary_n/scale_%g_seed_%llu", scale.scale,
-      static_cast<unsigned long long>(scale.seed));
-  CampaignRunner runner(spec, artifact_dir);
-
-  // Serial cells: 7(b) measures per-batch dispatcher time, so nothing else
-  // may compete for the cores while a cell runs.
-  CampaignOptions options;
-  options.num_threads = 1;
-  StatusOr<CampaignReport> report = runner.Resume(options);
-  if (!report.ok()) {
-    std::fprintf(stderr, "campaign failed: %s\n",
-                 report.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("cells: %lld executed, %lld resumed from %s, %lld failed\n",
-              static_cast<long long>(report->executed),
-              static_cast<long long>(report->loaded), artifact_dir.c_str(),
-              static_cast<long long>(report->failed));
-
-  // grid[workload][dispatcher], grid-order cells indexed by axis position.
-  std::vector<std::vector<const CellOutcome*>> grid(
-      fleet.size(),
-      std::vector<const CellOutcome*>(spec.dispatchers.size(), nullptr));
-  for (const CellOutcome& cell : report->cells) {
-    grid[cell.cell.workload_index][cell.cell.dispatcher_index] = &cell;
-  }
-  auto revenue_at = [&](size_t w, size_t d) {
-    const CellOutcome* c = grid[w][d];
-    return (c != nullptr && c->source != CellOutcome::Source::kFailed)
-               ? c->artifact.revenue
-               : 0.0;
-  };
-
-  PrintTableHeader("Figure 7(a): total revenue vs n",
-                   {"approach", "1K", "2K", "3K", "4K", "5K"});
+  std::vector<SweepRow> rows;
   for (size_t d = 0; d < spec.dispatchers.size(); ++d) {
-    std::vector<std::string> row = {spec.dispatchers[d]};
-    for (size_t w = 0; w < fleet.size(); ++w) {
-      row.push_back(FormatRevenue(revenue_at(w, d)));
-    }
-    PrintTableRow(row);
+    rows.push_back({spec.dispatchers[d], &grid[d]});
   }
-
-  PrintTableHeader("Figure 7(b): mean batch running time (ms) vs n",
-                   {"approach", "1K", "2K", "3K", "4K", "5K"});
-  for (size_t d = 0; d < spec.dispatchers.size(); ++d) {
-    std::vector<std::string> row = {spec.dispatchers[d]};
-    for (size_t w = 0; w < fleet.size(); ++w) {
-      const CellOutcome* c = grid[w][d];
-      row.push_back(FormatMs(c != nullptr ? c->artifact.dispatch_ms_mean : 0.0));
-    }
-    PrintTableRow(row);
-  }
+  PrintRevenueAndBatchTime("Figure 7", "n", {"1K", "2K", "3K", "4K", "5K"},
+                           rows);
 
   PrintTableHeader("LS as share of UPPER (paper: 78.1% at 1K -> 92.0% at 5K)",
                    {"n", "share"});
-  const size_t ls = 5, upper = 6;
+  const std::vector<RunArtifact>& ls = grid[5];
+  const std::vector<RunArtifact>& upper = grid[6];
   for (size_t w = 0; w < fleet.size(); ++w) {
-    double denom = revenue_at(w, upper);
+    double denom = upper[w].revenue;
     PrintTableRow({StrFormat("%dK", fleet[w] / 1000),
                    denom > 0.0
-                       ? StrFormat("%.1f%%", 100.0 * revenue_at(w, ls) / denom)
+                       ? StrFormat("%.1f%%", 100.0 * ls[w].revenue / denom)
                        : "n/a"});
   }
-  return report->failed == 0 ? 0 : 1;
+  return 0;
 }

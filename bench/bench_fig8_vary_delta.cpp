@@ -2,6 +2,10 @@
 // batch running time. Expected shape: revenue decays slightly with Δ (more
 // riders time out between batches); IRG-R/LS-R (ground-truth demand) above
 // IRG-P/LS-P; all queueing approaches above RAND/LTG/NEAR/POLAR.
+//
+// Δ is a config delta over the default `paper` day. The "-P" rows run on
+// its DeepST forecast; the "-R" rows are a second campaign over the same
+// day with predictor=Real.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -13,37 +17,30 @@ using namespace mrvd;
 using namespace mrvd::bench;
 
 int main() {
-  ExperimentScale scale = ResolveScale();
+  const ExperimentScale scale = OrDie(ResolveScale());
   std::printf("Reproduction of Figure 8 (scale=%.2f)\n", scale.scale);
 
-  const std::vector<std::string> approaches = {
-      "RAND", "LTG", "NEAR", "POLAR", "IRG-P", "IRG-R", "LS-P", "LS-R"};
-  const std::vector<double> deltas = {3, 5, 10, 20, 30};
-
-  Experiment exp(scale, scale.Count(3000), 120.0);
-  std::vector<std::vector<SimResult>> results(approaches.size());
-  for (double delta : deltas) {
-    for (size_t a = 0; a < approaches.size(); ++a) {
-      results[a].push_back(exp.RunApproach(approaches[a], delta, 1200.0));
-    }
+  CampaignSpec spec;
+  spec.name = "fig8_vary_delta";
+  spec.workloads = {scale.Paper()};
+  spec.dispatchers = {"RAND", "LTG", "NEAR", "POLAR", "IRG", "LS"};
+  for (double delta : {3, 5, 10, 20, 30}) {
+    spec.config_deltas.push_back(StrFormat("batch_interval=%g", delta));
   }
+  const CellGrid predicted = OrDie(RunBenchCampaign(scale, spec));
+  spec.name = "fig8_vary_delta_real";
+  spec.workloads = {scale.Paper("predictor=Real")};
+  spec.dispatchers = {"IRG", "LS"};
+  const CellGrid real = OrDie(RunBenchCampaign(scale, spec));
 
-  PrintTableHeader("Figure 8(a): total revenue vs Δ",
-                   {"approach", "3s", "5s", "10s", "20s", "30s"});
-  for (size_t a = 0; a < approaches.size(); ++a) {
-    std::vector<std::string> row = {approaches[a]};
-    for (const auto& r : results[a]) row.push_back(FormatRevenue(r.total_revenue));
-    PrintTableRow(row);
-  }
-
-  PrintTableHeader("Figure 8(b): mean batch running time (ms) vs Δ",
-                   {"approach", "3s", "5s", "10s", "20s", "30s"});
-  for (size_t a = 0; a < approaches.size(); ++a) {
-    std::vector<std::string> row = {approaches[a]};
-    for (const auto& r : results[a]) {
-      row.push_back(StrFormat("%.3f", r.batch_seconds.mean() * 1e3));
-    }
-    PrintTableRow(row);
-  }
+  PrintRevenueAndBatchTime("Figure 8", "Δ", {"3s", "5s", "10s", "20s", "30s"},
+                           {{"RAND", &predicted[0]},
+                            {"LTG", &predicted[1]},
+                            {"NEAR", &predicted[2]},
+                            {"POLAR", &predicted[3]},
+                            {"IRG-P", &predicted[4]},
+                            {"IRG-R", &real[0]},
+                            {"LS-P", &predicted[5]},
+                            {"LS-R", &real[1]}});
   return 0;
 }

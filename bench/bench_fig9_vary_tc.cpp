@@ -2,6 +2,8 @@
 // total revenue and batch running time. Expected shape: IRG/LS peak for
 // t_c <= 20 min and decay for larger windows (rejoin forecasts beyond the
 // typical trip length stop being informative); RAND/LTG are flat in t_c.
+//
+// t_c is a config delta over the default `paper` day (DeepST forecast).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -13,38 +15,26 @@ using namespace mrvd;
 using namespace mrvd::bench;
 
 int main() {
-  ExperimentScale scale = ResolveScale();
+  const ExperimentScale scale = OrDie(ResolveScale());
   std::printf("Reproduction of Figure 9 (scale=%.2f)\n", scale.scale);
 
-  const std::vector<std::string> approaches = {"RAND",  "LTG",   "NEAR",
-                                               "POLAR", "IRG-P", "LS-P"};
-  const std::vector<double> tcs_minutes = {5, 10, 15, 20, 40, 60, 80, 100};
-
-  Experiment exp(scale, scale.Count(3000), 120.0);
-  std::vector<std::vector<SimResult>> results(approaches.size());
-  for (double tc : tcs_minutes) {
-    for (size_t a = 0; a < approaches.size(); ++a) {
-      results[a].push_back(exp.RunApproach(approaches[a], 3.0, tc * 60.0));
-    }
+  CampaignSpec spec;
+  spec.name = "fig9_vary_tc";
+  spec.workloads = {scale.Paper()};
+  spec.dispatchers = {"RAND", "LTG", "NEAR", "POLAR", "IRG", "LS"};
+  std::vector<std::string> columns;
+  for (double tc : {5, 10, 15, 20, 40, 60, 80, 100}) {
+    spec.config_deltas.push_back(StrFormat("window_seconds=%g", tc * 60.0));
+    columns.push_back(StrFormat("%.0fm", tc));
   }
+  const CellGrid grid = OrDie(RunBenchCampaign(scale, spec));
 
-  std::vector<std::string> header = {"approach"};
-  for (double tc : tcs_minutes) header.push_back(StrFormat("%.0fm", tc));
-
-  PrintTableHeader("Figure 9(a): total revenue vs t_c", header);
-  for (size_t a = 0; a < approaches.size(); ++a) {
-    std::vector<std::string> row = {approaches[a]};
-    for (const auto& r : results[a]) row.push_back(FormatRevenue(r.total_revenue));
-    PrintTableRow(row);
+  const std::vector<std::string> labels = {"RAND",  "LTG",   "NEAR",
+                                           "POLAR", "IRG-P", "LS-P"};
+  std::vector<SweepRow> rows;
+  for (size_t d = 0; d < labels.size(); ++d) {
+    rows.push_back({labels[d], &grid[d]});
   }
-
-  PrintTableHeader("Figure 9(b): mean batch running time (ms) vs t_c", header);
-  for (size_t a = 0; a < approaches.size(); ++a) {
-    std::vector<std::string> row = {approaches[a]};
-    for (const auto& r : results[a]) {
-      row.push_back(StrFormat("%.3f", r.batch_seconds.mean() * 1e3));
-    }
-    PrintTableRow(row);
-  }
+  PrintRevenueAndBatchTime("Figure 9", "t_c", columns, rows);
   return 0;
 }

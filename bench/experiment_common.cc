@@ -1,197 +1,84 @@
 #include "experiment_common.h"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/logging.h"
+#include "campaign/campaign_runner.h"
+#include "campaign/workload_catalog.h"
 #include "util/strings.h"
-#include "workload/tlc_parser.h"
 
 namespace mrvd::bench {
 
-ExperimentScale ResolveScale() {
+std::string ExperimentScale::Paper(const std::string& params) const {
+  std::string spec = "paper:scale=" + FormatDouble(scale) +
+                     ",seed=" + std::to_string(static_cast<int64_t>(seed));
+  if (!params.empty()) spec += "," + params;
+  return spec;
+}
+
+StatusOr<ExperimentScale> ResolveScale() {
+  const char* full = std::getenv("MRVD_FULL");
+  const char* scale =
+      full != nullptr && full[0] == '1' ? "1" : std::getenv("MRVD_SCALE");
+  const char* seed = std::getenv("MRVD_SEED");
+
+  // The values go into the spec verbatim, so the catalog's own parsing and
+  // range checks judge them.
+  std::string params;
+  if (scale != nullptr) params = std::string("scale=") + scale;
+  if (seed != nullptr) {
+    params += (params.empty() ? "seed=" : ",seed=") + std::string(seed);
+  }
+  StatusOr<std::string> canonical = WorkloadCatalog::Global().Canonicalize(
+      params.empty() ? "paper" : "paper:" + params);
+  if (!canonical.ok()) return canonical.status();
+
   ExperimentScale s;
-  if (const char* full = std::getenv("MRVD_FULL");
-      full != nullptr && full[0] == '1') {
-    s.scale = 1.0;
-  } else if (const char* sc = std::getenv("MRVD_SCALE")) {
-    auto parsed = ParseDouble(sc);
-    if (parsed.ok() && *parsed > 0.0 && *parsed <= 1.0) s.scale = *parsed;
+  if (scale != nullptr) {
+    StatusOr<double> v = ParseDouble(scale);
+    if (!v.ok()) return v.status();  // e.g. "0.1,drivers=5"
+    s.scale = *v;
   }
-  if (const char* seed = std::getenv("MRVD_SEED")) {
-    auto parsed = ParseInt64(seed);
-    if (parsed.ok()) s.seed = static_cast<uint64_t>(*parsed);
+  if (seed != nullptr) {
+    StatusOr<int64_t> v = ParseInt64(seed);
+    if (!v.ok()) return v.status();
+    s.seed = static_cast<uint64_t>(*v);
   }
-  if (const char* csv = std::getenv("MRVD_TLC_CSV")) s.tlc_csv = csv;
   return s;
 }
 
-namespace {
-/// Training history: 21 days (as in the paper's chi-square setup) before
-/// the evaluation day.
-constexpr int kTrainDays = 21;
-}  // namespace
+StatusOr<CellGrid> RunBenchCampaign(const ExperimentScale& scale,
+                                    CampaignSpec spec) {
+  // The registry routes a non-zero replication seed into any dispatcher
+  // declaring a "seed" parameter: RAND.
+  spec.seeds = {scale.seed ^ 0xABCD};
+  const std::string dir = "bench_artifacts/" + spec.name;
+  CampaignRunner runner(spec, dir);
+  CampaignOptions options;
+  options.num_threads = 1;
+  StatusOr<CampaignReport> report = runner.Resume(options);
+  if (!report.ok()) return report.status();
+  std::printf("%s: %lld executed, %lld resumed from %s, %lld failed\n",
+              spec.name.c_str(), static_cast<long long>(report->executed),
+              static_cast<long long>(report->loaded), dir.c_str(),
+              static_cast<long long>(report->failed));
 
-Experiment::Experiment(const ExperimentScale& scale, int num_drivers,
-                       double tau_seconds)
-    // ~40 km/h cruising with a 1.3 street-detour factor (NYC TLC reports
-    // city-wide averages of 20-40 km/h depending on borough and hour).
-    : scale_(scale), cost_(11.0, 1.3) {
-  GeneratorConfig cfg;
-  cfg.orders_per_day = scale.Orders();
-  cfg.base_pickup_wait = tau_seconds;
-  cfg.seed = scale.seed;
-  // Scale the city area with the order volume (linear dims by sqrt(scale))
-  // so spatial density — and with it the queueing regimes and pickup
-  // feasibility — matches the paper at every scale.
-  if (scale.scale < 1.0) {
-    double shrink = std::sqrt(scale.scale);
-    LatLon c = cfg.box.Center();
-    double half_w = cfg.box.WidthDegrees() * 0.5 * shrink;
-    double half_h = cfg.box.HeightDegrees() * 0.5 * shrink;
-    cfg.box = {c.lon - half_w, c.lon + half_w, c.lat - half_h, c.lat + half_h};
-  }
-  generator_ = std::make_unique<NycLikeGenerator>(cfg);
-
-  eval_day_ = kTrainDays;
-  if (!scale_.tlc_csv.empty()) {
-    TlcParseOptions opt;
-    opt.base_pickup_wait = tau_seconds;
-    opt.seed = scale.seed;
-    auto parsed = ParseTlcCsv(scale_.tlc_csv, num_drivers, opt);
-    if (parsed.ok()) {
-      workload_ = std::move(parsed).value();
-      MRVD_LOG(Info) << "loaded " << workload_.orders.size()
-                     << " TLC orders from " << scale_.tlc_csv;
-    } else {
-      MRVD_LOG(Warn) << "TLC parse failed (" << parsed.status()
-                     << "); falling back to synthetic";
+  const size_t deltas = std::max<size_t>(1, spec.config_deltas.size());
+  CellGrid grid(spec.dispatchers.size(),
+                std::vector<RunArtifact>(spec.workloads.size() * deltas));
+  for (const CellOutcome& outcome : report->cells) {
+    const CampaignCell& cell = outcome.cell;
+    if (outcome.source == CellOutcome::Source::kFailed) {
+      return Status::Internal("cell " + cell.key + " (" + cell.workload +
+                              " x " + cell.dispatcher + ") failed: " +
+                              outcome.error);
     }
+    grid[static_cast<size_t>(cell.dispatcher_index)]
+        [static_cast<size_t>(cell.workload_index) * deltas +
+         static_cast<size_t>(cell.delta_index)] = outcome.artifact;
   }
-  if (workload_.orders.empty()) {
-    workload_ = generator_->GenerateDay(eval_day_, num_drivers);
-  }
-
-  // Observed tensor: generated training history plus the realized counts of
-  // the evaluation day appended as the final day.
-  DemandHistory train = generator_->GenerateHistory(kTrainDays, 48);
-  observed_ = std::make_unique<DemandHistory>(kTrainDays + 1, 48,
-                                              grid().num_regions());
-  for (int d = 0; d < kTrainDays; ++d) {
-    for (int s = 0; s < 48; ++s) {
-      for (int r = 0; r < grid().num_regions(); ++r) {
-        observed_->set(d, s, r, train.at(d, s, r));
-      }
-    }
-  }
-  DemandHistory realized = generator_->RealizedCounts(workload_, 48);
-  for (int s = 0; s < 48; ++s) {
-    for (int r = 0; r < grid().num_regions(); ++r) {
-      observed_->set(eval_day_, s, r, realized.at(0, s, r));
-    }
-  }
-}
-
-std::unique_ptr<DemandPredictor> Experiment::MakePredictor(
-    const std::string& name) {
-  if (name == "HA") return MakeHistoricalAveragePredictor();
-  if (name == "LR") return MakeLinearRegressionPredictor();
-  if (name == "GBRT") return MakeGbrtPredictor();
-  if (name == "DeepST") return MakeDeepStSurrogatePredictor();
-  if (name == "Real") return MakeOraclePredictor();
-  return nullptr;
-}
-
-const DemandForecast* Experiment::ForecastFor(
-    const std::string& predictor_name) {
-  for (const auto& nf : forecasts_) {
-    if (nf.name == predictor_name) return nf.forecast.get();
-  }
-  auto predictor = MakePredictor(predictor_name);
-  if (predictor == nullptr) return nullptr;
-  Status st = predictor->Train(*observed_, grid());
-  if (!st.ok()) {
-    MRVD_LOG(Warn) << predictor_name << " training failed: " << st;
-    return nullptr;
-  }
-  auto fc = DemandForecast::Build(*predictor, *observed_, eval_day_);
-  if (!fc.ok()) {
-    MRVD_LOG(Warn) << predictor_name << " forecast failed: " << fc.status();
-    return nullptr;
-  }
-  forecasts_.push_back(
-      {predictor_name,
-       std::make_unique<DemandForecast>(std::move(fc).value())});
-  return forecasts_.back().forecast.get();
-}
-
-SimResult Experiment::RunApproach(const std::string& name,
-                                  double delta_seconds, double tc_seconds) {
-  SimConfig cfg;
-  cfg.batch_interval = delta_seconds;
-  cfg.window_seconds = tc_seconds;
-
-  const DemandForecast* forecast = nullptr;
-  std::unique_ptr<Dispatcher> dispatcher;
-  if (name == "RAND") {
-    dispatcher = MakeRandomDispatcher(scale_.seed ^ 0xABCD);
-  } else if (name == "NEAR") {
-    dispatcher = MakeNearestDispatcher();
-  } else if (name == "LTG") {
-    dispatcher = MakeLongTripGreedyDispatcher();
-  } else if (name == "IRG-P" || name == "IRG") {
-    dispatcher = MakeIrgDispatcher();
-    forecast = ForecastFor("DeepST");
-  } else if (name == "IRG-R") {
-    dispatcher = MakeIrgDispatcher();
-    forecast = ForecastFor("Real");
-  } else if (name == "LS-P" || name == "LS") {
-    dispatcher = MakeLocalSearchDispatcher();
-    forecast = ForecastFor("DeepST");
-  } else if (name == "LS-R") {
-    dispatcher = MakeLocalSearchDispatcher();
-    forecast = ForecastFor("Real");
-  } else if (name == "SHORT") {
-    dispatcher = MakeShortDispatcher();
-    forecast = ForecastFor("DeepST");
-  } else if (name == "POLAR") {
-    dispatcher = MakePolarDispatcher();
-    forecast = ForecastFor("DeepST");
-  } else if (name == "UPPER") {
-    dispatcher = MakeUpperBoundDispatcher();
-    cfg.zero_pickup_travel = true;
-  } else {
-    MRVD_LOG(Error) << "unknown approach: " << name;
-    return {};
-  }
-
-  Simulator sim(cfg, workload_, grid(), cost_, forecast);
-  return sim.Run(*dispatcher);
-}
-
-SimResult Experiment::RunApproachWithPredictor(const std::string& approach,
-                                               const std::string& predictor,
-                                               double delta_seconds,
-                                               double tc_seconds) {
-  SimConfig cfg;
-  cfg.batch_interval = delta_seconds;
-  cfg.window_seconds = tc_seconds;
-  std::unique_ptr<Dispatcher> dispatcher;
-  if (approach == "IRG") {
-    dispatcher = MakeIrgDispatcher();
-  } else if (approach == "LS") {
-    dispatcher = MakeLocalSearchDispatcher();
-  } else if (approach == "POLAR") {
-    dispatcher = MakePolarDispatcher();
-  } else if (approach == "SHORT") {
-    dispatcher = MakeShortDispatcher();
-  } else {
-    MRVD_LOG(Error) << "unknown prediction-guided approach: " << approach;
-    return {};
-  }
-  Simulator sim(cfg, workload_, grid(), cost_, ForecastFor(predictor));
-  return sim.Run(*dispatcher);
+  return grid;
 }
 
 void PrintTableHeader(const std::string& title,
@@ -216,6 +103,31 @@ void PrintTableRow(const std::vector<std::string>& cells) {
 
 std::string FormatRevenue(double revenue) {
   return StrFormat("%.4fe8", revenue / 1e8);
+}
+
+void PrintRevenueAndBatchTime(const std::string& figure,
+                              const std::string& axis,
+                              const std::vector<std::string>& columns,
+                              const std::vector<SweepRow>& rows) {
+  std::vector<std::string> header = {"approach"};
+  header.insert(header.end(), columns.begin(), columns.end());
+  PrintTableHeader(figure + "(a): total revenue vs " + axis, header);
+  for (const SweepRow& row : rows) {
+    std::vector<std::string> cells = {row.label};
+    for (const RunArtifact& a : *row.cells) {
+      cells.push_back(FormatRevenue(a.revenue));
+    }
+    PrintTableRow(cells);
+  }
+  PrintTableHeader(figure + "(b): mean batch running time (ms) vs " + axis,
+                   header);
+  for (const SweepRow& row : rows) {
+    std::vector<std::string> cells = {row.label};
+    for (const RunArtifact& a : *row.cells) {
+      cells.push_back(StrFormat("%.3f", a.dispatch_ms_mean));
+    }
+    PrintTableRow(cells);
+  }
 }
 
 }  // namespace mrvd::bench

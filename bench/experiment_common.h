@@ -1,25 +1,25 @@
-// Shared infrastructure for the table/figure reproduction benches.
+// Shared helpers for the table/figure reproduction benches.
 //
-// Each bench binary is a thin parameter sweep over this module. Scale is
-// controlled by environment variables so the default run finishes quickly:
+// Every paper bench runs its day through the `paper` workload-catalog entry
+// (src/campaign/workload_catalog.cc). Scale and seed come from environment
+// variables so the default run finishes quickly:
 //   MRVD_SCALE    fraction of the paper's workload (default 0.1)
 //   MRVD_FULL=1   full paper scale (282,255 orders, 1K-8K drivers)
-//   MRVD_TLC_CSV  path to a real TLC yellow-taxi CSV (used instead of the
-//                 synthetic generator when set)
 //   MRVD_SEED     master seed (default 20190417)
+// A value the `paper` entry rejects stops the bench with the catalog's
+// message and a non-zero exit.
 #pragma once
 
-#include <cmath>
-#include <memory>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "dispatch/dispatchers.h"
-#include "geo/travel.h"
-#include "prediction/forecast.h"
-#include "prediction/predictor.h"
-#include "sim/engine.h"
-#include "workload/generator.h"
+#include "campaign/artifact_store.h"
+#include "campaign/campaign_spec.h"
+#include "util/status.h"
 
 namespace mrvd::bench {
 
@@ -27,83 +27,40 @@ namespace mrvd::bench {
 struct ExperimentScale {
   double scale = 0.1;
   uint64_t seed = 20190417;
-  std::string tlc_csv;  ///< empty = synthetic
 
-  /// Scales the order volume from the paper's numbers.
-  double Orders() const { return 282255.0 * scale; }
-
-  /// Scales a fleet size. Trip durations shrink with the city's linear
-  /// dimension (sqrt(scale)), so preserving the paper's demand-to-capacity
-  /// ratio requires drivers to scale as scale^1.5, not scale.
-  int Count(int paper_count) const {
-    return std::max(1, static_cast<int>(paper_count * scale * std::sqrt(scale)));
-  }
+  /// The `paper` catalog spec at this scale and seed, plus `params`
+  /// ("drivers=1000,tau=60"; empty = the entry's defaults).
+  std::string Paper(const std::string& params = "") const;
 };
 
-/// Reads MRVD_* environment variables.
-ExperimentScale ResolveScale();
+/// Reads the MRVD_* environment variables; fails with the `paper` entry's
+/// message when it cannot use a value.
+StatusOr<ExperimentScale> ResolveScale();
 
-/// The paper's default parameters (Table 2, bold values).
-struct PaperDefaults {
-  int num_drivers = 3000;
-  double tau_seconds = 120.0;
-  double delta_seconds = 3.0;
-  double tc_seconds = 20.0 * 60.0;
-};
+/// Prints `status` to stderr and exits non-zero.
+[[noreturn]] inline void Die(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  std::exit(1);
+}
 
-/// Fully assembled experiment environment.
-class Experiment {
- public:
-  /// Builds the generator, the evaluation-day workload, the travel-cost
-  /// model and (lazily) trained predictors. `tau` adjusts the base pickup
-  /// waiting time of the generated riders.
-  Experiment(const ExperimentScale& scale, int num_drivers,
-             double tau_seconds);
+/// The value of `result`, or Die().
+template <typename T>
+T OrDie(StatusOr<T> result) {
+  if (!result.ok()) Die(result.status());
+  return std::move(result).value();
+}
 
-  const Grid& grid() const { return generator_->grid(); }
-  const Workload& workload() const { return workload_; }
-  const TravelCostModel& cost_model() const { return cost_; }
-  const NycLikeGenerator& generator() const { return *generator_; }
+/// A bench campaign's artifacts as grid[dispatcher][column]. The column is
+/// the workload's position times the number of config deltas plus the
+/// delta's position — for a sweep along one of the two axes, that axis.
+using CellGrid = std::vector<std::vector<RunArtifact>>;
 
-  /// Trains (once) and returns a forecast for the evaluation day under the
-  /// given predictor name: "HA", "LR", "GBRT", "DeepST", or "Real".
-  const DemandForecast* ForecastFor(const std::string& predictor_name);
-
-  /// The observed tensor (training days + evaluation day) and the step at
-  /// which evaluation starts; used by the prediction-accuracy bench.
-  const DemandHistory& observed() const { return *observed_; }
-  int eval_start_step() const { return eval_day_ * 48; }
-  int eval_day() const { return eval_day_; }
-
-  /// Runs one approach over the workload. Recognized names: RAND, NEAR,
-  /// LTG, IRG-P, IRG-R, LS-P, LS-R, SHORT, POLAR, UPPER. "-P" variants use
-  /// the DeepST forecast, "-R" the ground-truth forecast; SHORT and POLAR
-  /// use DeepST.
-  SimResult RunApproach(const std::string& name, double delta_seconds,
-                        double tc_seconds);
-
-  /// Table-4 variant: run `approach` ("IRG", "LS" or "POLAR") with the given
-  /// demand predictor ("HA", "LR", "GBRT", "DeepST", "Real").
-  SimResult RunApproachWithPredictor(const std::string& approach,
-                                     const std::string& predictor,
-                                     double delta_seconds, double tc_seconds);
-
- private:
-  std::unique_ptr<DemandPredictor> MakePredictor(const std::string& name);
-
-  ExperimentScale scale_;
-  std::unique_ptr<NycLikeGenerator> generator_;
-  Workload workload_;
-  StraightLineCostModel cost_;
-  std::unique_ptr<DemandHistory> observed_;
-  int eval_day_ = 0;
-
-  struct NamedForecast {
-    std::string name;
-    std::unique_ptr<DemandForecast> forecast;
-  };
-  std::vector<NamedForecast> forecasts_;
-};
+/// Runs `spec` with CampaignRunner::Resume from bench_artifacts/<name>,
+/// prints the executed/resumed line and returns the grid. Cells run one at
+/// a time, since the (b) tables time each batch, and RAND draws from the
+/// paper benches' seed (MRVD_SEED ^ 0xABCD). Fails if any cell failed.
+StatusOr<CellGrid> RunBenchCampaign(const ExperimentScale& scale,
+                                    CampaignSpec spec);
 
 /// Markdown-ish table printing.
 void PrintTableHeader(const std::string& title,
@@ -112,5 +69,18 @@ void PrintTableRow(const std::vector<std::string>& cells);
 
 /// Formats a revenue in the paper's 1e8-style scientific units.
 std::string FormatRevenue(double revenue);
+
+/// One table row: `label` over the sweep's columns.
+struct SweepRow {
+  std::string label;
+  const std::vector<RunArtifact>* cells;
+};
+
+/// Prints a figure's "(a): total revenue vs <axis>" and "(b): mean batch
+/// running time (ms) vs <axis>" tables.
+void PrintRevenueAndBatchTime(const std::string& figure,
+                              const std::string& axis,
+                              const std::vector<std::string>& columns,
+                              const std::vector<SweepRow>& rows);
 
 }  // namespace mrvd::bench

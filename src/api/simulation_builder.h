@@ -143,8 +143,7 @@ class SimulationBuilder {
 
   // ---- Travel model (default: straight-line at 11 m/s, 1.3 detour) ----
 
-  /// Borrows a travel-cost model (e.g. RoadNetworkCostModel); the caller
-  /// keeps it alive.
+  /// Borrows a travel-cost model; the caller keeps it alive.
   SimulationBuilder& WithTravelModel(const TravelCostModel& model);
 
   /// Owns a straight-line model with the given speed/detour factor.

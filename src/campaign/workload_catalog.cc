@@ -1,10 +1,15 @@
 #include "campaign/workload_catalog.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <memory>
 #include <utility>
 
 #include "geo/grid.h"
+#include "prediction/forecast.h"
+#include "prediction/predictor.h"
 #include "scenario/generator.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -50,34 +55,6 @@ std::string DeclaredParamList(const std::vector<CatalogParam>& params) {
   return out;
 }
 
-/// Canonical text for a validated raw value: numerics are re-formatted
-/// ("007" -> "7", "1e1" -> "10") so spelling differences cannot fork run
-/// keys; strings stay verbatim (already whitespace-trimmed).
-StatusOr<std::string> CanonicalValue(const CatalogParam& decl,
-                                     const std::string& raw) {
-  switch (decl.type) {
-    case CatalogParam::Type::kInt64: {
-      StatusOr<int64_t> v = ParseInt64(raw);
-      if (!v.ok()) {
-        return Status::InvalidArgument("parameter '" + decl.name +
-                                       "': not an int64: '" + raw + "'");
-      }
-      return std::to_string(*v);
-    }
-    case CatalogParam::Type::kDouble: {
-      StatusOr<double> v = ParseDouble(raw);
-      if (!v.ok()) {
-        return Status::InvalidArgument("parameter '" + decl.name +
-                                       "': not a number: '" + raw + "'");
-      }
-      return FormatDouble(*v);
-    }
-    case CatalogParam::Type::kString:
-      return raw;
-  }
-  return Status::Internal("unhandled catalog parameter type");
-}
-
 }  // namespace
 
 int64_t CatalogParams::GetInt(const std::string& name) const {
@@ -98,7 +75,7 @@ const std::string& CatalogParams::GetString(const std::string& name) const {
 template <typename FactoryT>
 Status Catalog<FactoryT>::Register(std::string name,
                                    std::vector<CatalogParam> params,
-                                   FactoryT factory) {
+                                   FactoryT factory, CatalogCheck check) {
   if (name.empty()) {
     return Status::InvalidArgument(kind_ + " name must not be empty");
   }
@@ -107,20 +84,51 @@ Status Catalog<FactoryT>::Register(std::string name,
                                    "' registered without a factory");
   }
   for (const CatalogParam& p : params) {
-    StatusOr<std::string> canonical = CanonicalValue(p, p.default_value);
-    if (!canonical.ok()) {
-      return Status::InvalidArgument(kind_ + " '" + name +
-                                     "': bad default: " +
-                                     canonical.status().message());
+    StatusOr<CatalogParams::Value> value = ParseValue(p, p.default_value);
+    if (!value.ok()) {
+      return Status::InvalidArgument(kind_ + " '" + name + "': bad default: " +
+                                     value.status().message());
     }
   }
   auto [it, inserted] = entries_.try_emplace(
-      std::move(name), Entry{std::move(params), std::move(factory)});
+      std::move(name),
+      Entry{std::move(params), std::move(factory), std::move(check)});
   if (!inserted) {
     return Status::FailedPrecondition(kind_ + " '" + it->first +
                                       "' is already registered");
   }
   return Status::OK();
+}
+
+template <typename FactoryT>
+StatusOr<CatalogParams::Value> Catalog<FactoryT>::ParseValue(
+    const CatalogParam& decl, const std::string& raw) {
+  CatalogParams::Value value;
+  switch (decl.type) {
+    case CatalogParam::Type::kInt64: {
+      StatusOr<int64_t> v = ParseInt64(raw);
+      if (!v.ok()) {
+        return Status::InvalidArgument("parameter '" + decl.name +
+                                       "': not an int64: '" + raw + "'");
+      }
+      value.i = *v;
+      value.d = static_cast<double>(*v);
+      break;
+    }
+    case CatalogParam::Type::kDouble: {
+      StatusOr<double> v = ParseDouble(raw);
+      if (!v.ok()) {
+        return Status::InvalidArgument("parameter '" + decl.name +
+                                       "': not a number: '" + raw + "'");
+      }
+      value.d = *v;
+      break;
+    }
+    case CatalogParam::Type::kString:
+      value.s = raw;
+      break;
+  }
+  return value;
 }
 
 template <typename FactoryT>
@@ -142,8 +150,8 @@ std::string Catalog<FactoryT>::RosterString() const {
 }
 
 template <typename FactoryT>
-StatusOr<std::pair<const typename Catalog<FactoryT>::Entry*, CatalogParams>>
-Catalog<FactoryT>::Resolve(const std::string& spec) const {
+StatusOr<typename Catalog<FactoryT>::Resolved> Catalog<FactoryT>::Resolve(
+    const std::string& spec) const {
   StatusOr<ParsedCatalogSpec> parsed = ParseCatalogSpec(kind_, spec);
   if (!parsed.ok()) return parsed.status();
   auto it = entries_.find(parsed->name);
@@ -155,20 +163,8 @@ Catalog<FactoryT>::Resolve(const std::string& spec) const {
 
   CatalogParams params;
   for (const CatalogParam& p : entry.params) {
-    CatalogParams::Value value;
-    switch (p.type) {
-      case CatalogParam::Type::kInt64:
-        value.i = *ParseInt64(p.default_value);  // validated at Register()
-        value.d = static_cast<double>(value.i);
-        break;
-      case CatalogParam::Type::kDouble:
-        value.d = *ParseDouble(p.default_value);
-        break;
-      case CatalogParam::Type::kString:
-        value.s = p.default_value;
-        break;
-    }
-    params.values_[p.name] = std::move(value);
+    // Defaults were validated at Register().
+    params.values_[p.name] = *ParseValue(p, p.default_value);
   }
   for (const auto& [key, raw] : parsed->params) {
     const CatalogParam* decl = nullptr;
@@ -185,49 +181,28 @@ Catalog<FactoryT>::Resolve(const std::string& spec) const {
                ? "; it takes no parameters"
                : "; declared parameters: " + DeclaredParamList(entry.params)));
     }
-    CatalogParams::Value value;
-    switch (decl->type) {
-      case CatalogParam::Type::kInt64: {
-        StatusOr<int64_t> v = ParseInt64(raw);
-        if (!v.ok()) {
-          return Status::InvalidArgument(kind_ + " '" + parsed->name +
-                                         "' parameter '" + key +
-                                         "': not an int64: '" + raw + "'");
-        }
-        value.i = *v;
-        value.d = static_cast<double>(*v);
-        break;
-      }
-      case CatalogParam::Type::kDouble: {
-        StatusOr<double> v = ParseDouble(raw);
-        if (!v.ok()) {
-          return Status::InvalidArgument(kind_ + " '" + parsed->name +
-                                         "' parameter '" + key +
-                                         "': not a number: '" + raw + "'");
-        }
-        value.d = *v;
-        break;
-      }
-      case CatalogParam::Type::kString:
-        value.s = raw;
-        break;
+    StatusOr<CatalogParams::Value> value = ParseValue(*decl, raw);
+    if (!value.ok()) {
+      return Status::InvalidArgument(kind_ + " '" + parsed->name + "' " +
+                                     value.status().message());
     }
-    params.values_[key] = std::move(value);
+    params.values_[key] = std::move(value).value();
   }
-  return std::make_pair(&entry, std::move(params));
+  if (entry.check != nullptr) {
+    Status checked = entry.check(params);
+    if (!checked.ok()) {
+      return Status(checked.code(), kind_ + " '" + parsed->name + "': " +
+                                        checked.message());
+    }
+  }
+  return Resolved{std::move(parsed->name), &entry, std::move(params)};
 }
 
 template <typename FactoryT>
 StatusOr<std::string> Catalog<FactoryT>::Canonicalize(
     const std::string& spec) const {
-  StatusOr<ParsedCatalogSpec> parsed = ParseCatalogSpec(kind_, spec);
-  if (!parsed.ok()) return parsed.status();
-  auto it = entries_.find(parsed->name);
-  if (it == entries_.end()) {
-    return Status::NotFound("unknown " + kind_ + " '" + parsed->name +
-                            "'; known " + kind_ + "s: " + RosterString());
-  }
-  const Entry& entry = it->second;
+  StatusOr<Resolved> resolved = Resolve(spec);
+  if (!resolved.ok()) return resolved.status();
 
   // Full resolved parameter list — declared defaults with the spec's
   // overrides applied, every value re-formatted at its declared type. The
@@ -235,45 +210,23 @@ StatusOr<std::string> Catalog<FactoryT>::Canonicalize(
   // actually build ("nyc" == "nyc:day=1" while 1 is the default), which is
   // what the campaign layer's content keys hash.
   std::vector<std::pair<std::string, std::string>> canonical;
-  canonical.reserve(entry.params.size());
-  for (const CatalogParam& decl : entry.params) {
-    const std::string* raw = nullptr;
-    for (const auto& [key, value] : parsed->params) {
-      if (key == decl.name) {
-        raw = &value;
-        break;
-      }
-    }
-    StatusOr<std::string> value =
-        CanonicalValue(decl, raw != nullptr ? *raw : decl.default_value);
-    if (!value.ok()) {
-      return Status::InvalidArgument(kind_ + " '" + parsed->name + "' " +
-                                     value.status().message());
+  canonical.reserve(resolved->entry->params.size());
+  for (const CatalogParam& decl : resolved->entry->params) {
+    const CatalogParams::Value& value = resolved->params.values_.at(decl.name);
+    std::string text;
+    switch (decl.type) {
+      case CatalogParam::Type::kInt64: text = std::to_string(value.i); break;
+      case CatalogParam::Type::kDouble: text = FormatDouble(value.d); break;
+      case CatalogParam::Type::kString: text = value.s; break;
     }
     // Empty string values (e.g. tlc's default path) cannot round-trip
     // through spec syntax; omit them — absent and empty are the same.
-    if (value->empty()) continue;
-    canonical.emplace_back(decl.name, std::move(value).value());
-  }
-  for (const auto& [key, unused] : parsed->params) {
-    bool declared = false;
-    for (const CatalogParam& decl : entry.params) {
-      if (decl.name == key) {
-        declared = true;
-        break;
-      }
-    }
-    if (!declared) {
-      return Status::InvalidArgument(
-          kind_ + " '" + parsed->name + "' has no parameter '" + key + "'" +
-          (entry.params.empty()
-               ? "; it takes no parameters"
-               : "; declared parameters: " + DeclaredParamList(entry.params)));
-    }
+    if (text.empty()) continue;
+    canonical.emplace_back(decl.name, std::move(text));
   }
   std::sort(canonical.begin(), canonical.end());
 
-  std::string out = parsed->name;
+  std::string out = resolved->name;
   for (size_t i = 0; i < canonical.size(); ++i) {
     out += i == 0 ? ':' : ',';
     out += canonical[i].first;
@@ -290,6 +243,92 @@ template class Catalog<ScenarioFactory>;
 // Built-in workloads
 
 namespace {
+
+/// The `paper` entry's evaluation day follows this many generated training
+/// days (21, as in the paper's Appendix-B setup) and is day 21 itself.
+constexpr int kPaperTrainDays = 21;
+
+/// The paper's demand predictors by name (Tables 4 and 6); null when the
+/// name is none of kPaperPredictors.
+std::unique_ptr<DemandPredictor> MakePaperPredictor(const std::string& name) {
+  if (name == "HA") return MakeHistoricalAveragePredictor();
+  if (name == "LR") return MakeLinearRegressionPredictor();
+  if (name == "GBRT") return MakeGbrtPredictor();
+  if (name == "DeepST") return MakeDeepStSurrogatePredictor();
+  if (name == "Real") return MakeOraclePredictor();
+  return nullptr;
+}
+constexpr char kPaperPredictors[] = "HA, LR, GBRT, DeepST, Real";
+
+Status CheckPaperParams(const CatalogParams& p) {
+  const double scale = p.GetDouble("scale");
+  if (!(scale > 0.0 && scale <= 1.0)) {
+    return Status::InvalidArgument("scale must be in (0, 1], got " +
+                                   FormatDouble(scale));
+  }
+  const int64_t drivers = p.GetInt("drivers");
+  if (drivers < 1 || drivers > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("drivers must be in [1, 2^31-1], got " +
+                                   std::to_string(drivers));
+  }
+  const double tau = p.GetDouble("tau");
+  if (!(tau >= 0.0) || !std::isfinite(tau)) {
+    return Status::InvalidArgument("tau must be finite and >= 0, got " +
+                                   FormatDouble(tau));
+  }
+  const std::string& predictor = p.GetString("predictor");
+  if (MakePaperPredictor(predictor) == nullptr) {
+    return Status::InvalidArgument("unknown predictor '" + predictor +
+                                   "'; known predictors: " + kPaperPredictors);
+  }
+  return Status::OK();
+}
+
+/// The paper's §6 evaluation day: the NYC day at `scale` of the paper's
+/// volume, with the named predictor's forecast for it.
+StatusOr<Simulation> BuildPaperDay(const CatalogParams& p) {
+  const double scale = p.GetDouble("scale");
+  GeneratorConfig gcfg;
+  gcfg.orders_per_day = 282255.0 * scale;
+  gcfg.base_pickup_wait = p.GetDouble("tau");
+  gcfg.seed = static_cast<uint64_t>(p.GetInt("seed"));
+  // Scale the city area with the order volume (linear dims by sqrt(scale))
+  // so spatial density — and with it the queueing regimes and pickup
+  // feasibility — matches the paper at every scale.
+  if (scale < 1.0) {
+    double shrink = std::sqrt(scale);
+    LatLon c = gcfg.box.Center();
+    double half_w = gcfg.box.WidthDegrees() * 0.5 * shrink;
+    double half_h = gcfg.box.HeightDegrees() * 0.5 * shrink;
+    gcfg.box = {c.lon - half_w, c.lon + half_w, c.lat - half_h, c.lat + half_h};
+  }
+  // Trip durations shrink with the city's linear dimension (sqrt(scale)),
+  // so preserving the paper's demand-to-capacity ratio requires drivers to
+  // scale as scale^1.5, not scale.
+  const int drivers = std::max(
+      1, static_cast<int>(static_cast<double>(p.GetInt("drivers")) * scale *
+                          std::sqrt(scale)));
+
+  // ~40 km/h cruising with a 1.3 street-detour factor (NYC TLC reports
+  // city-wide averages of 20-40 km/h depending on borough and hour).
+  SimulationBuilder builder;
+  builder.GenerateNycDay(kPaperTrainDays, drivers, gcfg)
+      .WithStraightLineTravel(11.0, 1.3);
+  StatusOr<Simulation> day = builder.Build();
+  if (!day.ok()) return day.status();
+
+  // The predictor trains on the generated history plus the day's realized
+  // counts; only the oracle ("Real") reads the day itself.
+  DemandHistory observed = day->generator()->ObservedHistory(
+      kPaperTrainDays, day->workload(), 48);
+  std::unique_ptr<DemandPredictor> predictor =
+      MakePaperPredictor(p.GetString("predictor"));
+  MRVD_RETURN_NOT_OK(predictor->Train(observed, day->grid()));
+  StatusOr<DemandForecast> forecast =
+      DemandForecast::Build(*predictor, observed, kPaperTrainDays);
+  if (!forecast.ok()) return forecast.status();
+  return builder.WithForecast(std::move(forecast).value()).Build();
+}
 
 void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
   auto must = [](Status st) {
@@ -331,6 +370,19 @@ void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
         if (p.GetInt("oracle") != 0) builder.WithOracleForecast();
         return builder.Build();
       }));
+  must(c->Register(
+      "paper",
+      {
+          {"scale", T::kDouble, "0.1",
+           "fraction of the paper's 282,255 orders/day, in (0, 1]"},
+          {"drivers", T::kInt64, "3000",
+           "paper-scale fleet size (the day has drivers * scale^1.5)"},
+          {"tau", T::kDouble, "120", "base pickup waiting time (s)"},
+          {"predictor", T::kString, "DeepST",
+           "demand forecast: HA, LR, GBRT, DeepST or Real"},
+          {"seed", T::kInt64, "20190417", "generator master seed"},
+      },
+      BuildPaperDay, CheckPaperParams));
   must(c->Register(
       "nyc-skew",
       {
@@ -568,9 +620,9 @@ WorkloadCatalog& WorkloadCatalog::Global() {
 }
 
 StatusOr<Simulation> WorkloadCatalog::Build(const std::string& spec) const {
-  auto resolved = Resolve(spec);
+  StatusOr<Resolved> resolved = Resolve(spec);
   if (!resolved.ok()) return resolved.status();
-  return resolved->first->factory(resolved->second);
+  return resolved->entry->factory(resolved->params);
 }
 
 ScenarioCatalog& ScenarioCatalog::Global() {
@@ -586,29 +638,9 @@ ScenarioCatalog& ScenarioCatalog::Global() {
 
 StatusOr<ScenarioScript> ScenarioCatalog::Build(
     const std::string& spec, const Workload& workload) const {
-  auto resolved = Resolve(spec);
+  StatusOr<Resolved> resolved = Resolve(spec);
   if (!resolved.ok()) return resolved.status();
-  return resolved->first->factory(workload, resolved->second);
-}
-
-WorkloadRegistrar::WorkloadRegistrar(std::string name,
-                                     std::vector<CatalogParam> params,
-                                     WorkloadFactory factory) {
-  Status st = WorkloadCatalog::Global().Register(
-      std::move(name), std::move(params), std::move(factory));
-  if (!st.ok()) {
-    MRVD_LOG(Warn) << "workload self-registration ignored: " << st;
-  }
-}
-
-ScenarioRegistrar::ScenarioRegistrar(std::string name,
-                                     std::vector<CatalogParam> params,
-                                     ScenarioFactory factory) {
-  Status st = ScenarioCatalog::Global().Register(
-      std::move(name), std::move(params), std::move(factory));
-  if (!st.ok()) {
-    MRVD_LOG(Warn) << "scenario self-registration ignored: " << st;
-  }
+  return resolved->entry->factory(workload, resolved->params);
 }
 
 }  // namespace mrvd

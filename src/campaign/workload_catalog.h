@@ -3,15 +3,14 @@
 // strings instead of wiring builders by hand:
 //
 //   "nyc:orders=20000,drivers=250"   synthetic NYC-like day at a scale
+//   "paper:scale=0.02,drivers=1000"  the paper's §6 evaluation day
 //   "tlc:path=/data/trips.csv"       a parsed TLC CSV day
 //   "rush-hour:multiplier=1.8"       a BuildScenarioDay surge variant
 //
-// Both catalogs are self-registering (the built-in roster installs itself
-// when the global catalog is first touched; out-of-tree workloads register
-// with a static WorkloadRegistrar / ScenarioRegistrar from their own
-// translation unit), and factories are *lazily* invoked: a catalog spec is
-// just a name until CampaignRunner needs the cell, so expanding a thousand
-// grid cells costs nothing until runs execute.
+// The built-in rosters install themselves when a global catalog is first
+// touched, and factories are *lazily* invoked: a catalog spec is just a
+// name until CampaignRunner needs the cell, so expanding a thousand grid
+// cells costs nothing until runs execute.
 //
 // Spec syntax is shared with dispatcher specs ("NAME:key=value,..."), and
 // parameters are typed (int64 / double / string). Canonicalize() validates
@@ -71,6 +70,10 @@ class CatalogParams {
   std::map<std::string, Value> values_;
 };
 
+/// Rejects resolved parameter values an entry cannot build (a range, an
+/// enumeration) with the reason; the catalog prefixes the entry's name.
+using CatalogCheck = std::function<Status(const CatalogParams&)>;
+
 /// Shared catalog machinery: a name -> (param declarations, factory) map
 /// with spec parsing, type checking and canonicalisation. FactoryT is the
 /// entry's build signature.
@@ -81,9 +84,12 @@ class Catalog {
 
   /// Registers `factory` under `name`. Duplicate names fail with
   /// FailedPrecondition (first registration wins); a default that does not
-  /// parse as its declared type fails with InvalidArgument.
+  /// parse as its declared type fails with InvalidArgument. `check`, when
+  /// set, runs on every resolved spec — in Canonicalize() as well as before
+  /// the factory — so a campaign grid holding a bad value fails at
+  /// expansion, before any cell runs.
   Status Register(std::string name, std::vector<CatalogParam> params,
-                  FactoryT factory);
+                  FactoryT factory, CatalogCheck check = nullptr);
 
   bool Known(const std::string& name) const {
     return entries_.count(name) != 0;
@@ -94,20 +100,31 @@ class Catalog {
   std::string RosterString() const;
 
   /// Validates `spec` (known name, declared keys, values parse as their
-  /// types, no duplicate keys) and returns the canonical form: explicit
-  /// parameters only, sorted by key, numerics reformatted ("007" -> "7").
+  /// types, no duplicate keys, the entry's check passes) and returns the
+  /// canonical form: every parameter with defaults filled in, sorted by
+  /// key, numerics reformatted ("007" -> "7").
   StatusOr<std::string> Canonicalize(const std::string& spec) const;
 
  protected:
   struct Entry {
     std::vector<CatalogParam> params;
     FactoryT factory;
+    CatalogCheck check;  ///< may be null
   };
 
-  /// Parses + type-checks `spec` and returns the entry with its resolved
-  /// parameter values (defaults filled in).
-  StatusOr<std::pair<const Entry*, CatalogParams>> Resolve(
-      const std::string& spec) const;
+  /// A validated spec: its entry and resolved parameter values.
+  struct Resolved {
+    std::string name;
+    const Entry* entry = nullptr;
+    CatalogParams params;  ///< every declared parameter, defaults filled in
+  };
+
+  /// Parses, type-checks and checks `spec`.
+  StatusOr<Resolved> Resolve(const std::string& spec) const;
+
+  /// Parses `raw` as `decl`'s type.
+  static StatusOr<CatalogParams::Value> ParseValue(const CatalogParam& decl,
+                                                   const std::string& raw);
 
   std::string kind_;  ///< "workload" / "scenario", for error messages
   std::map<std::string, Entry> entries_;
@@ -120,8 +137,8 @@ using WorkloadFactory =
 
 class WorkloadCatalog : public Catalog<WorkloadFactory> {
  public:
-  /// The process-wide catalog, with the built-in roster (nyc, tlc)
-  /// pre-registered.
+  /// The process-wide catalog, with the built-in roster (nyc, nyc-skew,
+  /// tlc, trace, paper) pre-registered.
   static WorkloadCatalog& Global();
 
   /// Builds the named workload's Simulation. This is the expensive call
@@ -150,21 +167,6 @@ class ScenarioCatalog : public Catalog<ScenarioFactory> {
 
  private:
   ScenarioCatalog() : Catalog("scenario") {}
-};
-
-/// Self-registration handles: a static registrar in the factory's
-/// translation unit adds it to the global roster before main() runs. A
-/// duplicate name logs and keeps the first registration.
-class WorkloadRegistrar {
- public:
-  WorkloadRegistrar(std::string name, std::vector<CatalogParam> params,
-                    WorkloadFactory factory);
-};
-
-class ScenarioRegistrar {
- public:
-  ScenarioRegistrar(std::string name, std::vector<CatalogParam> params,
-                    ScenarioFactory factory);
 };
 
 }  // namespace mrvd

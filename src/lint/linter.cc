@@ -30,7 +30,7 @@ struct LayerRank {
 constexpr LayerRank kLayers[] = {
     {"util", 0},      {"geo", 0},                          // foundations
     {"stats", 1},     {"matching", 1},  {"queueing", 1},   // leaf math
-    {"roadnet", 1},   {"workload", 1},  {"lint", 1},       // data + tooling
+    {"workload", 1},  {"lint", 1},                         // data + tooling
     {"telemetry", 1},                                      // observability
     {"scenario", 2},  {"prediction", 2},                   // feed the engine
     {"sim", 3},                                            // engine stages

@@ -263,4 +263,22 @@ DemandHistory NycLikeGenerator::RealizedCounts(const Workload& day,
   return hist;
 }
 
+DemandHistory NycLikeGenerator::ObservedHistory(int train_days,
+                                                const Workload& eval_day,
+                                                int slots_per_day) const {
+  DemandHistory train = GenerateHistory(train_days, slots_per_day);
+  DemandHistory observed(train_days + 1, slots_per_day, grid_.num_regions());
+  for (int day = 0; day < train_days; ++day) {
+    for (int slot = 0; slot < slots_per_day; ++slot) {
+      for (RegionId r = 0; r < grid_.num_regions(); ++r) {
+        observed.set(day, slot, r, train.at(day, slot, r));
+      }
+    }
+  }
+  Status st = observed.AccumulateDay(train_days, eval_day, grid_);
+  assert(st.ok());
+  (void)st;
+  return observed;
+}
+
 }  // namespace mrvd

@@ -96,6 +96,12 @@ class NycLikeGenerator {
   /// single day (used by the oracle "Real" predictor in Table 4).
   DemandHistory RealizedCounts(const Workload& day, int slots_per_day) const;
 
+  /// The tensor the paper's demand predictors train on: the `train_days`
+  /// days of GenerateHistory() followed by `eval_day`'s realized counts as
+  /// day `train_days`.
+  DemandHistory ObservedHistory(int train_days, const Workload& eval_day,
+                                int slots_per_day) const;
+
   /// Destination-region share for origin `from` in slot `slot` — exposed for
   /// tests and the Table-8 driver-side chi-square (rejoined drivers are born
   /// at order destinations).

@@ -3,8 +3,8 @@
 // pickup_longitude, ...) and the modern tpep_* column names; columns are
 // located by header name, so extra columns are ignored.
 //
-// If a dataset file is available, bench binaries will use it instead of the
-// synthetic generator (set MRVD_TLC_CSV=/path/to/trips.csv).
+// A parsed day runs through the `tlc` workload-catalog entry
+// ("tlc:path=/path/to/trips.csv", or set MRVD_TLC_CSV).
 #pragma once
 
 #include <string>

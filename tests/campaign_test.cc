@@ -1,9 +1,9 @@
-// Campaign subsystem (src/campaign/): catalog spec canonicalisation, grid
-// expansion determinism and stable content keys, the resumable artifact
-// store (resume skips completed cells; fresh vs resumed manifests are
-// byte-identical), and bit-identity of campaign results against a
-// per-simulation ExperimentRunner::RunAll over the same cells at runner
-// threads {1, 4}.
+// Campaign subsystem (src/campaign/): catalog spec canonicalisation, the
+// `paper` entry's recipe and value checks, grid expansion determinism and
+// stable content keys, the resumable artifact store (resume skips
+// completed cells; fresh vs resumed manifests are byte-identical), and
+// bit-identity of campaign results against a per-simulation
+// ExperimentRunner::RunAll over the same cells at runner threads {1, 4}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -150,6 +150,93 @@ TEST(WorkloadCatalogTest, BuildRejectsTravelThatBreaksTheSpeedContract) {
     EXPECT_EQ(sim.status().code(), StatusCode::kInvalidArgument) << spec;
   }
   EXPECT_TRUE(WorkloadCatalog::Global().Build(tlc).ok());
+}
+
+TEST(WorkloadCatalogTest, PaperRejectsValuesItCannotBuild) {
+  WorkloadCatalog& catalog = WorkloadCatalog::Global();
+  for (const char* spec :
+       {"paper:predictor=Typo", "paper:scale=0", "paper:scale=-0.1",
+        "paper:scale=1.5", "paper:scale=nan", "paper:scale=inf",
+        "paper:drivers=0", "paper:drivers=-3", "paper:drivers=2147483648",
+        "paper:tau=-1", "paper:tau=nan", "paper:tau=inf"}) {
+    // The entry's check runs when a spec is canonicalised, not only when
+    // it is built.
+    StatusOr<std::string> canonical = catalog.Canonicalize(spec);
+    ASSERT_FALSE(canonical.ok()) << spec;
+    EXPECT_EQ(canonical.status().code(), StatusCode::kInvalidArgument)
+        << spec;
+    StatusOr<Simulation> sim = catalog.Build(spec);
+    ASSERT_FALSE(sim.ok()) << spec;
+    EXPECT_EQ(sim.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  StatusOr<std::string> typo = catalog.Canonicalize("paper:predictor=Typo");
+  for (const char* known : {"HA,", "LR,", "GBRT,", "DeepST,", "Real"}) {
+    EXPECT_NE(typo.status().message().find(known), std::string::npos)
+        << typo.status();
+  }
+  for (const char* spec : {"paper:scale=1", "paper:drivers=1", "paper:tau=0",
+                           "paper:predictor=HA"}) {
+    EXPECT_TRUE(catalog.Canonicalize(spec).ok()) << spec;
+  }
+
+  // So a campaign holding a bad value fails before any cell runs.
+  CampaignSpec spec;
+  spec.workloads = {"paper:scale=0.01", "paper:scale=2"};
+  spec.dispatchers = {"NEAR"};
+  EXPECT_FALSE(ExpandGrid(spec).ok());
+}
+
+TEST(WorkloadCatalogTest, PaperDayFollowsThePaperRecipe) {
+  constexpr double kScale = 0.01;
+  StatusOr<Simulation> sim =
+      WorkloadCatalog::Global().Build("paper:scale=0.01,predictor=Real");
+  ASSERT_TRUE(sim.ok()) << sim.status();
+
+  // The default 3000 paper-scale drivers, shrunk as scale^1.5.
+  EXPECT_EQ(sim->workload().drivers.size(),
+            static_cast<size_t>(std::max(
+                1, static_cast<int>(3000 * kScale * std::sqrt(kScale)))));
+
+  // Every pickup lies in the NYC box shrunk by sqrt(scale) around its
+  // centre.
+  const LatLon centre = kNycBoundingBox.Center();
+  const double half_w =
+      kNycBoundingBox.WidthDegrees() * 0.5 * std::sqrt(kScale);
+  const double half_h =
+      kNycBoundingBox.HeightDegrees() * 0.5 * std::sqrt(kScale);
+  const BoundingBox shrunk = {centre.lon - half_w, centre.lon + half_w,
+                              centre.lat - half_h, centre.lat + half_h};
+  ASSERT_FALSE(sim->workload().orders.empty());
+  for (const Order& o : sim->workload().orders) {
+    ASSERT_TRUE(shrunk.Contains(o.pickup)) << "order " << o.id;
+  }
+
+  // The Real predictor's forecast is the oracle the builder derives from
+  // the same day, slot by slot, bit for bit.
+  StatusOr<Simulation> oracle =
+      SimulationBuilder()
+          .BorrowWorkload(sim->workload(), sim->grid())
+          .WithOracleForecast()
+          .Build();
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  const DemandForecast& paper = *sim->forecast();
+  const DemandForecast& truth = *oracle->forecast();
+  ASSERT_EQ(paper.slots_per_day(), truth.slots_per_day());
+  ASSERT_EQ(paper.num_regions(), truth.num_regions());
+  int64_t mismatches = 0;
+  for (int slot = 0; slot < paper.slots_per_day(); ++slot) {
+    for (int r = 0; r < paper.num_regions(); ++r) {
+      if (paper.SlotCount(slot, r) != truth.SlotCount(slot, r)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+
+  // Cell keys hash the scale and the seed.
+  StatusOr<std::string> canonical =
+      WorkloadCatalog::Global().Canonicalize("paper:scale=0.01,predictor=Real");
+  ASSERT_TRUE(canonical.ok()) << canonical.status();
+  EXPECT_NE(canonical->find("scale=0.01"), std::string::npos) << *canonical;
+  EXPECT_NE(canonical->find("seed=20190417"), std::string::npos) << *canonical;
 }
 
 TEST(ScenarioCatalogTest, RosterAndFactories) {

@@ -176,6 +176,27 @@ TEST(DemandHistoryTest, RealizedCountsMatchWorkload) {
   EXPECT_DOUBLE_EQ(total, static_cast<double>(w.orders.size()));
 }
 
+TEST(DemandHistoryTest, ObservedHistoryIsTheTrainingDaysThenTheRealizedDay) {
+  NycLikeGenerator gen(SmallConfig());
+  Workload day = gen.GenerateDay(21, 5);
+  DemandHistory observed = gen.ObservedHistory(21, day, 48);
+  DemandHistory train = gen.GenerateHistory(21, 48);
+  DemandHistory realized = gen.RealizedCounts(day, 48);
+  ASSERT_EQ(observed.num_days(), 22);
+  ASSERT_EQ(observed.slots_per_day(), 48);
+  ASSERT_EQ(observed.num_regions(), train.num_regions());
+  int64_t mismatches = 0;
+  for (int s = 0; s < 48; ++s) {
+    for (int r = 0; r < observed.num_regions(); ++r) {
+      for (int d = 0; d < 21; ++d) {
+        if (observed.at(d, s, r) != train.at(d, s, r)) ++mismatches;
+      }
+      if (observed.at(21, s, r) != realized.at(0, s, r)) ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 // --------------------------------------------------------------- TLC parser
 
 TEST(TlcParserTest, ParseDateTime) {
