@@ -102,7 +102,7 @@ void PrintTableRow(const std::vector<std::string>& cells) {
 }
 
 std::string FormatRevenue(double revenue) {
-  return StrFormat("%.4fe8", revenue / 1e8);
+  return StrFormat("%.17g", revenue);
 }
 
 void PrintRevenueAndBatchTime(const std::string& figure,

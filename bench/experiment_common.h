@@ -67,7 +67,8 @@ void PrintTableHeader(const std::string& title,
                       const std::vector<std::string>& columns);
 void PrintTableRow(const std::vector<std::string>& cells);
 
-/// Formats a revenue in the paper's 1e8-style scientific units.
+/// Formats a revenue at full precision (%.17g, round-trips the double), so
+/// a diff of two runs' output shows any change in it.
 std::string FormatRevenue(double revenue);
 
 /// One table row: `label` over the sweep's columns.

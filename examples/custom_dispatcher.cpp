@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "api/api.h"
-#include "dispatch/candidates.h"
 #include "matching/bipartite.h"
 
 using namespace mrvd;
@@ -30,7 +29,7 @@ class UrgencyDispatcher final : public Dispatcher {
   std::string name() const override { return "URGENT"; }
 
   void Dispatch(const BatchContext& ctx, std::vector<Assignment>* out) override {
-    auto pairs = GenerateValidPairs(ctx);
+    const std::vector<CandidatePair>& pairs = ctx.ValidPairs();
     std::vector<WeightedPair> weighted;
     weighted.reserve(pairs.size());
     for (const auto& c : pairs) {

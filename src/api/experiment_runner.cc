@@ -56,6 +56,8 @@ StatusOr<ResolvedRun> ResolveRunSpec(const Simulation& simulation,
   if (registry.RequiresZeroPickupTravel(parsed->name)) {
     run.config.zero_pickup_travel = true;
   }
+  // RunWith checks the config too, but only when the run starts; checked
+  // here, RunAll rejects a bad config before any spec of the sweep runs.
   MRVD_RETURN_NOT_OK(run.config.Validate());
   run.scenario = spec.use_scenario ? simulation.scenario() : nullptr;
   run.dispatcher = std::move(dispatcher).value();

@@ -50,6 +50,8 @@ StatusOr<SimResult> Simulation::RunWith(const SimConfig& config,
                                         Dispatcher& dispatcher,
                                         const ScenarioScript* scenario,
                                         SimObserver* observer) const {
+  // The Simulator aborts on an invalid config; a caller gets the Status.
+  MRVD_RETURN_NOT_OK(config.Validate());
   if (!streaming()) {
     Simulator simulator(config, *workload_, *grid_, *travel_, forecast_);
     return scenario != nullptr

@@ -219,8 +219,8 @@ StatusOr<std::string> Catalog<FactoryT>::Canonicalize(
       case CatalogParam::Type::kDouble: text = FormatDouble(value.d); break;
       case CatalogParam::Type::kString: text = value.s; break;
     }
-    // Empty string values (e.g. tlc's default path) cannot round-trip
-    // through spec syntax; omit them — absent and empty are the same.
+    // Empty string values cannot round-trip through spec syntax; omit
+    // them — absent and empty are the same.
     if (text.empty()) continue;
     canonical.emplace_back(decl.name, std::move(text));
   }
@@ -282,6 +282,15 @@ Status CheckPaperParams(const CatalogParams& p) {
                                    "'; known predictors: " + kPaperPredictors);
   }
   return Status::OK();
+}
+
+/// The check of an entry that reads a file: `path` is required, since
+/// the canonical spec, and so every campaign cell key, names the file.
+CatalogCheck RequirePath(std::string how) {
+  return [how = std::move(how)](const CatalogParams& p) -> Status {
+    if (!p.GetString("path").empty()) return Status::OK();
+    return Status::InvalidArgument("path is required: " + how);
+  };
 }
 
 /// The paper's §6 evaluation day: the NYC day at `scale` of the paper's
@@ -446,8 +455,7 @@ void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
   must(c->Register(
       "tlc",
       {
-          {"path", T::kString, "",
-           "trip CSV path (empty = $MRVD_TLC_CSV)"},
+          {"path", T::kString, "", "trip CSV path (required)"},
           {"drivers", T::kInt64, "3000", "fleet size"},
           {"day", T::kInt64, "-1", "day filter (-1 = keep all)"},
           {"max_orders", T::kInt64, "0", "order cap (0 = unlimited)"},
@@ -458,22 +466,13 @@ void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
           {"horizon_hours", T::kDouble, "24", "default horizon (hours)"},
       },
       [](const CatalogParams& p) -> StatusOr<Simulation> {
-        std::string path = p.GetString("path");
-        if (path.empty()) {
-          const char* env = std::getenv("MRVD_TLC_CSV");
-          if (env != nullptr) path = env;
-        }
-        if (path.empty()) {
-          return Status::InvalidArgument(
-              "workload 'tlc' needs a CSV: pass path=... or set "
-              "MRVD_TLC_CSV");
-        }
         TlcParseOptions options;
         options.day_filter = static_cast<int>(p.GetInt("day"));
         options.max_orders = p.GetInt("max_orders");
         options.seed = static_cast<uint64_t>(p.GetInt("seed"));
         StatusOr<Workload> workload = ParseTlcCsv(
-            path, static_cast<int>(p.GetInt("drivers")), options);
+            p.GetString("path"), static_cast<int>(p.GetInt("drivers")),
+            options);
         if (!workload.ok()) return workload.status();
         SimulationBuilder builder;
         builder
@@ -483,12 +482,12 @@ void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
             .BatchInterval(p.GetDouble("batch_interval"))
             .HorizonSeconds(p.GetDouble("horizon_hours") * 3600.0);
         return builder.Build();
-      }));
+      },
+      RequirePath("pass path=/path/to/trips.csv")));
   must(c->Register(
       "trace",
       {
-          {"path", T::kString, "",
-           "binary order-trace path (empty = $MRVD_TRACE_BIN)"},
+          {"path", T::kString, "", "binary order-trace path (required)"},
           {"max_orders", T::kInt64, "0", "order cap (0 = the whole trace)"},
           {"speed_mps", T::kDouble, "11", "straight-line travel speed"},
           {"detour", T::kDouble, "1.3", "straight-line detour factor"},
@@ -503,17 +502,7 @@ void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
         // env toggle, NOT a spec parameter, so the canonical spec (and
         // therefore every campaign cell key and manifest) is identical
         // either way; CI exploits that to byte-compare the two manifests.
-        std::string path = p.GetString("path");
-        if (path.empty()) {
-          const char* env = std::getenv("MRVD_TRACE_BIN");
-          if (env != nullptr) path = env;
-        }
-        if (path.empty()) {
-          return Status::InvalidArgument(
-              "workload 'trace' needs a binary order trace: pass path=... "
-              "or set MRVD_TRACE_BIN (convert CSVs with `campaign "
-              "convert`)");
-        }
+        const std::string& path = p.GetString("path");
         StatusOr<OrderTraceInfo> info = ReadOrderTraceInfo(path);
         if (!info.ok()) return info.status();
         const double horizon_hours = p.GetDouble("horizon_hours");
@@ -539,7 +528,9 @@ void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
             .BatchInterval(p.GetDouble("batch_interval"))
             .HorizonSeconds(horizon);
         return builder.Build();
-      }));
+      },
+      RequirePath("pass path=/path/to/day.trace (convert CSVs with "
+                  "`campaign convert`)")));
 }
 
 // ---------------------------------------------------------------------

@@ -2,7 +2,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "dispatch/candidates.h"
 #include "dispatch/dispatchers.h"
 #include "matching/bipartite.h"
 #include "util/rng.h"
@@ -19,21 +18,29 @@ class RandomDispatcher final : public Dispatcher {
   std::string name() const override { return "RAND"; }
 
   void Dispatch(const BatchContext& ctx, std::vector<Assignment>* out) override {
-    auto per_rider = GenerateValidPairsPerRider(ctx);
-    std::vector<int> rider_order(per_rider.size());
+    const std::vector<CandidatePair>& pairs = ctx.ValidPairs();
+    // The list is rider-major: rider ri's pairs are
+    // [begin_[ri], begin_[ri + 1]).
+    begin_.assign(ctx.riders().size() + 1, 0);
+    for (const CandidatePair& c : pairs) {
+      ++begin_[static_cast<size_t>(c.rider_index) + 1];
+    }
+    std::partial_sum(begin_.begin(), begin_.end(), begin_.begin());
+    std::vector<int> rider_order(ctx.riders().size());
     std::iota(rider_order.begin(), rider_order.end(), 0);
     rng_.Shuffle(rider_order);
 
     std::vector<char> driver_used(ctx.drivers().size(), false);
     for (int ri : rider_order) {
-      auto& cands = per_rider[static_cast<size_t>(ri)];
       // Reservoir-pick a random unused driver among the candidates.
       int chosen = -1;
       int seen = 0;
-      for (const auto& c : cands) {
-        if (driver_used[static_cast<size_t>(c.driver_index)]) continue;
+      for (size_t c = begin_[static_cast<size_t>(ri)];
+           c < begin_[static_cast<size_t>(ri) + 1]; ++c) {
+        const int di = pairs[c].driver_index;
+        if (driver_used[static_cast<size_t>(di)]) continue;
         ++seen;
-        if (rng_.UniformInt(1, seen) == 1) chosen = c.driver_index;
+        if (rng_.UniformInt(1, seen) == 1) chosen = di;
       }
       if (chosen >= 0) {
         driver_used[static_cast<size_t>(chosen)] = true;
@@ -44,6 +51,7 @@ class RandomDispatcher final : public Dispatcher {
 
  private:
   Rng rng_;
+  std::vector<size_t> begin_;  ///< per-rider offsets into the pair list
 };
 
 /// NEAR: greedily matches the globally closest (driver, order) pairs first.
@@ -52,7 +60,7 @@ class NearestDispatcher final : public Dispatcher {
   std::string name() const override { return "NEAR"; }
 
   void Dispatch(const BatchContext& ctx, std::vector<Assignment>* out) override {
-    auto pairs = GenerateValidPairs(ctx);
+    const std::vector<CandidatePair>& pairs = ctx.ValidPairs();
     std::vector<WeightedPair> wp;
     wp.reserve(pairs.size());
     for (const auto& c : pairs) {
@@ -70,7 +78,7 @@ class LongTripGreedyDispatcher final : public Dispatcher {
   std::string name() const override { return "LTG"; }
 
   void Dispatch(const BatchContext& ctx, std::vector<Assignment>* out) override {
-    auto pairs = GenerateValidPairs(ctx);
+    const std::vector<CandidatePair>& pairs = ctx.ValidPairs();
     std::vector<WeightedPair> wp;
     wp.reserve(pairs.size());
     for (const auto& c : pairs) {

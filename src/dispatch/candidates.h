@@ -1,9 +1,8 @@
-// Valid rider-and-driver pair generation (Def. 3). Candidate drivers are
-// found by walking grid rings outward from the rider's pickup region,
-// clipped to the rider's reach box: the lat/lon box holding every point
-// within (deadline - now) * SpeedMps() equirectangular metres of the
-// pickup, which by the TravelCostModel speed contract holds every driver
-// that can arrive in time.
+// Valid rider-and-driver pair generation (Def. 3), from scratch. The
+// dispatchers read BatchContext::ValidPairs(), which gives the same list
+// but skips riders that provably still have no driver in reach;
+// GenerateValidPairs searches every rider and is the oracle it is checked
+// against.
 #pragma once
 
 #include <vector>
@@ -12,19 +11,9 @@
 
 namespace mrvd {
 
-/// One valid pair with its pickup cost.
-struct CandidatePair {
-  int rider_index = -1;
-  int driver_index = -1;
-  double pickup_seconds = 0.0;
-};
-
-/// All valid pairs of the batch. O(sum over riders of drivers in the cells
+/// All valid pairs of the batch in the canonical order, BatchContext::
+/// SearchRider over every rider. O(sum over riders of drivers in the cells
 /// the rider's reach box touches); the box shrinks as deadlines tighten.
 std::vector<CandidatePair> GenerateValidPairs(const BatchContext& ctx);
-
-/// Candidate pairs grouped per rider (same contents as GenerateValidPairs).
-std::vector<std::vector<CandidatePair>> GenerateValidPairsPerRider(
-    const BatchContext& ctx);
 
 }  // namespace mrvd

@@ -10,10 +10,11 @@
 //   UPPER  — per-batch revenue upper bound (requires
 //            SimConfig::zero_pickup_travel)
 //
-// Every dispatcher consumes the batch through the sharded-context protocol:
-// when the BatchContext carries a BatchExecution (thread pool + region
-// partitioner, see sim/batch.h), candidate generation and the idle-time
-// solves fan out per region shard and the selection runs sequentially,
+// Every dispatcher but UPPER reads the batch's valid pairs from
+// BatchContext::ValidPairs(), one list per batch, built serially. When the
+// BatchContext carries a BatchExecution (thread pool + region partitioner,
+// see sim/batch.h), IRG, SHORT and LS solve the greedy's initial ET(k, 0)
+// values per region shard on the pool and then select sequentially,
 // producing bit-identical assignments to the serial path. Without an
 // execution the same code runs serially.
 #pragma once

@@ -13,7 +13,6 @@
 #include <functional>
 #include <vector>
 
-#include "dispatch/candidates.h"
 #include "sim/batch.h"
 
 namespace mrvd {

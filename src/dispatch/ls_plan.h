@@ -17,7 +17,6 @@
 
 #include <vector>
 
-#include "dispatch/candidates.h"
 #include "sim/batch.h"
 
 namespace mrvd {

@@ -8,18 +8,14 @@
 namespace mrvd {
 
 PreparedBatch PrepareShardedBatch(const BatchContext& ctx) {
-  PreparedBatch out;
+  PreparedBatch out{ctx.ValidPairs(), {}};
   const BatchExecution* exec = ctx.execution();
-  if (exec == nullptr || !exec->Parallel()) {
-    out.pairs = GenerateValidPairs(ctx);
-    return out;
-  }
+  if (exec == nullptr || !exec->Parallel()) return out;
   const RegionPartitioner& parts = *exec->partitioner;
   const int num_shards = parts.num_shards();
 
-  // One-pass shard index, shared by candidate generation and the shard
-  // stats below (built here only if the engine's BatchBuilder did not
-  // already build it).
+  // One-pass shard index for the shard stats (built here only if the
+  // engine's BatchBuilder did not already build it).
   const BatchContext::ShardIndex* index = ctx.EnsureShardIndex();
   out.shard_stats.assign(static_cast<size_t>(num_shards), {});
   for (int s = 0; s < num_shards; ++s) {
@@ -29,29 +25,19 @@ PreparedBatch PrepareShardedBatch(const BatchContext& ctx) {
         static_cast<int64_t>(index->drivers[static_cast<size_t>(s)].size());
   }
 
-  // Parallel per-shard candidate generation (sharded inside candidates.cc).
-  auto per_rider = GenerateValidPairsPerRider(ctx);
-
-  // Flatten in the canonical rider-major order; the distinct dropoff
-  // regions are routed to their owning shard so ET(k, 0) is solved exactly
-  // once.
-  size_t total = 0;
-  for (const auto& g : per_rider) total += g.size();
-  out.pairs.reserve(total);
+  // The distinct dropoff regions, routed to their owning shard so ET(k, 0)
+  // is solved exactly once.
   std::vector<std::vector<RegionId>> dests_by_shard(
       static_cast<size_t>(num_shards));
   std::vector<char> dest_seen(static_cast<size_t>(ctx.grid().num_regions()),
                               0);
-  for (const auto& g : per_rider) {
-    for (const CandidatePair& cp : g) {
-      out.pairs.push_back(cp);
-      RegionId dest =
-          ctx.riders()[static_cast<size_t>(cp.rider_index)].dropoff_region;
-      if (!dest_seen[static_cast<size_t>(dest)]) {
-        dest_seen[static_cast<size_t>(dest)] = 1;
-        dests_by_shard[static_cast<size_t>(parts.shard_of(dest))].push_back(
-            dest);
-      }
+  for (const CandidatePair& cp : out.pairs) {
+    RegionId dest =
+        ctx.riders()[static_cast<size_t>(cp.rider_index)].dropoff_region;
+    if (!dest_seen[static_cast<size_t>(dest)]) {
+      dest_seen[static_cast<size_t>(dest)] = 1;
+      dests_by_shard[static_cast<size_t>(parts.shard_of(dest))].push_back(
+          dest);
     }
   }
 

@@ -11,7 +11,6 @@
 #include <cmath>
 #include <vector>
 
-#include "dispatch/candidates.h"
 #include "dispatch/dispatchers.h"
 #include "matching/bipartite.h"
 
@@ -39,7 +38,7 @@ class PolarDispatcher final : public Dispatcher {
     }
 
     // ---- Online phase: blueprint-guided greedy matching ----------------
-    auto pairs = GenerateValidPairs(ctx);
+    const std::vector<CandidatePair>& pairs = ctx.ValidPairs();
     std::vector<WeightedPair> wp;
     wp.reserve(pairs.size());
     const double kOffBlueprintPenalty = 1e6;

@@ -1,7 +1,9 @@
 #include "sim/batch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <limits>
 
 #include "geo/region_partitioner.h"
 #include "util/thread_pool.h"
@@ -25,7 +27,8 @@ BatchContext::BatchContext(double now, double window_seconds,
       candidate_mode_(candidate_mode),
       drivers_by_region_(static_cast<size_t>(grid.num_regions())),
       snapshots_(static_cast<size_t>(grid.num_regions())),
-      idle_memo_(static_cast<size_t>(grid.num_regions())) {}
+      idle_memo_(static_cast<size_t>(grid.num_regions())),
+      latest_join_(static_cast<size_t>(grid.num_regions())) {}
 
 BatchContext::BatchContext(double now, double window_seconds,
                            double reneging_beta, const Grid& grid,
@@ -41,7 +44,8 @@ BatchContext::BatchContext(double now, double window_seconds,
       candidate_mode_(candidate_mode),
       drivers_by_region_(static_cast<size_t>(grid.num_regions())),
       snapshots_(static_cast<size_t>(grid.num_regions())),
-      idle_memo_(static_cast<size_t>(grid.num_regions())) {}
+      idle_memo_(static_cast<size_t>(grid.num_regions())),
+      latest_join_(static_cast<size_t>(grid.num_regions())) {}
 
 void BatchContext::Reset(double now) {
   now_ = now;
@@ -49,7 +53,136 @@ void BatchContext::Reset(double now) {
   drivers_.clear();
   for (auto& bucket : drivers_by_region_) bucket.clear();
   shard_index_.partitioner = nullptr;
+  pairs_current_ = false;
+  searched_this_batch_ = false;
   BumpMemoEpoch();
+}
+
+CellSpan BatchContext::SearchRider(int ri,
+                                   std::vector<CandidatePair>* out) const {
+  const WaitingRider& r = riders_[static_cast<size_t>(ri)];
+  const double budget_seconds = r.pickup_deadline - now_;
+  if (budget_seconds < 0.0) return CellSpan{0, -1, 0, -1};
+
+  // now + tt <= deadline is evaluated in doubles; 1 µs of slack covers its
+  // rounding for clock values below 2^32 s. A speed that bounds nothing
+  // (<= 0 or NaN) gives an unbounded box.
+  const double speed = cost_model_.SpeedMps();
+  const double reach_m = speed > 0.0
+                             ? (budget_seconds + 1e-6) * speed
+                             : std::numeric_limits<double>::infinity();
+  const BoundingBox box = EquirectangularReachBox(r.pickup, reach_m);
+  const int row = grid_.RowOf(r.pickup_region);
+  const int col = grid_.ColOf(r.pickup_region);
+  const CellSpan span = candidate_mode_ == CandidateMode::kRegionLocal
+                            ? CellSpan{row, row, col, col}
+                            : grid_.SpanOf(box);
+  const int max_ring = std::max({row - span.row_lo, span.row_hi - row,
+                                 col - span.col_lo, span.col_hi - col});
+
+  // Drivers are bucketed by RegionOf their location, as the engine keeps
+  // them, so the rings clipped to the span hold every driver in the box.
+  auto visit = [&](RegionId reg) {
+    for (int di : drivers_by_region_[static_cast<size_t>(reg)]) {
+      const AvailableDriver& d = drivers_[static_cast<size_t>(di)];
+      if (!box.Contains(d.location)) continue;
+      const double tt = PickupSeconds(d, r);
+      if (now_ + tt <= r.pickup_deadline) out->push_back({ri, di, tt});
+    }
+  };
+  for (int g = 0; g <= max_ring; ++g) {
+    grid_.ForEachRingCell(r.pickup_region, g, span, visit);
+  }
+  return span;
+}
+
+const std::vector<CandidatePair>& BatchContext::ValidPairs() const {
+  if (!pairs_current_) ComputeValidPairs();
+  return pairs_;
+}
+
+bool BatchContext::StillPairless(const RiderSearch& memo,
+                                 const WaitingRider& r) const {
+  auto same = [](double a, double b) {
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+  };
+  if (!memo.found_nothing || memo.pickup_region != r.pickup_region ||
+      !same(memo.pickup.lat, r.pickup.lat) ||
+      !same(memo.pickup.lon, r.pickup.lon) ||
+      !same(memo.pickup_deadline, r.pickup_deadline)) {
+    return false;
+  }
+  const CellSpan& walked = memo.walked;
+  for (int row = walked.row_lo; row <= walked.row_hi; ++row) {
+    for (int col = walked.col_lo; col <= walked.col_hi; ++col) {
+      const double joined =
+          latest_join_[static_cast<size_t>(grid_.RegionAt(row, col))];
+      if (!(joined < memo.now)) return false;
+    }
+  }
+  return true;
+}
+
+void BatchContext::ComputeValidPairs() const {
+  pairs_.clear();
+  // A search at a later clock had a smaller reach box than this batch's.
+  if (now_ < search_memo_now_) search_memo_.clear();
+  if (!search_memo_.empty()) {
+    // One pass here costs less than keeping the maximum in AddDriver.
+    std::fill(latest_join_.begin(), latest_join_.end(),
+              -std::numeric_limits<double>::infinity());
+    for (const AvailableDriver& d : drivers_) {
+      double& latest = latest_join_[static_cast<size_t>(d.region)];
+      latest = std::max(latest, d.available_since);
+    }
+  }
+  next_memo_.clear();
+  // Waiting riders keep arrival order and new ones are appended, so one
+  // forward walk over the memo finds every rider that is still waiting.
+  size_t cursor = 0;
+  for (int ri = 0; ri < static_cast<int>(riders_.size()); ++ri) {
+    const WaitingRider& r = riders_[static_cast<size_t>(ri)];
+    const RiderSearch* memo = nullptr;
+    for (size_t m = cursor; m < search_memo_.size(); ++m) {
+      if (search_memo_[m].order_id == r.order_id) {
+        memo = &search_memo_[m];
+        cursor = m + 1;
+        break;
+      }
+    }
+    if (memo != nullptr && StillPairless(*memo, r)) {
+      next_memo_.push_back(*memo);  // keeps the search's now and cells
+      ++skipped_searches_;
+      continue;
+    }
+    const size_t before = pairs_.size();
+    RiderSearch& entry = next_memo_.emplace_back();
+    entry.order_id = r.order_id;
+    entry.pickup = r.pickup;
+    entry.pickup_region = r.pickup_region;
+    entry.pickup_deadline = r.pickup_deadline;
+    entry.walked = SearchRider(ri, &pairs_);
+    entry.found_nothing = pairs_.size() == before;
+    entry.now = now_;
+  }
+  search_memo_.swap(next_memo_);
+  search_memo_now_ = now_;
+  pairs_current_ = true;
+  searched_this_batch_ = true;
+#ifndef NDEBUG
+  // The memoised list must equal the from-scratch search bit for bit.
+  std::vector<CandidatePair> scratch;
+  for (int ri = 0; ri < static_cast<int>(riders_.size()); ++ri) {
+    SearchRider(ri, &scratch);
+  }
+  assert(scratch.size() == pairs_.size());
+  for (size_t i = 0; i < scratch.size(); ++i) {
+    assert(scratch[i].rider_index == pairs_[i].rider_index);
+    assert(scratch[i].driver_index == pairs_[i].driver_index);
+    assert(std::bit_cast<uint64_t>(scratch[i].pickup_seconds) ==
+           std::bit_cast<uint64_t>(pairs_[i].pickup_seconds));
+  }
+#endif
 }
 
 void BatchContext::SetSnapshots(std::vector<RegionSnapshot> snapshots) {

@@ -56,6 +56,11 @@ struct AvailableDriver {
   DriverId driver_id = -1;
   LatLon location;
   RegionId region = kInvalidRegion;
+  /// When the driver became available at `location`. A context refilled
+  /// across batches (BatchContext::Reset) relies on it: a driver whose
+  /// available_since is before an earlier batch's `now` must have been in
+  /// that batch's context at the same location. FleetState keeps this:
+  /// trip completion sets busy_until, sign-on the batch's now.
   double available_since = 0.0;
 };
 
@@ -64,6 +69,13 @@ struct AvailableDriver {
 struct Assignment {
   int rider_index = -1;
   int driver_index = -1;
+};
+
+/// One valid pair (Def. 3) with its pickup cost; indices as in Assignment.
+struct CandidatePair {
+  int rider_index = -1;
+  int driver_index = -1;
+  double pickup_seconds = 0.0;
 };
 
 /// How candidate rider-driver pairs are generated.
@@ -171,11 +183,43 @@ class BatchContext {
     return now_ + PickupSeconds(d, r) <= r.pickup_deadline;
   }
 
+  /// All valid pairs of the batch in the canonical order: rider-major; per
+  /// rider, rings outward from the pickup region, cells in Grid::Ring
+  /// order, drivers in bucket order. Computed at the first call after
+  /// Reset, AddRider or AddDriver, into a buffer that keeps its capacity.
+  ///
+  /// Between batches a pair can only expire (idle drivers do not move and
+  /// deadlines are fixed), so a rider whose last search found nothing is
+  /// not searched again while every cell that search walked holds only
+  /// drivers available since before its `now`: each of them was there when
+  /// that search ran and failed it, and the reach box has only shrunk
+  /// since. The list equals SearchRider over every rider bit for bit
+  /// (checked after every computation in builds without NDEBUG). The memo
+  /// behind this survives Reset; it is dropped when `now` goes backwards
+  /// or a driver is added after a computation in the same batch. NOT
+  /// thread-safe.
+  const std::vector<CandidatePair>& ValidPairs() const;
+
+  /// The memo-free Def.-3 search for rider `ri`: appends its valid pairs
+  /// to `out` in the canonical order and returns the cells it walked.
+  /// Only cells that the rider's reach box touches are walked, and only
+  /// drivers inside the box are priced: the box holds every point within
+  /// (deadline - now) * SpeedMps() equirectangular metres of the pickup,
+  /// so by the TravelCostModel speed contract a driver outside it cannot
+  /// make the deadline. Walks nothing (an empty span) once the deadline
+  /// has passed; kRegionLocal walks the pickup region only.
+  CellSpan SearchRider(int ri, std::vector<CandidatePair>* out) const;
+
+  /// Riders whose search ValidPairs has skipped, over the context's life.
+  int64_t skipped_searches() const { return skipped_searches_; }
+
   /// Starts the next batch at `now` in place: empties riders, drivers and
   /// the region buckets (keeping their capacity), drops the shard index and
   /// invalidates every memoised ET. The snapshots stay as they were until
   /// the caller overwrites them (mutable_snapshot), which it must do before
-  /// any ET is read.
+  /// any ET is read. A context refilled this way must give each driver the
+  /// time it became available at its current location (see
+  /// AvailableDriver::available_since), which ValidPairs' memo relies on.
   void Reset(double now);
 
   /// Mutable setup API (used by the engine when building the batch).
@@ -185,6 +229,7 @@ class BatchContext {
            r.dropoff_region != kInvalidRegion);
     riders_.push_back(r);
     shard_index_.partitioner = nullptr;  // invalidate any cached index
+    pairs_current_ = false;
   }
   void AddDriver(const AvailableDriver& d) {
     assert(d.region != kInvalidRegion);
@@ -192,6 +237,9 @@ class BatchContext {
         static_cast<int>(drivers_.size()));
     drivers_.push_back(d);
     shard_index_.partitioner = nullptr;  // invalidate any cached index
+    pairs_current_ = false;
+    // This batch's searches ran without the driver, whenever it joined.
+    if (searched_this_batch_) search_memo_.clear();
   }
   /// Replaces every region's snapshot and invalidates every memoised ET.
   void SetSnapshots(std::vector<RegionSnapshot> snapshots);
@@ -240,6 +288,23 @@ class BatchContext {
   /// Invalidates every memo entry at once.
   void BumpMemoEpoch();
 
+  /// What ValidPairs remembers of one rider's last computation.
+  struct RiderSearch {
+    OrderId order_id = -1;
+    LatLon pickup;
+    RegionId pickup_region = kInvalidRegion;
+    double pickup_deadline = 0.0;
+    bool found_nothing = false;
+    /// For a search that found nothing: its `now` and the cells it walked.
+    double now = 0.0;
+    CellSpan walked;
+  };
+  /// True if `memo`, the entry of rider `r`, proves that the rider still
+  /// has no valid pair: it is `r`'s, its search found nothing, and no
+  /// driver in a walked cell became available at or after its `now`.
+  bool StillPairless(const RiderSearch& memo, const WaitingRider& r) const;
+  void ComputeValidPairs() const;
+
   double now_;
   double window_seconds_;
   /// Set only by the hand-assembly constructor; growth_ refers to it then.
@@ -261,6 +326,19 @@ class BatchContext {
   /// [region][extra] -> ET; an entry is current iff stamped memo_epoch_.
   mutable std::vector<std::vector<IdleMemoEntry>> idle_memo_;
   uint32_t memo_epoch_ = 1;
+
+  /// Per region: the latest available_since among the batch's drivers,
+  /// filled by each computation that has a memo to check.
+  mutable std::vector<double> latest_join_;
+  mutable std::vector<CandidatePair> pairs_;  ///< ValidPairs' list
+  mutable bool pairs_current_ = false;        ///< pairs_ is this batch's
+  mutable bool searched_this_batch_ = false;  ///< since Reset
+  /// One entry per rider of the last computation, in rider order; it
+  /// survives Reset. search_memo_now_ is that computation's now.
+  mutable std::vector<RiderSearch> search_memo_;
+  mutable std::vector<RiderSearch> next_memo_;  ///< reused scratch
+  mutable double search_memo_now_ = 0.0;
+  mutable int64_t skipped_searches_ = 0;
 };
 
 /// Per-shard pipeline telemetry for one Dispatch: the shard's batch sizes

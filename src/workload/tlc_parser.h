@@ -4,7 +4,7 @@
 // located by header name, so extra columns are ignored.
 //
 // A parsed day runs through the `tlc` workload-catalog entry
-// ("tlc:path=/path/to/trips.csv", or set MRVD_TLC_CSV).
+// ("tlc:path=/path/to/trips.csv"; `path` is required).
 #pragma once
 
 #include <string>

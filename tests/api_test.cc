@@ -603,15 +603,54 @@ TEST_F(ApiTest, RunnerAppliesConfigOverridesAndScenarioChoice) {
   EXPECT_LT((*results)[2].result.num_batches,
             (*results)[0].result.num_batches);
 
-  // An invalid per-spec config is caught before anything runs.
+  // An invalid per-spec config is caught before anything runs, the valid
+  // spec ahead of it included.
+  struct BatchCounter : SimObserver {
+    void OnBatchEnd(double) override { ++batches; }
+    int batches = 0;
+  } counter;
+  RunSpec good("NEAR", "good");
+  good.observer = &counter;
   RunSpec bad("IRG");
   SimConfig bad_cfg = sim->config();
   bad_cfg.window_seconds = -5.0;
   bad.config = bad_cfg;
-  StatusOr<std::vector<RunResult>> invalid = runner.RunAll({bad});
+  StatusOr<std::vector<RunResult>> invalid = runner.RunAll({good, bad});
   ASSERT_FALSE(invalid.ok());
   EXPECT_NE(invalid.status().message().find("window_seconds"),
             std::string::npos);
+  EXPECT_EQ(counter.batches, 0);
+}
+
+/// Counts the batches it is handed and assigns nothing.
+class CountingDispatcher final : public Dispatcher {
+ public:
+  std::string name() const override { return "COUNTING"; }
+  void Dispatch(const BatchContext&, std::vector<Assignment>*) override {
+    ++batches;
+  }
+  int batches = 0;
+};
+
+TEST_F(ApiTest, RunWithReturnsInvalidArgumentOnAnInvalidConfig) {
+  // The Simulator aborts on these configs (see the death tests above);
+  // RunWith must hand the caller a Status instead, before any batch runs.
+  StatusOr<Simulation> sim = builder_->Build();
+  ASSERT_TRUE(sim.ok()) << sim.status();
+  for (double interval : {-3.0, 1e-300}) {
+    SimConfig bad = sim->config();
+    bad.batch_interval = interval;
+    CountingDispatcher dispatcher;
+    StatusOr<SimResult> result =
+        sim->RunWith(bad, dispatcher, /*scenario=*/nullptr);
+    ASSERT_FALSE(result.ok()) << interval;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << interval;
+    EXPECT_NE(result.status().message().find("batch_interval"),
+              std::string::npos)
+        << result.status();
+    EXPECT_EQ(dispatcher.batches, 0) << interval;
+  }
 }
 
 TEST_F(ApiTest, RunResultsSerialiseToJson) {

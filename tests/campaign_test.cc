@@ -186,6 +186,23 @@ TEST(WorkloadCatalogTest, PaperRejectsValuesItCannotBuild) {
   EXPECT_FALSE(ExpandGrid(spec).ok());
 }
 
+TEST(WorkloadCatalogTest, FileEntriesNeedAPathAtExpansion) {
+  // A cell key is the canonical spec, which omits an empty path, so a file
+  // entry without one could not tell two files apart on resume.
+  for (const char* entry : {"tlc", "trace"}) {
+    CampaignSpec spec;
+    spec.workloads = {entry};
+    spec.dispatchers = {"NEAR"};
+    StatusOr<std::vector<CampaignCell>> cells = ExpandGrid(spec);
+    ASSERT_FALSE(cells.ok()) << entry;
+    EXPECT_EQ(cells.status().code(), StatusCode::kInvalidArgument) << entry;
+    EXPECT_NE(cells.status().message().find("path"), std::string::npos)
+        << cells.status();
+    spec.workloads = {std::string(entry) + ":path=/data/day"};
+    EXPECT_TRUE(ExpandGrid(spec).ok()) << entry;
+  }
+}
+
 TEST(WorkloadCatalogTest, PaperDayFollowsThePaperRecipe) {
   constexpr double kScale = 0.01;
   StatusOr<Simulation> sim =

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
+
 #include "dispatch/candidates.h"
 #include "dispatch/dispatchers.h"
 #include "dispatch/irg_core.h"
@@ -110,21 +114,164 @@ TEST_F(DispatchTest, CandidatesFindCrossRegionDrivers) {
   ASSERT_EQ(pairs.size(), 1u);
 }
 
-TEST_F(DispatchTest, PerRiderGroupingMatchesFlatList) {
-  for (int i = 0; i < 4; ++i) {
-    ctx_.AddRider(MakeRider(i, LatLon{40.70 + 0.01 * i, -74.00},
-                            LatLon{40.80, -73.90}, 500.0));
+// ------------------------------------------------- memoised valid pairs
+
+/// One context refilled by hand across batches, as the engine refills its
+/// own: each batch checks ValidPairs() against the from-scratch search bit
+/// for bit, and how many rider searches the memo skipped.
+class ValidPairsMemoTest : public ::testing::TestWithParam<CandidateMode> {
+ protected:
+  ValidPairsMemoTest()
+      : grid_(kNycBoundingBox, 4, 4),  // cells ~9.4 km tall, ~5.5 km wide
+        cost_(10.0, 1.0),
+        ctx_(/*now=*/1000.0, /*window=*/1200.0, /*beta=*/0.02, grid_, cost_,
+             GetParam()) {}
+
+  /// A rider at `pickup` whose deadline is 1200 s: a 2 km reach at 1000 s.
+  WaitingRider Rider(OrderId id, LatLon pickup) const {
+    WaitingRider r;
+    r.order_id = id;
+    r.pickup = pickup;
+    r.dropoff = {40.75, -73.95};
+    r.pickup_deadline = 1200.0;
+    r.trip_seconds = cost_.TravelSeconds(r.pickup, r.dropoff);
+    r.revenue = r.trip_seconds;
+    r.pickup_region = grid_.RegionOf(r.pickup);
+    r.dropoff_region = grid_.RegionOf(r.dropoff);
+    return r;
   }
-  for (int j = 0; j < 3; ++j) {
-    ctx_.AddDriver(MakeDriver(j, LatLon{40.70 + 0.012 * j, -74.00}));
+
+  AvailableDriver Driver(DriverId id, LatLon location,
+                         double available_since) const {
+    AvailableDriver d;
+    d.driver_id = id;
+    d.location = location;
+    d.region = grid_.RegionOf(location);
+    d.available_since = available_since;
+    return d;
   }
-  FinalizeSnapshots();
-  auto flat = GenerateValidPairs(ctx_);
-  auto grouped = GenerateValidPairsPerRider(ctx_);
-  size_t total = 0;
-  for (const auto& g : grouped) total += g.size();
-  EXPECT_EQ(flat.size(), total);
+
+  /// Refills the context for the batch at `now`.
+  void Refill(double now, const std::vector<WaitingRider>& riders,
+              const std::vector<AvailableDriver>& drivers) {
+    ctx_.Reset(now);
+    for (const WaitingRider& r : riders) ctx_.AddRider(r);
+    for (const AvailableDriver& d : drivers) ctx_.AddDriver(d);
+  }
+
+  /// Checks the batch's list against GenerateValidPairs and returns how
+  /// many searches it skipped.
+  int64_t CheckBatch(const std::string& label) {
+    const int64_t skipped_before = ctx_.skipped_searches();
+    const std::vector<CandidatePair>& got = ctx_.ValidPairs();
+    const std::vector<CandidatePair> want = GenerateValidPairs(ctx_);
+    EXPECT_EQ(got.size(), want.size()) << label;
+    for (size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_EQ(got[i].rider_index, want[i].rider_index) << label;
+      EXPECT_EQ(got[i].driver_index, want[i].driver_index) << label;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].pickup_seconds),
+                std::bit_cast<uint64_t>(want[i].pickup_seconds))
+          << label;
+    }
+    return ctx_.skipped_searches() - skipped_before;
+  }
+
+  bool Paired(int rider_index) const {
+    for (const CandidatePair& p : ctx_.ValidPairs()) {
+      if (p.rider_index == rider_index) return true;
+    }
+    return false;
+  }
+
+  Grid grid_;
+  StraightLineCostModel cost_;
+  BatchContext ctx_;
+};
+
+TEST_P(ValidPairsMemoTest, SkipsOnlyRidersNoDriverHasJoinedNear) {
+  // A sits 280 m below a row boundary, so its 2 km reach box spans two
+  // rows under ring expansion; B, C and E are far from A and each other.
+  const WaitingRider a = Rider(1, {40.7475, -73.9325});
+  const WaitingRider b = Rider(2, {40.88, -74.00});
+  const WaitingRider c = Rider(3, {40.85, -73.80});
+  const WaitingRider e = Rider(5, {40.62, -74.00});
+  const LatLon far_corner{40.60, -73.78};
+  const AvailableDriver far = Driver(0, far_corner, 0.0);
+
+  // Batch 1000: nothing in reach; every rider is searched.
+  Refill(1000.0, {a, b, c}, {far});
+  EXPECT_EQ(CheckBatch("1000"), 0);
+  EXPECT_TRUE(ctx_.ValidPairs().empty());
+  std::vector<CandidatePair> unused;
+  const CellSpan a_walked = ctx_.SearchRider(0, &unused);
+  ASSERT_LT(a_walked.col_hi + 1, grid_.cols());
+
+  // Batch 1030: no driver joined, so no rider is searched again.
+  Refill(1030.0, {a, b, c}, {far});
+  EXPECT_EQ(CheckBatch("1030"), 3);
+  EXPECT_TRUE(ctx_.ValidPairs().empty());
+
+  // Batch 1060: B leaves from the middle of the list and E arrives at its
+  // end; a driver joins just across the east edge of A's walked cells. A
+  // and C are skipped, E (new) is searched. `zero` waits at the far
+  // corner, where it has been all day.
+  const LatLon past_a_edge{
+      a.pickup.lat,
+      grid_.CellBox(grid_.RegionAt(grid_.RowOf(a.pickup_region),
+                                   a_walked.col_hi + 1))
+              .lon_min +
+          1e-6};
+  const AvailableDriver edge = Driver(1, past_a_edge, 1060.0);
+  ASSERT_EQ(grid_.ColOf(edge.region), a_walked.col_hi + 1);
+  Refill(1060.0, {a, c, e}, {far, edge, Driver(2, far_corner, 0.0)});
+  EXPECT_EQ(CheckBatch("1060"), 2);
+  EXPECT_TRUE(ctx_.ValidPairs().empty());
+
+  // Batch 1090: `zero` was assigned at 1060 and its zero-length trip put
+  // it on E's pickup, available since exactly E's search `now`. E is
+  // searched and paired; A and C stay skipped.
+  const AvailableDriver zero = Driver(2, e.pickup, 1060.0);
+  Refill(1090.0, {a, c, e}, {far, edge, zero});
+  EXPECT_EQ(CheckBatch("1090"), 2);
+  EXPECT_FALSE(Paired(0));
+  EXPECT_TRUE(Paired(2));
+
+  // The clock going backwards drops the memo: every rider is searched.
+  Refill(1000.0, {a, c, e}, {far, edge, zero});
+  EXPECT_EQ(CheckBatch("back to 1000"), 0);
+
+  // So does a driver added after the batch's list was read: it may have
+  // stood there all along (available since 0), so A must be searched.
+  Refill(1120.0, {a, c}, {far});
+  EXPECT_EQ(CheckBatch("1120"), 2);
+  EXPECT_FALSE(Paired(0));
+  ctx_.AddDriver(Driver(3, a.pickup, 0.0));
+  EXPECT_EQ(CheckBatch("1120 + late driver"), 0);
+  EXPECT_TRUE(Paired(0));
+
+  // A rider is matched to its entry by order id, but a memo entry only
+  // stands for the same pickup and deadline. C's deadline moves out until
+  // a driver 2.2 km away in its cell is in reach...
+  WaitingRider c_later = c;
+  c_later.pickup_deadline = 5000.0;
+  const AvailableDriver c_cell = Driver(5, {40.87, -73.80}, 0.0);
+  ASSERT_EQ(c_cell.region, c.pickup_region);
+  Refill(1150.0, {a, c_later}, {far, c_cell});
+  EXPECT_EQ(CheckBatch("1150, C's deadline moved"), 0);
+  EXPECT_TRUE(Paired(1));
+  // ...and A, pair-less again at 1150, moves within its cell onto a driver
+  // that its old search priced from the old pickup and found too far.
+  const LatLon stand{40.70, -73.95};
+  const WaitingRider a_moved = Rider(1, stand);
+  ASSERT_EQ(a_moved.pickup_region, a.pickup_region);
+  Refill(1180.0, {a_moved}, {far, Driver(4, stand, 0.0)});
+  EXPECT_EQ(CheckBatch("1180, A's pickup moved"), 0);
+  EXPECT_TRUE(Paired(0));
 }
+
+INSTANTIATE_TEST_SUITE_P(BothModes, ValidPairsMemoTest,
+                         ::testing::Values(CandidateMode::kRingExpand,
+                                           CandidateMode::kRegionLocal));
 
 // ---------------------------------------------------------------- scoring
 

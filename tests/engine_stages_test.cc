@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "dispatch/candidates.h"
 #include "dispatch/dispatchers.h"
 #include "geo/region_partitioner.h"
 #include "geo/travel.h"
@@ -615,6 +616,18 @@ TEST(BatchContextReuseTest, RefilledContextEqualsAFreshBuildEveryBatch) {
       }
     }
 
+    // The refilled context's memoised pair list equals a from-scratch
+    // search of the fresh one, bit for bit.
+    const std::vector<CandidatePair>& pairs = ctx->ValidPairs();
+    const std::vector<CandidatePair> want = GenerateValidPairs(*fresh);
+    ASSERT_EQ(pairs.size(), want.size()) << "batch " << b;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(pairs[i].rider_index == want[i].rider_index &&
+                  pairs[i].driver_index == want[i].driver_index &&
+                  SameBits(pairs[i].pickup_seconds, want[i].pickup_seconds))
+          << "batch " << b << " pair " << i;
+    }
+
     std::vector<Assignment> assignments;
     ls->Dispatch(*ctx, &assignments);
     assigned += static_cast<int64_t>(assignments.size());
@@ -622,6 +635,9 @@ TEST(BatchContextReuseTest, RefilledContextEqualsAFreshBuildEveryBatch) {
   }
   // The day moved: riders were served and drivers left and rejoined.
   EXPECT_GT(assigned, kBatches);
+  // The memo skipped riders, so the check above covered the skip; the
+  // fresh contexts never have a memo to skip with.
+  EXPECT_GT(ctx->skipped_searches(), 0);
 }
 
 // ------------------------------------------------------- observer hooks

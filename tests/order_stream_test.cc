@@ -528,6 +528,20 @@ TEST(StreamedRunTest, MissingTraceFailsAtBuild) {
   EXPECT_FALSE(sim.ok());
 }
 
+TEST(TraceCatalogTest, MissingPathFailsWithActionableError) {
+  // As for `tlc`: the spec must name the trace; MRVD_TRACE_BIN names a
+  // real one here to show that no environment variable stands in.
+  Workload day = MakeWorkload(20, 2);
+  TraceFile trace(day, "env.trace");
+  ASSERT_EQ(setenv("MRVD_TRACE_BIN", trace.path().c_str(), 1), 0);
+  StatusOr<Simulation> sim = WorkloadCatalog::Global().Build("trace");
+  unsetenv("MRVD_TRACE_BIN");
+  ASSERT_FALSE(sim.ok());
+  EXPECT_EQ(sim.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sim.status().message().find("path"), std::string::npos)
+      << sim.status();
+}
+
 TEST(TraceCatalogTest, TraceEntryBuildsAndTogglesMaterialisation) {
   Workload day = MakeWorkload(120, 6);
   TraceFile trace(day, "catalog.trace");

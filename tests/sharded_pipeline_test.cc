@@ -319,10 +319,11 @@ void ExpectSamePairs(const std::vector<CandidatePair>& got,
 }
 
 TEST_F(ShardedPipelineTest, CandidatePairsIdenticalUnderSharding) {
-  // Serial and sharded generation must equal, pair for pair, a brute-force
-  // Def.-3 scan (as sets per rider) and the pre-reach-box ring walk (bit for
-  // bit, in order) on a random batch and on edge batches over a square and
-  // a non-square grid, under three travel models and both candidate modes.
+  // The from-scratch search and the context's list (with an execution
+  // attached) must equal, pair for pair, a brute-force Def.-3 scan (as sets
+  // per rider) and the pre-reach-box ring walk (bit for bit, in order) on a
+  // random batch and on edge batches over a square and a non-square grid,
+  // under three travel models and both candidate modes.
   Grid wide(kNycBoundingBox, 5, 23);
   const StraightLineCostModel direct(7.0, 1.0);
   const ManhattanCostModel manhattan(7.0);
@@ -393,11 +394,7 @@ TEST_F(ShardedPipelineTest, CandidatePairsIdenticalUnderSharding) {
         ctx->SetExecution(&exec);
         const std::string at = label + " threads " + std::to_string(threads);
         ExpectSamePairs(GenerateValidPairs(*ctx), reference, at);
-        std::vector<CandidatePair> flat;
-        for (const auto& group : GenerateValidPairsPerRider(*ctx)) {
-          flat.insert(flat.end(), group.begin(), group.end());
-        }
-        ExpectSamePairs(flat, reference, at + " per rider");
+        ExpectSamePairs(ctx->ValidPairs(), reference, at + " ValidPairs");
       }
     }
     // The edge batches really reach the edges they are built for.

@@ -92,10 +92,16 @@ TEST(TlcCatalogTest, BuildsAndRunsTheFixture) {
 }
 
 TEST(TlcCatalogTest, MissingPathFailsWithActionableError) {
-  ::unsetenv("MRVD_TLC_CSV");
+  // The spec must name the file: the canonical spec, and so a campaign
+  // cell's key, is all that tells two files apart. MRVD_TLC_CSV names a
+  // real file here to show that no environment variable stands in.
+  ASSERT_EQ(::setenv("MRVD_TLC_CSV", FixturePath().c_str(), 1), 0);
   StatusOr<Simulation> sim = WorkloadCatalog::Global().Build("tlc");
+  ::unsetenv("MRVD_TLC_CSV");
   ASSERT_FALSE(sim.ok());
-  EXPECT_NE(sim.status().message().find("MRVD_TLC_CSV"), std::string::npos);
+  EXPECT_EQ(sim.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sim.status().message().find("path"), std::string::npos)
+      << sim.status();
 }
 
 }  // namespace
