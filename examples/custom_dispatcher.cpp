@@ -57,9 +57,9 @@ class UrgencyDispatcher final : public Dispatcher {
 // "URGENT:bogus=1" fails with a Status naming the declared parameters.
 const DispatcherRegistrar kRegisterUrgent(
     "URGENT",
-    {{"idle_weight", DispatcherParam::Type::kDouble, 200.0,
+    {{"idle_weight", CatalogParam::Type::kDouble, "200",
       "weight of the idle ratio against deadline slack"}},
-    [](const DispatcherParams& p) {
+    [](const CatalogParams& p) {
       return std::make_unique<UrgencyDispatcher>(p.GetDouble("idle_weight"));
     });
 

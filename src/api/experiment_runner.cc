@@ -1,12 +1,9 @@
 #include "api/experiment_runner.h"
 
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "api/dispatcher_registry.h"
-#include "util/json_writer.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -28,7 +25,7 @@ struct ResolvedRun {
 StatusOr<ResolvedRun> ResolveRunSpec(const Simulation& simulation,
                                      const RunSpec& spec) {
   const DispatcherRegistry& registry = DispatcherRegistry::Global();
-  StatusOr<ParsedDispatcherSpec> parsed =
+  StatusOr<ParsedSpec> parsed =
       DispatcherRegistry::ParseSpec(spec.dispatcher);
   if (!parsed.ok()) return parsed.status();
   if (spec.replication_seed != 0 && registry.HasParam(parsed->name, "seed")) {
@@ -129,58 +126,6 @@ StatusOr<RunResult> ExperimentRunner::RunOne(const Simulation& simulation,
   StatusOr<ResolvedRun> run = ResolveRunSpec(simulation, spec);
   if (!run.ok()) return run.status();
   return ExecuteResolved(simulation, *run);
-}
-
-void WriteRunResults(JsonWriter& writer,
-                     const std::vector<RunResult>& results) {
-  writer.BeginArray();
-  for (const RunResult& r : results) {
-    writer.BeginObject();
-    writer.Key("label").String(r.label);
-    writer.Key("dispatcher").String(r.dispatcher);
-    writer.Key("spec").String(r.spec);
-    writer.Key("replication_seed").Number(r.replication_seed);
-    writer.Key("wall_seconds").Number(r.wall_seconds);
-    writer.Key("revenue").Number(r.result.total_revenue);
-    writer.Key("served").Number(r.result.served_orders);
-    writer.Key("reneged").Number(r.result.reneged_orders);
-    writer.Key("cancelled").Number(r.result.cancelled_orders);
-    writer.Key("total_orders").Number(r.result.total_orders);
-    writer.Key("service_rate").Number(r.result.ServiceRate());
-    writer.Key("num_batches").Number(r.result.num_batches);
-    writer.Key("dispatch_ms_mean").Number(r.result.batch_seconds.mean() * 1e3);
-    writer.Key("build_ms_mean")
-        .Number(r.result.batch_build_seconds.mean() * 1e3);
-    writer.Key("wait_mean_s").Number(r.result.served_wait_seconds.mean());
-    writer.Key("idle_mean_s").Number(r.result.driver_idle_seconds.mean());
-    writer.EndObject();
-  }
-  writer.EndArray();
-}
-
-std::string RunResultsToJson(const std::vector<RunResult>& results) {
-  std::ostringstream os;
-  JsonWriter writer(os);
-  writer.BeginObject();
-  writer.Key("runs");
-  WriteRunResults(writer, results);
-  writer.EndObject();
-  os << "\n";
-  return os.str();
-}
-
-Status WriteRunResultsJsonFile(const std::string& path,
-                               const std::vector<RunResult>& results) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) {
-    return IoErrorFromErrno("could not open '" + path + "' for writing");
-  }
-  file << RunResultsToJson(results);
-  file.flush();
-  if (!file) {
-    return IoErrorFromErrno("could not write run results to '" + path + "'");
-  }
-  return Status::OK();
 }
 
 }  // namespace mrvd

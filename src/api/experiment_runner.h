@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -32,8 +31,6 @@
 #include "util/status.h"
 
 namespace mrvd {
-
-class JsonWriter;
 
 /// One declarative run of a sweep.
 struct RunSpec {
@@ -101,18 +98,5 @@ class ExperimentRunner {
   Simulation simulation_;
   int num_threads_;
 };
-
-/// Serialises results as a JSON array of run records (label, dispatcher,
-/// seed, wall_seconds, and the headline SimResult aggregates) — the same
-/// writer the benches use, so sweeps land as artifacts next to the bench
-/// series.
-void WriteRunResults(JsonWriter& writer, const std::vector<RunResult>& results);
-
-/// Writes `{"runs": [...]}` to `path`.
-Status WriteRunResultsJsonFile(const std::string& path,
-                               const std::vector<RunResult>& results);
-
-/// The `{"runs": [...]}` document as a string.
-std::string RunResultsToJson(const std::vector<RunResult>& results);
 
 }  // namespace mrvd

@@ -1,6 +1,7 @@
 #include "campaign/campaign_spec.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "api/dispatcher_registry.h"
@@ -45,77 +46,82 @@ const DeltaField* FindDeltaField(std::string_view key) {
   return nullptr;
 }
 
-/// Splits "key=value,..." into trimmed pairs via the shared spec-grammar
-/// parser; empty input -> empty list.
-StatusOr<std::vector<std::pair<std::string, std::string>>> SplitDelta(
-    const std::string& delta) {
+/// One config-delta entry, parsed at its field's type.
+struct DeltaValue {
+  const DeltaField* field = nullptr;
+  int i = 0;       ///< the value of an int field
+  double d = 0.0;  ///< the value of a double field
+};
+
+/// Splits "key=value,..." via the shared spec-grammar parser and parses
+/// each value at its field's type; an int value must fit an int, since
+/// that is what the field holds. Empty input -> empty list.
+StatusOr<std::vector<DeltaValue>> ParseDelta(const std::string& delta) {
   std::vector<std::pair<std::string, std::string>> pairs;
   std::string_view rest = StripAsciiWhitespace(delta);
-  if (rest.empty()) return pairs;
-  MRVD_RETURN_NOT_OK(
-      ParseKeyValueList(rest, "config delta '" + delta + "'", &pairs));
-  return pairs;
+  if (!rest.empty()) {
+    MRVD_RETURN_NOT_OK(
+        ParseKeyValueList(rest, "config delta '" + delta + "'", &pairs));
+  }
+  std::vector<DeltaValue> values;
+  values.reserve(pairs.size());
+  for (const auto& [key, raw] : pairs) {
+    DeltaValue value;
+    value.field = FindDeltaField(key);
+    if (value.field == nullptr) {
+      return Status::InvalidArgument("unknown config-delta key '" + key +
+                                     "'; known keys: " + KnownDeltaKeys());
+    }
+    if (value.field->is_int) {
+      StatusOr<int64_t> v = ParseInt64(raw);
+      if (!v.ok()) {
+        return Status::InvalidArgument("config-delta key '" + key +
+                                       "': not an int: '" + raw + "'");
+      }
+      if (*v < std::numeric_limits<int>::min() ||
+          *v > std::numeric_limits<int>::max()) {
+        return Status::InvalidArgument("config-delta key '" + key + "': " +
+                                       raw + " does not fit an int");
+      }
+      value.i = static_cast<int>(*v);
+    } else {
+      StatusOr<double> v = ParseDouble(raw);
+      if (!v.ok()) {
+        return Status::InvalidArgument("config-delta key '" + key +
+                                       "': not a number: '" + raw + "'");
+      }
+      value.d = *v;
+    }
+    values.push_back(value);
+  }
+  return values;
 }
 
 }  // namespace
 
 Status ApplyConfigDelta(const std::string& delta, SimConfig* config) {
-  StatusOr<std::vector<std::pair<std::string, std::string>>> pairs =
-      SplitDelta(delta);
-  if (!pairs.ok()) return pairs.status();
-  for (const auto& [key, value] : *pairs) {
-    const DeltaField* field = FindDeltaField(key);
-    if (field == nullptr) {
-      return Status::InvalidArgument("unknown config-delta key '" + key +
-                                     "'; known keys: " + KnownDeltaKeys());
-    }
-    if (field->is_int) {
-      StatusOr<int64_t> v = ParseInt64(value);
-      if (!v.ok()) {
-        return Status::InvalidArgument("config-delta key '" + key +
-                                       "': not an int: '" + value + "'");
-      }
-      config->*(field->ifield) = static_cast<int>(*v);
+  StatusOr<std::vector<DeltaValue>> values = ParseDelta(delta);
+  if (!values.ok()) return values.status();
+  for (const DeltaValue& v : *values) {
+    if (v.field->is_int) {
+      config->*(v.field->ifield) = v.i;
     } else {
-      StatusOr<double> v = ParseDouble(value);
-      if (!v.ok()) {
-        return Status::InvalidArgument("config-delta key '" + key +
-                                       "': not a number: '" + value + "'");
-      }
-      config->*(field->dfield) = *v;
+      config->*(v.field->dfield) = v.d;
     }
   }
   return Status::OK();
 }
 
 StatusOr<std::string> CanonicalizeConfigDelta(const std::string& delta) {
-  StatusOr<std::vector<std::pair<std::string, std::string>>> pairs =
-      SplitDelta(delta);
-  if (!pairs.ok()) return pairs.status();
+  StatusOr<std::vector<DeltaValue>> values = ParseDelta(delta);
+  if (!values.ok()) return values.status();
 
   std::vector<std::pair<std::string, std::string>> canonical;
-  canonical.reserve(pairs->size());
-  for (const auto& [key, value] : *pairs) {
-    const DeltaField* field = FindDeltaField(key);
-    if (field == nullptr) {
-      return Status::InvalidArgument("unknown config-delta key '" + key +
-                                     "'; known keys: " + KnownDeltaKeys());
-    }
-    if (field->is_int) {
-      StatusOr<int64_t> v = ParseInt64(value);
-      if (!v.ok()) {
-        return Status::InvalidArgument("config-delta key '" + key +
-                                       "': not an int: '" + value + "'");
-      }
-      canonical.emplace_back(key, std::to_string(*v));
-    } else {
-      StatusOr<double> v = ParseDouble(value);
-      if (!v.ok()) {
-        return Status::InvalidArgument("config-delta key '" + key +
-                                       "': not a number: '" + value + "'");
-      }
-      canonical.emplace_back(key, FormatDouble(*v));
-    }
+  canonical.reserve(values->size());
+  for (const DeltaValue& v : *values) {
+    canonical.emplace_back(v.field->name, v.field->is_int
+                                              ? std::to_string(v.i)
+                                              : FormatDouble(v.d));
   }
   std::sort(canonical.begin(), canonical.end());
 
@@ -210,7 +216,7 @@ StatusOr<std::vector<CampaignCell>> ExpandGrid(const CampaignSpec& spec) {
     // key hashes what the dispatcher actually runs with, so numerically
     // identical spellings — and defaults spelled out — share artifacts.
     StatusOr<std::string> canonical =
-        DispatcherRegistry::Global().CanonicalizeSpec(d);
+        DispatcherRegistry::Global().Canonicalize(d);
     if (!canonical.ok()) return canonical.status();
     dispatchers.push_back(std::move(canonical).value());
   }

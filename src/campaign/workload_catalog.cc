@@ -19,226 +19,6 @@
 
 namespace mrvd {
 
-namespace {
-
-/// "NAME" / "NAME:key=value,..." split — dispatcher spec syntax, parsed by
-/// the same shared ParseKeyValueList (values therefore cannot contain ',' —
-/// true of every catalog parameter, including sensible artifact paths).
-struct ParsedCatalogSpec {
-  std::string name;
-  std::vector<std::pair<std::string, std::string>> params;
-};
-
-StatusOr<ParsedCatalogSpec> ParseCatalogSpec(const std::string& kind,
-                                             const std::string& spec) {
-  ParsedCatalogSpec out;
-  std::string_view rest = StripAsciiWhitespace(spec);
-  size_t colon = rest.find(':');
-  out.name = std::string(StripAsciiWhitespace(rest.substr(0, colon)));
-  if (out.name.empty()) {
-    return Status::InvalidArgument("empty " + kind + " name in spec '" + spec +
-                                   "'");
-  }
-  if (colon == std::string_view::npos) return out;
-  MRVD_RETURN_NOT_OK(ParseKeyValueList(rest.substr(colon + 1),
-                                       kind + " spec '" + spec + "'",
-                                       &out.params));
-  return out;
-}
-
-std::string DeclaredParamList(const std::vector<CatalogParam>& params) {
-  std::string out;
-  for (const auto& p : params) {
-    if (!out.empty()) out += ", ";
-    out += p.name;
-  }
-  return out;
-}
-
-}  // namespace
-
-int64_t CatalogParams::GetInt(const std::string& name) const {
-  return values_.at(name).i;
-}
-
-double CatalogParams::GetDouble(const std::string& name) const {
-  return values_.at(name).d;
-}
-
-const std::string& CatalogParams::GetString(const std::string& name) const {
-  return values_.at(name).s;
-}
-
-// ---------------------------------------------------------------------
-// Catalog<FactoryT>
-
-template <typename FactoryT>
-Status Catalog<FactoryT>::Register(std::string name,
-                                   std::vector<CatalogParam> params,
-                                   FactoryT factory, CatalogCheck check) {
-  if (name.empty()) {
-    return Status::InvalidArgument(kind_ + " name must not be empty");
-  }
-  if (factory == nullptr) {
-    return Status::InvalidArgument(kind_ + " '" + name +
-                                   "' registered without a factory");
-  }
-  for (const CatalogParam& p : params) {
-    StatusOr<CatalogParams::Value> value = ParseValue(p, p.default_value);
-    if (!value.ok()) {
-      return Status::InvalidArgument(kind_ + " '" + name + "': bad default: " +
-                                     value.status().message());
-    }
-  }
-  auto [it, inserted] = entries_.try_emplace(
-      std::move(name),
-      Entry{std::move(params), std::move(factory), std::move(check)});
-  if (!inserted) {
-    return Status::FailedPrecondition(kind_ + " '" + it->first +
-                                      "' is already registered");
-  }
-  return Status::OK();
-}
-
-template <typename FactoryT>
-StatusOr<CatalogParams::Value> Catalog<FactoryT>::ParseValue(
-    const CatalogParam& decl, const std::string& raw) {
-  CatalogParams::Value value;
-  switch (decl.type) {
-    case CatalogParam::Type::kInt64: {
-      StatusOr<int64_t> v = ParseInt64(raw);
-      if (!v.ok()) {
-        return Status::InvalidArgument("parameter '" + decl.name +
-                                       "': not an int64: '" + raw + "'");
-      }
-      value.i = *v;
-      value.d = static_cast<double>(*v);
-      break;
-    }
-    case CatalogParam::Type::kDouble: {
-      StatusOr<double> v = ParseDouble(raw);
-      if (!v.ok()) {
-        return Status::InvalidArgument("parameter '" + decl.name +
-                                       "': not a number: '" + raw + "'");
-      }
-      value.d = *v;
-      break;
-    }
-    case CatalogParam::Type::kString:
-      value.s = raw;
-      break;
-  }
-  return value;
-}
-
-template <typename FactoryT>
-std::vector<std::string> Catalog<FactoryT>::Names() const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, unused] : entries_) names.push_back(name);
-  return names;  // std::map iteration is already sorted
-}
-
-template <typename FactoryT>
-std::string Catalog<FactoryT>::RosterString() const {
-  std::string out;
-  for (const auto& [name, unused] : entries_) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  return out;
-}
-
-template <typename FactoryT>
-StatusOr<typename Catalog<FactoryT>::Resolved> Catalog<FactoryT>::Resolve(
-    const std::string& spec) const {
-  StatusOr<ParsedCatalogSpec> parsed = ParseCatalogSpec(kind_, spec);
-  if (!parsed.ok()) return parsed.status();
-  auto it = entries_.find(parsed->name);
-  if (it == entries_.end()) {
-    return Status::NotFound("unknown " + kind_ + " '" + parsed->name +
-                            "'; known " + kind_ + "s: " + RosterString());
-  }
-  const Entry& entry = it->second;
-
-  CatalogParams params;
-  for (const CatalogParam& p : entry.params) {
-    // Defaults were validated at Register().
-    params.values_[p.name] = *ParseValue(p, p.default_value);
-  }
-  for (const auto& [key, raw] : parsed->params) {
-    const CatalogParam* decl = nullptr;
-    for (const CatalogParam& p : entry.params) {
-      if (p.name == key) {
-        decl = &p;
-        break;
-      }
-    }
-    if (decl == nullptr) {
-      return Status::InvalidArgument(
-          kind_ + " '" + parsed->name + "' has no parameter '" + key + "'" +
-          (entry.params.empty()
-               ? "; it takes no parameters"
-               : "; declared parameters: " + DeclaredParamList(entry.params)));
-    }
-    StatusOr<CatalogParams::Value> value = ParseValue(*decl, raw);
-    if (!value.ok()) {
-      return Status::InvalidArgument(kind_ + " '" + parsed->name + "' " +
-                                     value.status().message());
-    }
-    params.values_[key] = std::move(value).value();
-  }
-  if (entry.check != nullptr) {
-    Status checked = entry.check(params);
-    if (!checked.ok()) {
-      return Status(checked.code(), kind_ + " '" + parsed->name + "': " +
-                                        checked.message());
-    }
-  }
-  return Resolved{std::move(parsed->name), &entry, std::move(params)};
-}
-
-template <typename FactoryT>
-StatusOr<std::string> Catalog<FactoryT>::Canonicalize(
-    const std::string& spec) const {
-  StatusOr<Resolved> resolved = Resolve(spec);
-  if (!resolved.ok()) return resolved.status();
-
-  // Full resolved parameter list — declared defaults with the spec's
-  // overrides applied, every value re-formatted at its declared type. The
-  // canonical form is therefore a pure function of what the factory will
-  // actually build ("nyc" == "nyc:day=1" while 1 is the default), which is
-  // what the campaign layer's content keys hash.
-  std::vector<std::pair<std::string, std::string>> canonical;
-  canonical.reserve(resolved->entry->params.size());
-  for (const CatalogParam& decl : resolved->entry->params) {
-    const CatalogParams::Value& value = resolved->params.values_.at(decl.name);
-    std::string text;
-    switch (decl.type) {
-      case CatalogParam::Type::kInt64: text = std::to_string(value.i); break;
-      case CatalogParam::Type::kDouble: text = FormatDouble(value.d); break;
-      case CatalogParam::Type::kString: text = value.s; break;
-    }
-    // Empty string values cannot round-trip through spec syntax; omit
-    // them — absent and empty are the same.
-    if (text.empty()) continue;
-    canonical.emplace_back(decl.name, std::move(text));
-  }
-  std::sort(canonical.begin(), canonical.end());
-
-  std::string out = resolved->name;
-  for (size_t i = 0; i < canonical.size(); ++i) {
-    out += i == 0 ? ':' : ',';
-    out += canonical[i].first;
-    out += '=';
-    out += canonical[i].second;
-  }
-  return out;
-}
-
-template class Catalog<WorkloadFactory>;
-template class Catalog<ScenarioFactory>;
-
 // ---------------------------------------------------------------------
 // Built-in workloads
 
@@ -260,17 +40,16 @@ std::unique_ptr<DemandPredictor> MakePaperPredictor(const std::string& name) {
 }
 constexpr char kPaperPredictors[] = "HA, LR, GBRT, DeepST, Real";
 
+constexpr int64_t kIntMin = std::numeric_limits<int>::min();
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+
 Status CheckPaperParams(const CatalogParams& p) {
   const double scale = p.GetDouble("scale");
   if (!(scale > 0.0 && scale <= 1.0)) {
     return Status::InvalidArgument("scale must be in (0, 1], got " +
                                    FormatDouble(scale));
   }
-  const int64_t drivers = p.GetInt("drivers");
-  if (drivers < 1 || drivers > std::numeric_limits<int>::max()) {
-    return Status::InvalidArgument("drivers must be in [1, 2^31-1], got " +
-                                   std::to_string(drivers));
-  }
+  MRVD_RETURN_NOT_OK(CheckIntParam(p, "drivers", 1, kIntMax));
   const double tau = p.GetDouble("tau");
   if (!(tau >= 0.0) || !std::isfinite(tau)) {
     return Status::InvalidArgument("tau must be finite and >= 0, got " +
@@ -284,13 +63,40 @@ Status CheckPaperParams(const CatalogParams& p) {
   return Status::OK();
 }
 
+/// The check of the generated-day entries (nyc, nyc-skew): every value
+/// the factory narrows to int fits, the fleet is not negative, and the grid
+/// has from 1 to INT_MAX cells.
+Status CheckGeneratedDay(const CatalogParams& p) {
+  MRVD_RETURN_NOT_OK(CheckIntParam(p, "day", kIntMin, kIntMax));
+  MRVD_RETURN_NOT_OK(CheckIntParam(p, "drivers", 0, kIntMax));
+  MRVD_RETURN_NOT_OK(CheckIntParam(p, "grid_rows", 1, kIntMax));
+  MRVD_RETURN_NOT_OK(CheckIntParam(p, "grid_cols", 1, kIntMax));
+  const int64_t cells = p.GetInt("grid_rows") * p.GetInt("grid_cols");
+  if (cells > kIntMax) {
+    return Status::InvalidArgument(
+        "grid_rows x grid_cols must be at most " + std::to_string(kIntMax) +
+        ", got " + std::to_string(cells));
+  }
+  return Status::OK();
+}
+
+Status CheckSkewedDay(const CatalogParams& p) {
+  MRVD_RETURN_NOT_OK(CheckGeneratedDay(p));
+  MRVD_RETURN_NOT_OK(CheckIntParam(p, "row_lo", kIntMin, kIntMax));
+  return CheckIntParam(p, "row_hi", kIntMin, kIntMax);
+}
+
 /// The check of an entry that reads a file: `path` is required, since
 /// the canonical spec, and so every campaign cell key, names the file.
-CatalogCheck RequirePath(std::string how) {
-  return [how = std::move(how)](const CatalogParams& p) -> Status {
-    if (!p.GetString("path").empty()) return Status::OK();
-    return Status::InvalidArgument("path is required: " + how);
-  };
+Status RequirePath(const CatalogParams& p, const std::string& how) {
+  if (!p.GetString("path").empty()) return Status::OK();
+  return Status::InvalidArgument("path is required: " + how);
+}
+
+Status CheckTlcParams(const CatalogParams& p) {
+  MRVD_RETURN_NOT_OK(RequirePath(p, "pass path=/path/to/trips.csv"));
+  MRVD_RETURN_NOT_OK(CheckIntParam(p, "drivers", 0, kIntMax));
+  return CheckIntParam(p, "day", kIntMin, kIntMax);
 }
 
 /// The paper's §6 evaluation day: the NYC day at `scale` of the paper's
@@ -378,7 +184,8 @@ void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
             .HorizonSeconds(p.GetDouble("horizon_hours") * 3600.0);
         if (p.GetInt("oracle") != 0) builder.WithOracleForecast();
         return builder.Build();
-      }));
+      },
+      CheckGeneratedDay));
   must(c->Register(
       "paper",
       {
@@ -451,7 +258,8 @@ void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
             .HorizonSeconds(p.GetDouble("horizon_hours") * 3600.0);
         if (p.GetInt("oracle") != 0) builder.WithOracleForecast();
         return builder.Build();
-      }));
+      },
+      CheckSkewedDay));
   must(c->Register(
       "tlc",
       {
@@ -483,7 +291,7 @@ void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
             .HorizonSeconds(p.GetDouble("horizon_hours") * 3600.0);
         return builder.Build();
       },
-      RequirePath("pass path=/path/to/trips.csv")));
+      CheckTlcParams));
   must(c->Register(
       "trace",
       {
@@ -529,8 +337,11 @@ void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
             .HorizonSeconds(horizon);
         return builder.Build();
       },
-      RequirePath("pass path=/path/to/day.trace (convert CSVs with "
-                  "`campaign convert`)")));
+      [](const CatalogParams& p) {
+        return RequirePath(p,
+                           "pass path=/path/to/day.trace (convert CSVs with "
+                           "`campaign convert`)");
+      }));
 }
 
 // ---------------------------------------------------------------------

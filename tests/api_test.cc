@@ -267,7 +267,7 @@ TEST(DispatcherRegistryTest, MaxSweepsOutsideItsRangeIsRejected) {
     EXPECT_NE(created.status().message().find("max_sweeps"),
               std::string::npos)
         << spec;
-    StatusOr<std::string> canonical = registry.CanonicalizeSpec(spec);
+    StatusOr<std::string> canonical = registry.Canonicalize(spec);
     ASSERT_FALSE(canonical.ok()) << spec;
     EXPECT_EQ(canonical.status().code(), StatusCode::kInvalidArgument)
         << spec;
@@ -280,12 +280,12 @@ TEST(DispatcherRegistryTest, MaxSweepsOutsideItsRangeIsRejected) {
   auto largest = registry.Create("LS:max_sweeps=2147483647");
   EXPECT_TRUE(largest.ok()) << largest.status();
   StatusOr<std::string> canonical =
-      registry.CanonicalizeSpec("LS:max_sweeps=2147483647");
+      registry.Canonicalize("LS:max_sweeps=2147483647");
   ASSERT_TRUE(canonical.ok()) << canonical.status();
   EXPECT_EQ(*canonical, "LS:max_sweeps=2147483647");
 
   // The defaults spelled out: LS has exactly one parameter.
-  StatusOr<std::string> defaults = registry.CanonicalizeSpec("LS");
+  StatusOr<std::string> defaults = registry.Canonicalize("LS");
   ASSERT_TRUE(defaults.ok()) << defaults.status();
   EXPECT_EQ(*defaults, "LS:max_sweeps=16");
 }
@@ -300,7 +300,7 @@ class NullDispatcher final : public Dispatcher {
 TEST(DispatcherRegistryTest, SelfRegistrationAndDuplicateRejection) {
   DispatcherRegistry& registry = DispatcherRegistry::Global();
   Status first = registry.Register(
-      "NULL_TEST", {}, [](const DispatcherParams&) {
+      "NULL_TEST", {}, [](const CatalogParams&) {
         return std::make_unique<NullDispatcher>();
       });
   ASSERT_TRUE(first.ok()) << first;
@@ -312,7 +312,7 @@ TEST(DispatcherRegistryTest, SelfRegistrationAndDuplicateRejection) {
 
   // First registration wins; a duplicate is rejected, not overwritten.
   Status dup = registry.Register(
-      "NULL_TEST", {}, [](const DispatcherParams&) {
+      "NULL_TEST", {}, [](const CatalogParams&) {
         return MakeIrgDispatcher();
       });
   EXPECT_EQ(dup.code(), StatusCode::kFailedPrecondition);
@@ -651,20 +651,6 @@ TEST_F(ApiTest, RunWithReturnsInvalidArgumentOnAnInvalidConfig) {
         << result.status();
     EXPECT_EQ(dispatcher.batches, 0) << interval;
   }
-}
-
-TEST_F(ApiTest, RunResultsSerialiseToJson) {
-  StatusOr<Simulation> sim = builder_->Build();
-  ASSERT_TRUE(sim.ok());
-  ExperimentRunner runner(*sim);
-  StatusOr<std::vector<RunResult>> results =
-      runner.RunAll({RunSpec("NEAR", "baseline")});
-  ASSERT_TRUE(results.ok());
-  std::string json = RunResultsToJson(*results);
-  EXPECT_NE(json.find("\"runs\""), std::string::npos);
-  EXPECT_NE(json.find("\"label\": \"baseline\""), std::string::npos);
-  EXPECT_NE(json.find("\"dispatcher\": \"NEAR\""), std::string::npos);
-  EXPECT_NE(json.find("\"served\""), std::string::npos);
 }
 
 }  // namespace

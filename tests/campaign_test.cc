@@ -1,9 +1,10 @@
-// Campaign subsystem (src/campaign/): catalog spec canonicalisation, the
-// `paper` entry's recipe and value checks, grid expansion determinism and
-// stable content keys, the resumable artifact store (resume skips
-// completed cells; fresh vs resumed manifests are byte-identical), and
-// bit-identity of campaign results against a per-simulation
-// ExperimentRunner::RunAll over the same cells at runner threads {1, 4}.
+// Campaign subsystem (src/campaign/): catalog spec canonicalisation and
+// its pinned text, the `paper` entry's recipe, the entries' value checks,
+// grid expansion determinism and stable content keys, the resumable
+// artifact store (resume skips completed cells; fresh vs resumed
+// manifests are byte-identical), and bit-identity of campaign results
+// against a per-simulation ExperimentRunner::RunAll over the same cells at
+// runner threads {1, 4}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -152,38 +153,63 @@ TEST(WorkloadCatalogTest, BuildRejectsTravelThatBreaksTheSpeedContract) {
   EXPECT_TRUE(WorkloadCatalog::Global().Build(tlc).ok());
 }
 
-TEST(WorkloadCatalogTest, PaperRejectsValuesItCannotBuild) {
+TEST(WorkloadCatalogTest, RejectsValuesItCannotBuild) {
   WorkloadCatalog& catalog = WorkloadCatalog::Global();
-  for (const char* spec :
-       {"paper:predictor=Typo", "paper:scale=0", "paper:scale=-0.1",
-        "paper:scale=1.5", "paper:scale=nan", "paper:scale=inf",
-        "paper:drivers=0", "paper:drivers=-3", "paper:drivers=2147483648",
-        "paper:tau=-1", "paper:tau=nan", "paper:tau=inf"}) {
+  // Each spec with the parameter its error must name. Unchecked, a
+  // negative fleet throws from vector::reserve, an empty grid crashes the
+  // generator, and a value past int runs whatever it narrows to under its
+  // own cell key.
+  const std::pair<const char*, const char*> rejected[] = {
+      {"paper:predictor=Typo", "predictor"},
+      {"paper:scale=0", "scale"},
+      {"paper:scale=-0.1", "scale"},
+      {"paper:scale=1.5", "scale"},
+      {"paper:scale=nan", "scale"},
+      {"paper:scale=inf", "scale"},
+      {"paper:drivers=0", "drivers"},
+      {"paper:drivers=-3", "drivers"},
+      {"paper:drivers=2147483648", "drivers"},
+      {"paper:tau=-1", "tau"},
+      {"paper:tau=nan", "tau"},
+      {"paper:tau=inf", "tau"},
+      {"nyc:orders=2000,drivers=-5", "drivers"},
+      {"nyc:orders=2000,grid_rows=0", "grid_rows"},
+      {"nyc:orders=2000,drivers=4294967336", "drivers"},
+      {"nyc:grid_rows=65536,grid_cols=65536", "grid_rows"},
+      {"nyc-skew:orders=2000,grid_cols=0", "grid_cols"},
+      {"tlc:path=trips.csv,day=4294967296", "day"},
+  };
+  for (const auto& [spec, param] : rejected) {
     // The entry's check runs when a spec is canonicalised, not only when
-    // it is built.
+    // it is built, so a grid holding the spec fails before any cell runs.
     StatusOr<std::string> canonical = catalog.Canonicalize(spec);
     ASSERT_FALSE(canonical.ok()) << spec;
     EXPECT_EQ(canonical.status().code(), StatusCode::kInvalidArgument)
         << spec;
+    EXPECT_NE(canonical.status().message().find(param), std::string::npos)
+        << canonical.status();
     StatusOr<Simulation> sim = catalog.Build(spec);
     ASSERT_FALSE(sim.ok()) << spec;
     EXPECT_EQ(sim.status().code(), StatusCode::kInvalidArgument) << spec;
+    CampaignSpec grid;
+    grid.workloads = {spec};
+    grid.dispatchers = {"NEAR"};
+    StatusOr<std::vector<CampaignCell>> cells = ExpandGrid(grid);
+    ASSERT_FALSE(cells.ok()) << spec;
+    EXPECT_EQ(cells.status().code(), StatusCode::kInvalidArgument) << spec;
   }
   StatusOr<std::string> typo = catalog.Canonicalize("paper:predictor=Typo");
   for (const char* known : {"HA,", "LR,", "GBRT,", "DeepST,", "Real"}) {
     EXPECT_NE(typo.status().message().find(known), std::string::npos)
         << typo.status();
   }
-  for (const char* spec : {"paper:scale=1", "paper:drivers=1", "paper:tau=0",
-                           "paper:predictor=HA"}) {
+  for (const char* spec :
+       {"paper:scale=1", "paper:drivers=1", "paper:tau=0",
+        "paper:predictor=HA", "nyc:drivers=0,day=-3", "nyc:grid_rows=1",
+        "nyc:grid_rows=46340,grid_cols=46340", "tlc:path=trips.csv,drivers=0",
+        "nyc-skew:row_lo=-5,row_hi=100"}) {
     EXPECT_TRUE(catalog.Canonicalize(spec).ok()) << spec;
   }
-
-  // So a campaign holding a bad value fails before any cell runs.
-  CampaignSpec spec;
-  spec.workloads = {"paper:scale=0.01", "paper:scale=2"};
-  spec.dispatchers = {"NEAR"};
-  EXPECT_FALSE(ExpandGrid(spec).ok());
 }
 
 TEST(WorkloadCatalogTest, FileEntriesNeedAPathAtExpansion) {
@@ -403,6 +429,73 @@ TEST(GridExpansionTest, KeyAlgorithmIsPinned) {
             "250d8dc1f4e40c89");
 }
 
+TEST(CanonicalTextTest, BuiltinsAndThePaperGridArePinned) {
+  // Every cell key hashes these strings, so changing one re-keys its cells
+  // and orphans their artifacts (perfbench/reference.json included). They
+  // were recorded from the built-in rosters; a failure means a default, a
+  // declared parameter or the canonical format changed.
+  using Row = std::pair<std::string, std::string>;  // spec, canonical text
+  const std::vector<Row> workloads = {
+      {"nyc",
+       "nyc:batch_interval=30,day=1,detour=1.3,drivers=40,grid_cols=8,"
+       "grid_rows=8,horizon_hours=4,oracle=1,orders=3000,seed=20190417,"
+       "speed_mps=11"},
+      {"nyc-skew",
+       "nyc-skew:batch_interval=30,day=1,detour=1.3,drivers=40,grid_cols=16,"
+       "grid_rows=16,horizon_hours=4,multiplier=2,oracle=1,orders=3000,"
+       "row_hi=2,row_lo=0,seed=20190417,share=0.7,speed_mps=11,"
+       "surge_end_hour=2.5,surge_start_hour=0.5"},
+      {"paper",
+       "paper:drivers=3000,predictor=DeepST,scale=0.1,seed=20190417,tau=120"},
+      {"tlc:path=trips.csv",
+       "tlc:batch_interval=3,day=-1,detour=1.3,drivers=3000,horizon_hours=24,"
+       "max_orders=0,path=trips.csv,seed=20190417,speed_mps=11"},
+      {"trace:path=day.trace",
+       "trace:batch_interval=3,detour=1.3,horizon_hours=0,max_orders=0,"
+       "path=day.trace,speed_mps=11"},
+      // perfbench's paper_grid day at its default seed.
+      {"nyc:orders=28226,drivers=95,grid_rows=16,grid_cols=16,"
+       "batch_interval=3,horizon_hours=24,seed=20190417,day=1",
+       "nyc:batch_interval=3,day=1,detour=1.3,drivers=95,grid_cols=16,"
+       "grid_rows=16,horizon_hours=24,oracle=1,orders=28226,seed=20190417,"
+       "speed_mps=11"},
+  };
+  const std::vector<Row> scenarios = {
+      {"none", "none"},
+      {"two-shift", "two-shift:overlap_minutes=30,shift_hour=12"},
+      {"cancel-hazard",
+       "cancel-hazard:fraction_hi=0.9,fraction_lo=0.2,probability=0.05,"
+       "seed=20190417"},
+      {"rush-hour", "rush-hour:end_hour=9,multiplier=1.5,start_hour=7"},
+      // perfbench's paper_grid scenarios are "none", "two-shift" and this.
+      {"cancel-hazard:probability=0.2,seed=20190417",
+       "cancel-hazard:fraction_hi=0.9,fraction_lo=0.2,probability=0.2,"
+       "seed=20190417"},
+  };
+  const std::vector<Row> dispatchers = {
+      {"IRG", "IRG"},         {"LS", "LS:max_sweeps=16"},
+      {"LTG", "LTG"},         {"NEAR", "NEAR"},
+      {"POLAR", "POLAR"},     {"RAND", "RAND:seed=1"},
+      {"SHORT", "SHORT"},     {"UPPER", "UPPER"},
+  };
+  CampaignSpec spec;
+  for (const Row& row : workloads) spec.workloads.push_back(row.first);
+  for (const Row& row : scenarios) spec.scenarios.push_back(row.first);
+  for (const Row& row : dispatchers) spec.dispatchers.push_back(row.first);
+  StatusOr<std::vector<CampaignCell>> cells = ExpandGrid(spec);
+  ASSERT_TRUE(cells.ok()) << cells.status();
+  ASSERT_EQ(cells->size(),
+            workloads.size() * scenarios.size() * dispatchers.size());
+  for (const CampaignCell& cell : *cells) {
+    EXPECT_EQ(cell.workload,
+              workloads[static_cast<size_t>(cell.workload_index)].second);
+    EXPECT_EQ(cell.scenario,
+              scenarios[static_cast<size_t>(cell.scenario_index)].second);
+    EXPECT_EQ(cell.dispatcher,
+              dispatchers[static_cast<size_t>(cell.dispatcher_index)].second);
+  }
+}
+
 TEST(GridExpansionTest, RejectsBadAndDuplicateAxes) {
   CampaignSpec spec = SmallSpec();
   spec.workloads.clear();
@@ -443,6 +536,19 @@ TEST(GridExpansionTest, RejectsBadAndDuplicateAxes) {
   ASSERT_FALSE(sweeps.ok());
   EXPECT_EQ(sweeps.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(sweeps.status().message().find("max_sweeps"), std::string::npos);
+
+  // So does a delta int past int, which would run as what it narrows to
+  // (2^32 + 1 threads as 1) under its own key.
+  spec = SmallSpec();
+  spec.config_deltas = {"", "num_threads=4294967297"};
+  StatusOr<std::vector<CampaignCell>> threads = ExpandGrid(spec);
+  ASSERT_FALSE(threads.ok());
+  EXPECT_EQ(threads.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(threads.status().message().find("num_threads"),
+            std::string::npos);
+  SimConfig cfg;
+  EXPECT_FALSE(ApplyConfigDelta("num_threads=4294967297", &cfg).ok());
+  EXPECT_EQ(cfg.num_threads, SimConfig{}.num_threads);
 }
 
 // ---------------------------------------------------------- campaign runner
