@@ -57,8 +57,8 @@ int main() {
   std::printf("mean batch time  : %.3f ms over %lld batches\n",
               r.batch_seconds.mean() * 1e3, (long long)r.num_batches);
   std::printf("dispatch latency : p50 %.3f / p95 %.3f / p99 %.3f ms\n",
-              r.dispatch_latency_p50 * 1e3, r.dispatch_latency_p95 * 1e3,
-              r.dispatch_latency_p99 * 1e3);
+              r.batch_seconds.P50() * 1e3, r.batch_seconds.P95() * 1e3,
+              r.batch_seconds.P99() * 1e3);
 
   if (telemetry.has_value()) {
     telemetry->Finish();

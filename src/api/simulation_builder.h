@@ -184,7 +184,8 @@ class SimulationBuilder {
   SimulationBuilder& Shards(int num_shards);
 
   /// Attaches a borrowed telemetry session (may be null to detach): runs
-  /// record per-stage trace spans and feed the session's MetricsRegistry.
+  /// record per-stage trace spans when it traces and merge their metrics
+  /// registries into the session's when they end.
   /// The session must outlive every Simulation built from this builder and
   /// must not be shared by concurrently executing runs. Telemetry never
   /// affects results — only observes them.

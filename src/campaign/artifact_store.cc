@@ -30,9 +30,9 @@ RunArtifact MakeRunArtifact(const RunResult& result) {
   a.idle_mean_s = result.result.driver_idle_seconds.mean();
   a.dispatch_ms_mean = result.result.batch_seconds.mean() * 1e3;
   a.build_ms_mean = result.result.batch_build_seconds.mean() * 1e3;
-  a.dispatch_ms_p50 = result.result.dispatch_latency_p50 * 1e3;
-  a.dispatch_ms_p95 = result.result.dispatch_latency_p95 * 1e3;
-  a.dispatch_ms_p99 = result.result.dispatch_latency_p99 * 1e3;
+  a.dispatch_ms_p50 = result.result.batch_seconds.P50() * 1e3;
+  a.dispatch_ms_p95 = result.result.batch_seconds.P95() * 1e3;
+  a.dispatch_ms_p99 = result.result.batch_seconds.P99() * 1e3;
   return a;
 }
 

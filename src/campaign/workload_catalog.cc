@@ -64,11 +64,12 @@ Status CheckPaperParams(const CatalogParams& p) {
 }
 
 /// The check of the generated-day entries (nyc, nyc-skew): every value
-/// the factory narrows to int fits, the fleet is not negative, and the grid
-/// has from 1 to INT_MAX cells.
+/// the factory narrows to int fits, the fleet and the order count are not
+/// negative, and the grid has from 1 to INT_MAX cells.
 Status CheckGeneratedDay(const CatalogParams& p) {
   MRVD_RETURN_NOT_OK(CheckIntParam(p, "day", kIntMin, kIntMax));
   MRVD_RETURN_NOT_OK(CheckIntParam(p, "drivers", 0, kIntMax));
+  MRVD_RETURN_NOT_OK(CheckIntParam(p, "orders", 0, kIntMax));
   MRVD_RETURN_NOT_OK(CheckIntParam(p, "grid_rows", 1, kIntMax));
   MRVD_RETURN_NOT_OK(CheckIntParam(p, "grid_cols", 1, kIntMax));
   const int64_t cells = p.GetInt("grid_rows") * p.GetInt("grid_cols");
@@ -80,10 +81,14 @@ Status CheckGeneratedDay(const CatalogParams& p) {
   return Status::OK();
 }
 
+/// The hot rows must lie in the grid, in order: the factory clamps them
+/// there, so any other pair would build a clamped pair's day under a cell
+/// key of its own.
 Status CheckSkewedDay(const CatalogParams& p) {
   MRVD_RETURN_NOT_OK(CheckGeneratedDay(p));
-  MRVD_RETURN_NOT_OK(CheckIntParam(p, "row_lo", kIntMin, kIntMax));
-  return CheckIntParam(p, "row_hi", kIntMin, kIntMax);
+  const int64_t last_row = p.GetInt("grid_rows") - 1;
+  MRVD_RETURN_NOT_OK(CheckIntParam(p, "row_lo", 0, last_row));
+  return CheckIntParam(p, "row_hi", p.GetInt("row_lo"), last_row);
 }
 
 /// The check of an entry that reads a file: `path` is required, since
@@ -93,10 +98,12 @@ Status RequirePath(const CatalogParams& p, const std::string& how) {
   return Status::InvalidArgument("path is required: " + how);
 }
 
+/// `day` is -1 (every day) or a day index: the parser keeps every day for
+/// any negative filter, so -2 would repeat -1's day under its own key.
 Status CheckTlcParams(const CatalogParams& p) {
   MRVD_RETURN_NOT_OK(RequirePath(p, "pass path=/path/to/trips.csv"));
   MRVD_RETURN_NOT_OK(CheckIntParam(p, "drivers", 0, kIntMax));
-  return CheckIntParam(p, "day", kIntMin, kIntMax);
+  return CheckIntParam(p, "day", -1, kIntMax);
 }
 
 /// The paper's §6 evaluation day: the NYC day at `scale` of the paper's

@@ -19,7 +19,6 @@
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -310,43 +309,16 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
                        pool != nullptr ? &execution : nullptr);
   AssignmentApplier applier(dispatcher.name(), config_.zero_pickup_travel);
 
-  // Telemetry (null session = off: every site below degrades to a pointer
-  // check). Metrics are resolved once; the registry is written only from
-  // this thread (see telemetry/metrics.h for the thread model). Counter
-  // values and the two per-batch histogram COUNTS are deterministic —
-  // invariant across thread counts — while every recorded duration and the
-  // per-shard histogram are execution metadata.
+  // The session (null = none) only traces and exports: each stage scope
+  // below reads the clock once on entry and once on exit, into its
+  // BatchTimings field and, when tracing, its span. The run's metrics
+  // registry lives in `metrics` and reaches the session in one merge at
+  // the end, so every run's SimResult covers that run alone.
   telemetry::TelemetrySession* const tele = config_.telemetry;
-  telemetry::Counter* tele_batches = nullptr;
-  telemetry::Counter* tele_assignments = nullptr;
-  telemetry::Counter* tele_repartitions = nullptr;
-  telemetry::LogHistogram* tele_dispatch_hist = nullptr;
-  telemetry::LogHistogram* tele_build_hist = nullptr;
-  telemetry::LogHistogram* tele_shard_hist = nullptr;
-  if (tele != nullptr) {
-    telemetry::MetricsRegistry& reg = tele->metrics();
-    tele_batches = reg.counter("engine.batches");
-    tele_assignments = reg.counter("engine.assignments");
-    tele_repartitions =
-        reg.counter("engine.repartitions", telemetry::MetricScope::kExecution);
-    tele_dispatch_hist = reg.histogram(
-        "engine.dispatch_seconds", telemetry::MetricScope::kDeterministic);
-    tele_build_hist = reg.histogram("engine.batch_build_seconds",
-                                    telemetry::MetricScope::kDeterministic);
-    tele_shard_hist = reg.histogram("pipeline.shard_seconds");
-  }
 
   // One context for the whole run, refilled in place every batch.
   std::unique_ptr<BatchContext> ctx = builder.NewContext();
   ctx->SetTelemetry(tele);
-
-  int64_t stage_start_ns = 0;
-  auto stage_begin = [&stage_start_ns] {
-    stage_start_ns = Stopwatch::NowNanos();
-  };
-  auto stage_seconds = [&stage_start_ns] {
-    return static_cast<double>(Stopwatch::NowNanos() - stage_start_ns) * 1e-9;
-  };
 
   const double delta = config_.batch_interval;
   const double horizon = config_.horizon_seconds;
@@ -356,36 +328,32 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
     BatchTimings timings;
 
     // 1. Busy drivers finishing by `now` rejoin at their destination.
-    stage_begin();
     {
-      telemetry::TraceSpan span(tele, "release_finished");
+      telemetry::TraceSpan span(tele, "release_finished",
+                                &timings.release_seconds);
       fleet.ReleaseFinished(now);
     }
-    timings.release_seconds = stage_seconds();
 
     // 2. Riders that posted since the last batch enter the book; scenario
     //    events due by `now` apply (shifts, cancels, surge transitions);
     //    expired riders renege. Cancellation is processed before reneging,
     //    so a rider whose cancel and deadline land in the same batch counts
     //    as cancelled, not reneged.
-    stage_begin();
     {
-      telemetry::TraceSpan span(tele, "inject_arrivals");
+      telemetry::TraceSpan span(tele, "inject_arrivals",
+                                &timings.inject_seconds);
       orders.InjectArrivals(now);
     }
-    timings.inject_seconds = stage_seconds();
-    stage_begin();
     {
-      telemetry::TraceSpan span(tele, "scenario_events");
+      telemetry::TraceSpan span(tele, "scenario_events",
+                                &timings.scenario_seconds);
       scenario.ApplyDueEvents(now, &fleet, &orders, &observers);
     }
-    timings.scenario_seconds = stage_seconds();
-    stage_begin();
     {
-      telemetry::TraceSpan span(tele, "remove_expired");
+      telemetry::TraceSpan span(tele, "remove_expired",
+                                &timings.expire_seconds);
       orders.RemoveExpired(now, &observers);
     }
-    timings.expire_seconds = stage_seconds();
 
     if (orders.waiting().empty() && !fleet.HasFreshDrivers() &&
         !fleet.HasBusyDrivers() && orders.Exhausted() &&
@@ -406,28 +374,21 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
             std::make_unique<RegionPartitioner>(RegionPartitioner::RowBands(
                 grid_, shards, load_tracker->weights()));
         if (!rebalanced->SamePartition(*partitioner)) {
-          const double after = ShardLoadTracker::Imbalance(
-              *rebalanced, load_tracker->weights());
           partitioner = std::move(rebalanced);
           execution.partitioner = partitioner.get();
-          if (tele_repartitions != nullptr) tele_repartitions->Add();
-          observers.OnRepartition(now, partitioner->num_shards(), imbalance,
-                                  after);
+          metrics.RecordRepartition();
         }
       }
     }
 
     // 4. Refill the batch context off the incremental counters.
     fleet.AdvanceRejoinWindow(now, config_.window_seconds);
-    Stopwatch build_watch;
     {
-      telemetry::TraceSpan span(tele, "batch_build");
+      telemetry::TraceSpan span(tele, "batch_build", &timings.build_seconds);
       builder.Fill(now, orders, fleet, scenario.demand_multipliers(),
                    ctx.get());
     }
-    const double build_seconds = build_watch.ElapsedSeconds();
-    timings.build_seconds = build_seconds;
-    observers.OnBatchBuilt(now, build_seconds, *ctx);
+    observers.OnBatchBuilt(now, timings.build_seconds, *ctx);
     if (load_tracker != nullptr) load_tracker->Observe(ctx->snapshots());
 
     // 5. Capture idle-time estimates for freshly (re)joined drivers.
@@ -436,46 +397,29 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
 
     // 6. Dispatch.
     std::vector<Assignment> assignments;
-    Stopwatch dispatch_watch;
     {
-      telemetry::TraceSpan span(tele, "dispatch");
+      telemetry::TraceSpan span(tele, "dispatch", &timings.dispatch_seconds);
       dispatcher.Dispatch(*ctx, &assignments);
     }
-    const double dispatch_seconds = dispatch_watch.ElapsedSeconds();
-    timings.dispatch_seconds = dispatch_seconds;
-    observers.OnDispatchDone(now, dispatch_seconds, assignments);
-    if (const DispatchCounters* counters = dispatcher.counters()) {
-      observers.OnDispatchCounters(now, *counters);
-      if (tele_shard_hist != nullptr) {
-        // Per-shard parallel-phase wall times reach the registry here, on
-        // the coordinating thread — workers never touch the registry.
-        for (const ShardLoadStat& s : counters->shards) {
-          tele_shard_hist->Add(s.seconds);
-        }
-      }
-    }
+    observers.OnDispatchDone(now, timings.dispatch_seconds, assignments);
 
     // 7. Apply assignments and compact the served riders out of the book.
-    stage_begin();
     {
-      telemetry::TraceSpan span(tele, "assignment_apply");
+      telemetry::TraceSpan span(tele, "assignment_apply",
+                                &timings.apply_seconds);
       applier.Apply(now, *ctx, assignments, &fleet, &orders, &observers);
     }
-    timings.apply_seconds = stage_seconds();
 
-    if (tele_batches != nullptr) {
-      tele_batches->Add();
-      tele_assignments->Add(static_cast<int64_t>(assignments.size()));
-      tele_dispatch_hist->Add(dispatch_seconds);
-      tele_build_hist->Add(build_seconds);
-    }
+    // Per-shard wall times reach the registry here, on the coordinating
+    // thread: pool workers never touch it.
+    metrics.RecordBatch(timings, assignments.size(), dispatcher.counters());
     observers.OnBatchTimings(now, timings);
     observers.OnBatchEnd(now);
   }
 
+  if (tele != nullptr) tele->metrics().Merge(metrics.registry());
   // Anything left waiting (or never injected) at the horizon never got
   // served.
-  if (tele != nullptr) observers.OnRunTelemetry(now, *tele);
   observers.OnRunEnd(now, orders.UnservedRemainder());
   return metrics.TakeResult();
 }

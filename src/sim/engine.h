@@ -84,14 +84,14 @@ struct SimConfig {
   /// blended on top of the observed EWMA, >= 0.
   double forecast_blend = 1.0;
 
-  /// Borrowed telemetry session (SimulationBuilder::WithTelemetry). Null =
-  /// telemetry off: every instrumentation site degrades to a pointer
-  /// check. When set, the engine records stage trace spans and feeds the
-  /// session's MetricsRegistry; the attached session must outlive the run
-  /// and be used by at most one concurrently executing run. Not part of
-  /// the simulated configuration: ignored by Validate(), excluded from
-  /// campaign cell keys, and it never affects results (bit-identity with
-  /// and without a session is enforced by tests/telemetry_test.cc).
+  /// Borrowed telemetry session (SimulationBuilder::WithTelemetry), or
+  /// null. It only traces and exports: every run keeps its own metrics
+  /// registry and merges it into an attached session's at the end. The
+  /// session must outlive the run and serve at most one concurrently
+  /// executing run. Not part of the simulated configuration: ignored by
+  /// Validate(), excluded from campaign cell keys, and it never affects
+  /// results (bit-identity with and without a session is enforced by
+  /// tests/telemetry_test.cc).
   telemetry::TelemetrySession* telemetry = nullptr;
 
   /// Shard count the engine's pipeline uses with `threads` workers:

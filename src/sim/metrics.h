@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "stats/metrics.h"
+#include "telemetry/metrics.h"
 
 namespace mrvd {
 
@@ -43,18 +44,14 @@ struct SimResult {
   int64_t driver_sign_offs = 0;
   int64_t surge_changes = 0;  ///< surge-window begin/end transitions
 
-  // Batch processing (Figures 7b-10b).
+  // Batch processing (Figures 7b-10b): copies of the run's
+  // engine.dispatch_seconds and engine.batch_build_seconds histograms, one
+  // sample per batch (P50()/P95()/P99() give the latency percentiles).
+  // Sample counts are deterministic; the values are wall-clock execution
+  // metadata, never part of bit-identity comparisons or campaign keys.
   int64_t num_batches = 0;
-  RunningStats batch_seconds;        ///< dispatcher time per batch
-  RunningStats batch_build_seconds;  ///< batch-construction time per batch
-
-  // Per-batch dispatch-latency percentiles from MetricsCollector's
-  // log-bucketed histogram (seconds; 0 when no batch ran). Wall-clock
-  // execution metadata like batch_seconds: never part of bit-identity
-  // comparisons or content-addressed keys.
-  double dispatch_latency_p50 = 0.0;
-  double dispatch_latency_p95 = 0.0;
-  double dispatch_latency_p99 = 0.0;
+  telemetry::LogHistogram batch_seconds;        ///< dispatcher time
+  telemetry::LogHistogram batch_build_seconds;  ///< batch construction time
 
   // Idle-time estimation study (Table 3, Figure 6).
   ErrorStats idle_error;                    ///< (estimated, real) pairs

@@ -9,49 +9,52 @@ namespace mrvd {
 MetricsCollector::MetricsCollector(const std::string& dispatcher_name,
                                    int64_t total_orders, int num_regions,
                                    bool record_idle_samples)
-    : record_idle_samples_(record_idle_samples) {
+    : record_idle_samples_(record_idle_samples),
+      batches_(registry_.counter("engine.batches")),
+      assignments_(registry_.counter("engine.assignments")),
+      repartitions_(registry_.counter("engine.repartitions",
+                                      telemetry::MetricScope::kExecution)),
+      dispatch_seconds_(registry_.histogram(
+          "engine.dispatch_seconds", telemetry::MetricScope::kDeterministic)),
+      build_seconds_(
+          registry_.histogram("engine.batch_build_seconds",
+                              telemetry::MetricScope::kDeterministic)),
+      shard_seconds_(registry_.histogram("pipeline.shard_seconds")) {
   result_.dispatcher = dispatcher_name;
   result_.total_orders = total_orders;
   result_.region_idle.assign(static_cast<size_t>(num_regions), {});
 }
 
-void MetricsCollector::OnBatchBuilt(double /*now*/, double build_seconds,
-                                    const BatchContext& /*ctx*/) {
-  result_.batch_build_seconds.Add(build_seconds);
-}
-
-void MetricsCollector::OnDispatchDone(
-    double /*now*/, double dispatch_seconds,
-    const std::vector<Assignment>& /*assignments*/) {
-  result_.batch_seconds.Add(dispatch_seconds);
-  dispatch_latency_.Add(dispatch_seconds);
-  ++result_.num_batches;
-}
-
-void MetricsCollector::OnDispatchCounters(double /*now*/,
-                                          const DispatchCounters& c) {
-  result_.dispatch_sweeps += c.sweeps;
-  result_.dispatch_swaps_applied += c.swaps_applied;
-  result_.dispatch_proposals += c.proposals;
-  if (!c.shards.empty()) {
-    int64_t max_riders = 0;
-    int64_t total_riders = 0;
-    double max_seconds = 0.0;
-    double total_seconds = 0.0;
-    for (const ShardLoadStat& s : c.shards) {
-      max_riders = std::max(max_riders, s.riders);
-      total_riders += s.riders;
-      max_seconds = std::max(max_seconds, s.seconds);
-      total_seconds += s.seconds;
-    }
-    const auto n = static_cast<double>(c.shards.size());
-    if (total_riders > 0) {
-      result_.shard_size_imbalance.Add(static_cast<double>(max_riders) * n /
-                                       static_cast<double>(total_riders));
-    }
-    if (total_seconds > 0.0) {
-      result_.shard_time_imbalance.Add(max_seconds * n / total_seconds);
-    }
+void MetricsCollector::RecordBatch(const BatchTimings& timings,
+                                   size_t assignments,
+                                   const DispatchCounters* counters) {
+  batches_->Add();
+  assignments_->Add(static_cast<int64_t>(assignments));
+  dispatch_seconds_->Add(timings.dispatch_seconds);
+  build_seconds_->Add(timings.build_seconds);
+  if (counters == nullptr) return;
+  result_.dispatch_sweeps += counters->sweeps;
+  result_.dispatch_swaps_applied += counters->swaps_applied;
+  result_.dispatch_proposals += counters->proposals;
+  if (counters->shards.empty()) return;
+  int64_t max_riders = 0;
+  int64_t total_riders = 0;
+  double max_seconds = 0.0;
+  double total_seconds = 0.0;
+  for (const ShardLoadStat& s : counters->shards) {
+    max_riders = std::max(max_riders, s.riders);
+    total_riders += s.riders;
+    max_seconds = std::max(max_seconds, s.seconds);
+    total_seconds += s.seconds;
+    shard_seconds_->Add(s.seconds);
+  }
+  const auto n = static_cast<double>(counters->shards.size());
+  if (total_riders > 0) {
+    result_.shard_size_imbalance.Add(static_cast<double>(max_riders) * n /
+                                     static_cast<double>(total_riders));
+  }
+  if (total_seconds > 0.0) {
+    result_.shard_time_imbalance.Add(max_seconds * n / total_seconds);
   }
 }
 
@@ -95,18 +98,13 @@ void MetricsCollector::OnSurgeChange(double /*now*/,
   ++result_.surge_changes;
 }
 
-void MetricsCollector::OnRepartition(double /*now*/, int /*num_shards*/,
-                                     double /*imbalance_before*/,
-                                     double /*imbalance_after*/) {
-  ++result_.repartitions;
-}
-
 void MetricsCollector::OnRunEnd(double /*end_time*/,
                                 int64_t never_dispatched) {
   result_.reneged_orders += never_dispatched;
-  result_.dispatch_latency_p50 = dispatch_latency_.P50();
-  result_.dispatch_latency_p95 = dispatch_latency_.P95();
-  result_.dispatch_latency_p99 = dispatch_latency_.P99();
+  result_.num_batches = batches_->value();
+  result_.repartitions = repartitions_->value();
+  result_.batch_seconds = *dispatch_seconds_;
+  result_.batch_build_seconds = *build_seconds_;
 }
 
 }  // namespace mrvd

@@ -23,13 +23,11 @@ class BatchContext;
 struct Assignment;
 struct DispatchCounters;
 
-namespace telemetry {
-class TelemetrySession;
-}  // namespace telemetry
-
 /// Wall-time split of one batch across the engine's stages, in stage order
-/// (where a batch's milliseconds went). Execution metadata: the values
-/// vary run to run; only the event count is deterministic.
+/// (where a batch's milliseconds went). Each field is the one reading of
+/// its stage's scope, the same value its trace span and the run's metrics
+/// registry record. Execution metadata: the values vary run to run; only
+/// the event count is deterministic.
 struct BatchTimings {
   double release_seconds = 0.0;   ///< FleetState::ReleaseFinished
   double inject_seconds = 0.0;    ///< OrderBook::InjectArrivals
@@ -88,13 +86,6 @@ class SimObserver {
     (void)now, (void)dispatch_seconds, (void)assignments;
   }
 
-  /// The dispatcher's work counters for the batch (sweeps, swaps, shard
-  /// loads — sim/batch.h). Fires right after OnDispatchDone,
-  /// and only for dispatchers that track counters.
-  virtual void OnDispatchCounters(double now, const DispatchCounters& c) {
-    (void)now, (void)c;
-  }
-
   /// One accepted assignment was applied to the fleet and order book.
   virtual void OnAssignmentApplied(double now, const AssignmentEvent& e) {
     (void)now, (void)e;
@@ -131,17 +122,6 @@ class SimObserver {
     (void)now, (void)window, (void)active;
   }
 
-  /// Adaptive sharding rebuilt the shard map between batches (fires before
-  /// the batch at `now` is built). `imbalance_before`/`imbalance_after` are
-  /// the tracked demand's max-shard/mean-shard load factor under the old
-  /// and new partition.
-  virtual void OnRepartition(double now, int num_shards,
-                             double imbalance_before,
-                             double imbalance_after) {
-    (void)now, (void)num_shards;
-    (void)imbalance_before, (void)imbalance_after;
-  }
-
   /// The batch's per-stage wall-time split. Fires after every stage of the
   /// batch completed, right before OnBatchEnd.
   virtual void OnBatchTimings(double now, const BatchTimings& timings) {
@@ -150,16 +130,6 @@ class SimObserver {
 
   /// All assignments of the batch are applied and served riders compacted.
   virtual void OnBatchEnd(double now) { (void)now; }
-
-  /// The run's telemetry session, right before OnRunEnd — a late hook for
-  /// observers that export or post-process the metrics registry. Fires
-  /// only when the run had a session attached (SimConfig::telemetry); the
-  /// session is still live (the engine never calls Finish — the attaching
-  /// caller owns the session's lifecycle).
-  virtual void OnRunTelemetry(double end_time,
-                              const telemetry::TelemetrySession& session) {
-    (void)end_time, (void)session;
-  }
 
   /// The run is over. `never_dispatched` counts orders still waiting at the
   /// horizon plus orders whose request time was never reached.
@@ -187,9 +157,6 @@ class ObserverList : public SimObserver {
       o->OnDispatchDone(now, dispatch_seconds, assignments);
     }
   }
-  void OnDispatchCounters(double now, const DispatchCounters& c) override {
-    for (SimObserver* o : observers_) o->OnDispatchCounters(now, c);
-  }
   void OnAssignmentApplied(double now, const AssignmentEvent& e) override {
     for (SimObserver* o : observers_) o->OnAssignmentApplied(now, e);
   }
@@ -209,21 +176,11 @@ class ObserverList : public SimObserver {
                      bool active) override {
     for (SimObserver* o : observers_) o->OnSurgeChange(now, window, active);
   }
-  void OnRepartition(double now, int num_shards, double imbalance_before,
-                     double imbalance_after) override {
-    for (SimObserver* o : observers_) {
-      o->OnRepartition(now, num_shards, imbalance_before, imbalance_after);
-    }
-  }
   void OnBatchTimings(double now, const BatchTimings& timings) override {
     for (SimObserver* o : observers_) o->OnBatchTimings(now, timings);
   }
   void OnBatchEnd(double now) override {
     for (SimObserver* o : observers_) o->OnBatchEnd(now);
-  }
-  void OnRunTelemetry(double end_time,
-                      const telemetry::TelemetrySession& session) override {
-    for (SimObserver* o : observers_) o->OnRunTelemetry(end_time, session);
   }
   void OnRunEnd(double end_time, int64_t never_dispatched) override {
     for (SimObserver* o : observers_) o->OnRunEnd(end_time, never_dispatched);
@@ -233,20 +190,30 @@ class ObserverList : public SimObserver {
   std::vector<SimObserver*> observers_;
 };
 
-/// Accumulates the SimResult aggregates from the engine's event stream.
-/// The accumulation order matches the event order, so the streaming
-/// statistics (Welford accumulators) are bit-identical to the former
-/// inline bookkeeping of the monolithic engine loop.
+/// Accumulates the SimResult aggregates: the outcome from the engine's
+/// event hooks, in event order (so the Welford accumulators are
+/// bit-identical to the former inline bookkeeping of the monolithic engine
+/// loop), and the batch-processing figures from the run's own metrics
+/// registry, which the engine feeds through RecordBatch/RecordRepartition.
 class MetricsCollector final : public SimObserver {
  public:
   MetricsCollector(const std::string& dispatcher_name, int64_t total_orders,
                    int num_regions, bool record_idle_samples);
 
-  void OnBatchBuilt(double now, double build_seconds,
-                    const BatchContext& ctx) override;
-  void OnDispatchDone(double now, double dispatch_seconds,
-                      const std::vector<Assignment>& assignments) override;
-  void OnDispatchCounters(double now, const DispatchCounters& c) override;
+  /// One finished batch: its stage split, how many assignments the
+  /// dispatcher returned, and its work counters (null for a dispatcher
+  /// that tracks none).
+  void RecordBatch(const BatchTimings& timings, size_t assignments,
+                   const DispatchCounters* counters);
+  /// Adaptive sharding installed a new shard map.
+  void RecordRepartition() { repartitions_->Add(); }
+
+  /// The run's registry: engine.batches, engine.assignments,
+  /// engine.dispatch_seconds and engine.batch_build_seconds, whose values
+  /// or sample counts are deterministic, and the execution metadata
+  /// engine.repartitions and pipeline.shard_seconds.
+  const telemetry::MetricsRegistry& registry() const { return registry_; }
+
   void OnAssignmentApplied(double now, const AssignmentEvent& e) override;
   void OnRiderReneged(double now, const Order& order) override;
   void OnDriverShiftChange(double now, DriverId driver_id,
@@ -254,8 +221,7 @@ class MetricsCollector final : public SimObserver {
   void OnRiderCancelled(double now, const Order& order) override;
   void OnSurgeChange(double now, const SurgeWindow& window,
                      bool active) override;
-  void OnRepartition(double now, int num_shards, double imbalance_before,
-                     double imbalance_after) override;
+  /// Also copies the registry's batch figures into the result.
   void OnRunEnd(double end_time, int64_t never_dispatched) override;
 
   /// Moves the finished result out (the collector is spent afterwards).
@@ -264,11 +230,13 @@ class MetricsCollector final : public SimObserver {
  private:
   SimResult result_;
   bool record_idle_samples_;
-  /// Per-batch dispatch wall times; OnRunEnd projects p50/p95/p99 into the
-  /// result. Always maintained (one Add per batch — noise next to a
-  /// dispatch), so SimResult reports latency percentiles with or without a
-  /// TelemetrySession attached.
-  telemetry::LogHistogram dispatch_latency_;
+  telemetry::MetricsRegistry registry_;
+  telemetry::Counter* const batches_;
+  telemetry::Counter* const assignments_;
+  telemetry::Counter* const repartitions_;
+  telemetry::LogHistogram* const dispatch_seconds_;
+  telemetry::LogHistogram* const build_seconds_;
+  telemetry::LogHistogram* const shard_seconds_;
 };
 
 }  // namespace mrvd

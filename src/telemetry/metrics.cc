@@ -39,9 +39,44 @@ void LogHistogram::Add(double value) {
   ++count_;
   sum_ += value;
   if (value > 0.0 && std::isfinite(value)) {
-    ++buckets_[BucketIndex(value)];
+    AddToBucket(BucketIndex(value), 1);
   } else {
     ++zero_count_;  // zero/negative/non-finite: below every log bucket
+  }
+}
+
+void LogHistogram::AddToBucket(int index, int64_t n) {
+  if (counts_.empty()) {
+    first_index_ = index;
+  } else if (index < first_index_) {
+    counts_.insert(counts_.begin(), static_cast<size_t>(first_index_ - index),
+                   0);
+    first_index_ = index;
+  }
+  const auto slot = static_cast<size_t>(index - first_index_);
+  if (slot >= counts_.size()) counts_.resize(slot + 1, 0);
+  counts_[slot] += n;
+}
+
+std::map<int, int64_t> LogHistogram::buckets() const {
+  std::map<int, int64_t> out;
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] != 0) out[first_index_ + static_cast<int>(i)] = counts_[i];
+  }
+  return out;
+}
+
+void LogHistogram::Merge(const LogHistogram& other) {
+  if (other.count_ == 0) return;
+  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+  count_ += other.count_;
+  sum_ += other.sum_;
+  zero_count_ += other.zero_count_;
+  for (size_t i = 0; i < other.counts_.size(); ++i) {
+    if (other.counts_[i] != 0) {
+      AddToBucket(other.first_index_ + static_cast<int>(i), other.counts_[i]);
+    }
   }
 }
 
@@ -55,13 +90,14 @@ double LogHistogram::Quantile(double q) const {
   const double rank = q * static_cast<double>(count_ - 1);
   double cumulative = static_cast<double>(zero_count_);
   if (rank < cumulative) return std::clamp(0.0, min(), max());
-  for (const auto& [index, bucket_count] : buckets_) {
-    const double next = cumulative + static_cast<double>(bucket_count);
+  for (size_t i = 0; i < counts_.size(); ++i) {
+    const auto bucket_count = static_cast<double>(counts_[i]);
+    const double next = cumulative + bucket_count;
     if (rank < next) {
+      const int index = first_index_ + static_cast<int>(i);
       // Geometric interpolation inside the bucket: rank at the bucket's
       // first sample maps to its lower bound, at the last to its upper.
-      const double frac =
-          (rank - cumulative) / static_cast<double>(bucket_count);
+      const double frac = (rank - cumulative) / bucket_count;
       const double lo = BucketLo(index);
       const double hi = BucketHi(index);
       return std::clamp(lo * std::pow(hi / lo, frac), min(), max());
@@ -99,6 +135,18 @@ LogHistogram* MetricsRegistry::histogram(const std::string& name,
     e.scope = scope;
   }
   return e.metric.get();
+}
+
+void MetricsRegistry::Merge(const MetricsRegistry& other) {
+  for (const auto& [name, e] : other.counters_) {
+    counter(name, e.scope)->Add(e.metric->value());
+  }
+  for (const auto& [name, e] : other.gauges_) {
+    gauge(name, e.scope)->Set(e.metric->value());
+  }
+  for (const auto& [name, e] : other.histograms_) {
+    histogram(name, e.scope)->Merge(*e.metric);
+  }
 }
 
 const Counter* MetricsRegistry::FindCounter(const std::string& name) const {

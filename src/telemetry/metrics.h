@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace mrvd {
 
@@ -72,11 +73,21 @@ class Gauge {
 ///
 /// Non-positive samples (a zero-duration span) land in a dedicated zero
 /// bucket that sorts below every log bucket.
+///
+/// The counts sit in one array spanning the lowest to the highest bucket
+/// seen, so Add() is an index computation and an increment: the engine
+/// adds two samples every batch. Samples of one run's stage times span a
+/// few hundred buckets; the whole double range spans about 67k.
 class LogHistogram {
  public:
   static constexpr int kSubBuckets = 32;
 
   void Add(double value);
+
+  /// Adds every sample of `other`, as if each had been Add()ed here (the
+  /// sum adds `other`'s sum, so it may round differently than one Add per
+  /// sample would when both sides hold samples).
+  void Merge(const LogHistogram& other);
 
   int64_t count() const { return count_; }
   double sum() const { return sum_; }
@@ -97,8 +108,8 @@ class LogHistogram {
   /// Samples that were <= 0 (kept out of the log buckets).
   int64_t zero_count() const { return zero_count_; }
 
-  /// Log-bucket occupancy, ordered by bucket index (ascending value).
-  const std::map<int, int64_t>& buckets() const { return buckets_; }
+  /// Occupied log buckets: bucket index (ascending value) -> count.
+  std::map<int, int64_t> buckets() const;
 
   /// Inclusive-lower / exclusive-upper value bounds of log bucket `index`.
   static double BucketLo(int index);
@@ -106,8 +117,11 @@ class LogHistogram {
 
  private:
   static int BucketIndex(double value);
+  /// Adds `n` samples to log bucket `index`, widening counts_ to reach it.
+  void AddToBucket(int index, int64_t n);
 
-  std::map<int, int64_t> buckets_;  ///< log-bucket index -> sample count
+  std::vector<int64_t> counts_;  ///< counts_[i]: bucket first_index_ + i
+  int first_index_ = 0;
   int64_t zero_count_ = 0;
   int64_t count_ = 0;
   double sum_ = 0.0;
@@ -131,6 +145,11 @@ class MetricsRegistry {
                MetricScope scope = MetricScope::kExecution);
   LogHistogram* histogram(const std::string& name,
                           MetricScope scope = MetricScope::kExecution);
+
+  /// Adds `other`'s counter values and histogram samples into this
+  /// registry and takes its gauge values. A metric absent here is created
+  /// with `other`'s scope; one present keeps its own.
+  void Merge(const MetricsRegistry& other);
 
   /// The deterministic projection, one line per metric in name order:
   /// kDeterministic counter values and kDeterministic histogram counts.

@@ -1,9 +1,10 @@
-// TelemetrySession: the unit of telemetry collection — one MetricsRegistry
+// TelemetrySession: the unit of telemetry export — one MetricsRegistry
 // plus the trace-span machinery (per-thread buffers, drain, Chrome-trace
 // export) for one logical run (a Simulator::Run, a campaign cell, a bench
 // rep). Attach it via SimConfig::telemetry / SimulationBuilder::
-// WithTelemetry; a null session everywhere means telemetry is off and every
-// instrumentation site degrades to a pointer check.
+// WithTelemetry. A run measures the same with or without one: it keeps its
+// own registry and merges it into an attached session's when it ends, so a
+// null session only means no trace spans and nothing to export.
 //
 // Drain model (the ingest/worker decoupling shape): recording threads only
 // ever append to a thread-local ThreadTraceBuffer; full chunks are handed

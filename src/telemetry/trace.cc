@@ -25,23 +25,23 @@ void ThreadTraceBuffer::Flush() {
 }
 
 TraceSpan::TraceSpan(TelemetrySession* session, const char* name,
-                     const char* category) {
-  if (session == nullptr || !session->tracing()) return;
-  buffer_ = session->BufferForCurrentThread();
-  if (buffer_ == nullptr) return;
-  name_ = name;
-  category_ = category;
-  start_ns_ = Stopwatch::NowNanos();
+                     const char* category, double* seconds)
+    : name_(name), category_(category), seconds_(seconds) {
+  if (session != nullptr && session->tracing()) {
+    buffer_ = session->BufferForCurrentThread();
+  }
+  if (buffer_ != nullptr || seconds_ != nullptr) {
+    start_ns_ = Stopwatch::NowNanos();
+  }
 }
 
 TraceSpan::~TraceSpan() {
-  if (buffer_ == nullptr) return;
-  TraceEvent event;
-  event.name = name_;
-  event.category = category_;
-  event.start_ns = start_ns_;
-  event.dur_ns = Stopwatch::NowNanos() - start_ns_;
-  buffer_->Record(event);
+  if (buffer_ == nullptr && seconds_ == nullptr) return;
+  const int64_t dur_ns = Stopwatch::NowNanos() - start_ns_;
+  if (seconds_ != nullptr) *seconds_ = static_cast<double>(dur_ns) * 1e-9;
+  if (buffer_ != nullptr) {
+    buffer_->Record({name_, category_, start_ns_, dur_ns});
+  }
 }
 
 }  // namespace telemetry

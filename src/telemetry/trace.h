@@ -4,7 +4,9 @@
 //
 // Hot-path cost model:
 //   * telemetry off (null session / tracing disabled): a TraceSpan is two
-//     pointer checks — no clock read, no allocation, no lock;
+//     pointer checks — no clock read, no allocation, no lock — unless it
+//     also times its scope into a `double*`, which costs the two clock
+//     reads and nothing more;
 //   * telemetry on: two monotonic clock reads (Stopwatch::NowNanos) and one
 //     push_back into a buffer owned exclusively by the recording thread.
 //     Locks are touched only when a chunk fills (every chunk_events spans)
@@ -69,20 +71,25 @@ class ThreadTraceBuffer {
 
 /// RAII span: stamps the start on construction, records the completed
 /// event into the calling thread's buffer on destruction. Null/disabled
-/// sessions make both ends no-ops.
+/// sessions make both ends no-ops, except that a non-null `seconds` always
+/// receives the scope's wall time: one pair of clock reads then serves
+/// both the span and the caller's own timing.
 class TraceSpan {
  public:
   TraceSpan(TelemetrySession* session, const char* name,
-            const char* category = "mrvd");
+            const char* category = "mrvd", double* seconds = nullptr);
+  TraceSpan(TelemetrySession* session, const char* name, double* seconds)
+      : TraceSpan(session, name, "mrvd", seconds) {}
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  ThreadTraceBuffer* buffer_ = nullptr;  ///< null = disabled span
+  ThreadTraceBuffer* buffer_ = nullptr;  ///< null = no span recorded
   const char* name_ = nullptr;
   const char* category_ = nullptr;
+  double* seconds_ = nullptr;  ///< null = the scope's time is not wanted
   int64_t start_ns_ = 0;
 };
 

@@ -157,8 +157,9 @@ TEST(WorkloadCatalogTest, RejectsValuesItCannotBuild) {
   WorkloadCatalog& catalog = WorkloadCatalog::Global();
   // Each spec with the parameter its error must name. Unchecked, a
   // negative fleet throws from vector::reserve, an empty grid crashes the
-  // generator, and a value past int runs whatever it narrows to under its
-  // own cell key.
+  // generator, a value past int runs whatever it narrows to under its own
+  // cell key, and a negative order count, hot rows outside the grid or a
+  // tlc day below -1 run a day some other spec already names.
   const std::pair<const char*, const char*> rejected[] = {
       {"paper:predictor=Typo", "predictor"},
       {"paper:scale=0", "scale"},
@@ -177,7 +178,14 @@ TEST(WorkloadCatalogTest, RejectsValuesItCannotBuild) {
       {"nyc:orders=2000,drivers=4294967336", "drivers"},
       {"nyc:grid_rows=65536,grid_cols=65536", "grid_rows"},
       {"nyc-skew:orders=2000,grid_cols=0", "grid_cols"},
+      {"nyc:orders=-5", "orders"},
+      {"nyc-skew:orders=-5", "orders"},
+      {"nyc-skew:row_lo=-5,row_hi=100", "row_lo"},
+      {"nyc-skew:row_hi=100", "row_hi"},
+      {"nyc-skew:grid_rows=2", "row_hi"},
+      {"nyc-skew:row_lo=3,row_hi=2", "row_hi"},
       {"tlc:path=trips.csv,day=4294967296", "day"},
+      {"tlc:path=trips.csv,day=-2", "day"},
   };
   for (const auto& [spec, param] : rejected) {
     // The entry's check runs when a spec is canonicalised, not only when
@@ -207,7 +215,8 @@ TEST(WorkloadCatalogTest, RejectsValuesItCannotBuild) {
        {"paper:scale=1", "paper:drivers=1", "paper:tau=0",
         "paper:predictor=HA", "nyc:drivers=0,day=-3", "nyc:grid_rows=1",
         "nyc:grid_rows=46340,grid_cols=46340", "tlc:path=trips.csv,drivers=0",
-        "nyc-skew:row_lo=-5,row_hi=100"}) {
+        "tlc:path=trips.csv,day=-1", "nyc:orders=0",
+        "nyc-skew:row_lo=15,row_hi=15", "nyc-skew:row_lo=2,row_hi=2"}) {
     EXPECT_TRUE(catalog.Canonicalize(spec).ok()) << spec;
   }
 }

@@ -1,11 +1,11 @@
 // Telemetry subsystem (src/telemetry/ and its engine wiring): LogHistogram
-// edge cases (empty / single sample / extreme magnitudes), the registry's
-// deterministic-signature contract across engine thread counts {1, 4},
-// trace-span recording in synchronous and async-drain modes (the drain
-// thread's shutdown handshake runs under TSan in CI), Chrome-trace export
-// well-formedness, bit-identity of results with telemetry on vs off, and
-// ObserverList/ObserverChain forwarding of the OnBatchTimings /
-// OnRunTelemetry hooks.
+// edge cases (empty / single sample / extreme magnitudes), registry merges,
+// the registry's deterministic-signature contract across engine thread
+// counts {1, 4}, trace-span recording in synchronous and async-drain modes
+// (the drain thread's shutdown handshake runs under TSan in CI), timed
+// spans, Chrome-trace export well-formedness, bit-identity of results with
+// telemetry on vs off, one stage timing reaching every sink, and
+// ObserverList/ObserverChain forwarding of the OnBatchTimings hook.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -118,6 +118,21 @@ TEST(LogHistogramTest, QuantilesTrackUniformSamples) {
   EXPECT_EQ(h.max(), 1000.0);
 }
 
+TEST(LogHistogramTest, AddOrderDoesNotMatter) {
+  // Descending adds widen the bucket array downwards, ascending ones
+  // upwards; both must end with the same buckets and quantiles.
+  LogHistogram up;
+  LogHistogram down;
+  for (int i = 1; i <= 1000; ++i) {
+    up.Add(static_cast<double>(i));
+    down.Add(static_cast<double>(1001 - i));
+  }
+  EXPECT_EQ(up.buckets(), down.buckets());
+  for (double q : {0.01, 0.5, 0.95, 0.99}) {
+    EXPECT_EQ(up.Quantile(q), down.Quantile(q)) << q;
+  }
+}
+
 // --------------------------------------------------------- MetricsRegistry
 
 TEST(MetricsRegistryTest, LookupsReturnStablePointers) {
@@ -173,6 +188,36 @@ TEST(MetricsRegistryTest, ToJsonParsesAndCarriesScopes) {
   ASSERT_NE(shards, nullptr);
   EXPECT_EQ(*shards->GetDouble("value"), 8.0);
   EXPECT_EQ(*shards->GetString("scope"), "execution");
+}
+
+TEST(MetricsRegistryTest, MergeAddsSamplesAndKeepsScopes) {
+  MetricsRegistry run;
+  run.counter("engine.batches")->Add(3);
+  run.counter("engine.repartitions", MetricScope::kExecution)->Add(1);
+  LogHistogram* seconds =
+      run.histogram("engine.dispatch_seconds", MetricScope::kDeterministic);
+  for (double v : {0.5, 0.25, 2.0}) seconds->Add(v);
+  run.histogram("pipeline.shard_seconds");  // created, never fed
+  run.gauge("depth")->Set(2.0);
+
+  MetricsRegistry session;
+  session.Merge(run);
+  // Into an empty registry the merge is a copy: same values, same scopes.
+  EXPECT_EQ(session.ToJson(), run.ToJson());
+  EXPECT_EQ(session.FindHistogram("engine.dispatch_seconds")->sum(),
+            seconds->sum());
+
+  session.Merge(run);
+  EXPECT_EQ(session.FindCounter("engine.batches")->value(), 6);
+  const LogHistogram* merged = session.FindHistogram("engine.dispatch_seconds");
+  EXPECT_EQ(merged->count(), 6);
+  EXPECT_EQ(merged->min(), 0.25);
+  EXPECT_EQ(merged->max(), 2.0);
+  EXPECT_EQ(merged->sum(), 5.5);
+  EXPECT_EQ(session.FindHistogram("pipeline.shard_seconds")->count(), 0);
+  EXPECT_EQ(session.DeterministicSignature(),
+            "counter engine.batches=6\n"
+            "histogram engine.dispatch_seconds#6\n");
 }
 
 // ------------------------------------------------------------- TraceSpans
@@ -255,6 +300,25 @@ TEST(TraceSessionTest, NullAndDisabledSessionsAreNoops) {
   EXPECT_EQ(session.drained_events(), 0);
 }
 
+TEST(TraceSessionTest, TimedSpanWritesSecondsWithOrWithoutTracing) {
+  double untraced = -1.0;
+  {
+    TraceSpan span(nullptr, "timed", &untraced);
+  }
+  EXPECT_GE(untraced, 0.0);
+
+  TelemetryConfig config;
+  config.async_drain = false;
+  TelemetrySession session(config);
+  double traced = -1.0;
+  {
+    TraceSpan span(&session, "timed", &traced);
+  }
+  session.Finish();
+  EXPECT_GE(traced, 0.0);
+  EXPECT_EQ(session.drained_events(), 1);
+}
+
 TEST(TraceSessionTest, WriteChromeTraceRequiresFinish) {
   TelemetryConfig config;
   config.async_drain = false;
@@ -328,9 +392,11 @@ TEST_F(EngineTelemetryTest, SimResultReportsLatencyPercentiles) {
   StatusOr<SimResult> result = sim->Run("NEAR");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(result->num_batches, 0);
-  EXPECT_GT(result->dispatch_latency_p50, 0.0);
-  EXPECT_LE(result->dispatch_latency_p50, result->dispatch_latency_p95);
-  EXPECT_LE(result->dispatch_latency_p95, result->dispatch_latency_p99);
+  const LogHistogram& latency = result->batch_seconds;
+  EXPECT_EQ(latency.count(), result->num_batches);
+  EXPECT_GT(latency.P50(), 0.0);
+  EXPECT_LE(latency.P50(), latency.P95());
+  EXPECT_LE(latency.P95(), latency.P99());
 }
 
 TEST_F(EngineTelemetryTest, TelemetryDoesNotChangeResults) {
@@ -418,60 +484,123 @@ TEST_F(EngineTelemetryTest, ChromeTraceFromParallelRunIsWellFormed) {
   EXPECT_EQ(dispatch_spans, result->num_batches);
 }
 
+/// Records, batch by batch, every stage time the hooks carry.
+class TimingRecorder final : public SimObserver {
+ public:
+  void OnBatchBuilt(double /*now*/, double build_seconds,
+                    const BatchContext& /*ctx*/) override {
+    built.push_back(build_seconds);
+  }
+  void OnDispatchDone(double /*now*/, double dispatch_seconds,
+                      const std::vector<Assignment>& /*a*/) override {
+    dispatched.push_back(dispatch_seconds);
+  }
+  void OnBatchTimings(double /*now*/, const BatchTimings& t) override {
+    timings.push_back(t);
+  }
+
+  std::vector<double> built, dispatched;
+  std::vector<BatchTimings> timings;
+};
+
+TEST_F(EngineTelemetryTest, EverySinkHoldsTheSameStageSamples) {
+  TelemetryConfig config;  // metrics only
+  config.tracing = false;
+  config.async_drain = false;
+  TelemetrySession session(config);
+  StatusOr<Simulation> sim = MakeBuilder().WithTelemetry(&session).Build();
+  ASSERT_TRUE(sim.ok()) << sim.status();
+  TimingRecorder recorder;
+  StatusOr<SimResult> result = sim->Run("LS", &recorder);
+  ASSERT_TRUE(result.ok()) << result.status();
+  session.Finish();
+
+  const auto batches = static_cast<size_t>(result->num_batches);
+  ASSERT_GT(batches, 0u);
+  ASSERT_EQ(recorder.timings.size(), batches);
+  ASSERT_EQ(recorder.built.size(), batches);
+  ASSERT_EQ(recorder.dispatched.size(), batches);
+  // Summed in batch order, as each histogram adds its samples.
+  double dispatch_sum = 0.0;
+  double build_sum = 0.0;
+  for (size_t b = 0; b < batches; ++b) {
+    const BatchTimings& t = recorder.timings[b];
+    EXPECT_EQ(recorder.dispatched[b], t.dispatch_seconds) << b;
+    EXPECT_EQ(recorder.built[b], t.build_seconds) << b;
+    dispatch_sum += t.dispatch_seconds;
+    build_sum += t.build_seconds;
+  }
+  const MetricsRegistry& reg = session.metrics();
+  const LogHistogram* dispatch = reg.FindHistogram("engine.dispatch_seconds");
+  const LogHistogram* build = reg.FindHistogram("engine.batch_build_seconds");
+  ASSERT_NE(dispatch, nullptr);
+  ASSERT_NE(build, nullptr);
+  const SimResult& r = *result;
+  for (const LogHistogram* h : {&r.batch_seconds, dispatch}) {
+    EXPECT_EQ(h->count(), r.num_batches);
+    EXPECT_EQ(h->sum(), dispatch_sum);
+  }
+  for (const LogHistogram* h : {&r.batch_build_seconds, build}) {
+    EXPECT_EQ(h->count(), r.num_batches);
+    EXPECT_EQ(h->sum(), build_sum);
+  }
+}
+
+TEST_F(EngineTelemetryTest, ReusedSessionKeepsEachResultPerRun) {
+  TelemetryConfig config;
+  config.tracing = false;
+  config.async_drain = false;
+  TelemetrySession session(config);
+  StatusOr<Simulation> sim = MakeBuilder().WithTelemetry(&session).Build();
+  ASSERT_TRUE(sim.ok()) << sim.status();
+  StatusOr<SimResult> first = sim->Run("NEAR");
+  ASSERT_TRUE(first.ok()) << first.status();
+  StatusOr<SimResult> second = sim->Run("NEAR");
+  ASSERT_TRUE(second.ok()) << second.status();
+  session.Finish();
+
+  for (const SimResult* r : {&*first, &*second}) {
+    EXPECT_EQ(r->batch_seconds.count(), r->num_batches);
+    EXPECT_EQ(r->batch_build_seconds.count(), r->num_batches);
+  }
+  const MetricsRegistry& reg = session.metrics();
+  EXPECT_EQ(reg.FindCounter("engine.batches")->value(),
+            first->num_batches + second->num_batches);
+  EXPECT_EQ(reg.FindHistogram("engine.dispatch_seconds")->count(),
+            first->num_batches + second->num_batches);
+}
+
 // -------------------------------------------------- observer forwarding
 
-/// Counts the telemetry-era hooks and remembers the last BatchTimings.
+/// Counts the timings hook and remembers the last BatchTimings.
 class HookRecorder final : public SimObserver {
  public:
   void OnBatchTimings(double /*now*/, const BatchTimings& timings) override {
     ++batch_timings_calls;
     last_timings = timings;
   }
-  void OnRunTelemetry(double /*end_time*/,
-                      const TelemetrySession& session) override {
-    ++run_telemetry_calls;
-    last_session = &session;
-  }
 
   int batch_timings_calls = 0;
-  int run_telemetry_calls = 0;
   BatchTimings last_timings;
-  const TelemetrySession* last_session = nullptr;
 };
 
-TEST_F(EngineTelemetryTest, ChainForwardsTimingsAndTelemetryHooks) {
+TEST_F(EngineTelemetryTest, ChainForwardsTimingsHook) {
   HookRecorder first;
   HookRecorder second;
   ObserverChain chain;
   chain.Add(&first).Add(&second);
 
-  TelemetrySession session;
-  StatusOr<Simulation> sim = MakeBuilder().WithTelemetry(&session).Build();
+  StatusOr<Simulation> sim = MakeBuilder().Build();
   ASSERT_TRUE(sim.ok()) << sim.status();
   StatusOr<SimResult> result = sim->Run("NEAR", &chain);
   ASSERT_TRUE(result.ok()) << result.status();
 
   for (const HookRecorder* r : {&first, &second}) {
     EXPECT_EQ(r->batch_timings_calls, result->num_batches);
-    EXPECT_EQ(r->run_telemetry_calls, 1);
-    EXPECT_EQ(r->last_session, &session);
     EXPECT_GE(r->last_timings.TotalSeconds(),
               r->last_timings.dispatch_seconds);
     EXPECT_GT(r->last_timings.TotalSeconds(), 0.0);
   }
-}
-
-TEST_F(EngineTelemetryTest, RunTelemetryHookRequiresASession) {
-  HookRecorder recorder;
-  ObserverChain chain;
-  chain.Add(&recorder);
-  StatusOr<Simulation> sim = MakeBuilder().Build();
-  ASSERT_TRUE(sim.ok()) << sim.status();
-  StatusOr<SimResult> result = sim->Run("NEAR", &chain);
-  ASSERT_TRUE(result.ok()) << result.status();
-  // Timings fire for every run; the telemetry hook only with a session.
-  EXPECT_EQ(recorder.batch_timings_calls, result->num_batches);
-  EXPECT_EQ(recorder.run_telemetry_calls, 0);
 }
 
 }  // namespace
