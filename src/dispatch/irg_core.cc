@@ -39,6 +39,7 @@ IrgState RunGreedySelectionWithIdle(const BatchContext& ctx,
                                     GreedyObjective objective,
                                     const IdleTimeFn& idle) {
   IrgState state;
+  if (pairs.empty()) return state;  // no per-region work without a pair
   state.extra_drivers.assign(static_cast<size_t>(ctx.grid().num_regions()),
                              0);
   state.rider_used.assign(ctx.riders().size(), false);

@@ -24,6 +24,7 @@ enum class GreedyObjective {
   kShortestTotalTime,
 };
 
+/// The greedy result. Every vector is empty when there was no pair.
 struct IrgState {
   std::vector<Assignment> assignments;
   /// Per-region count of selections whose rider destination is the region

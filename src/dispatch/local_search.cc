@@ -27,6 +27,12 @@ namespace {
 
 void RunSweeps(const BatchContext& ctx, const std::vector<CandidatePair>& pairs,
                int max_sweeps, IrgState* state, DispatchCounters* counters) {
+  if (state->assignments.empty()) {
+    // Nothing to swap (greedy assigns whenever there is a pair): count the
+    // one sweep that would find no slot, with no per-region table.
+    if (max_sweeps >= 1) ++counters->sweeps;
+    return;
+  }
   const LsSwapPlan plan = BuildLsSwapPlan(ctx, pairs, state->assignments);
   const auto& riders = ctx.riders();
   std::vector<int>& extra = state->extra_drivers;

@@ -13,6 +13,8 @@ PreparedBatch PrepareShardedBatch(const BatchContext& ctx) {
   if (exec == nullptr || !exec->Parallel()) return out;
   const RegionPartitioner& parts = *exec->partitioner;
   const int num_shards = parts.num_shards();
+  // Computes every snapshot now, so the workers' solves below only read.
+  ctx.snapshots();
 
   // One-pass shard index for the shard stats (built here only if the
   // engine's BatchBuilder did not already build it).

@@ -9,9 +9,11 @@
 // arbitrary shards through the riders' dropoff regions, so it is not
 // split:
 //
-//   1. Parallel phase (per shard, on the BatchExecution's pool): each
-//      worker solves ET(k, 0) (BatchContext::ComputeIdleSeconds) for every
-//      dropoff region of the pair list that the shard owns, into a
+//   1. Parallel phase (per shard, on the BatchExecution's pool): the
+//      coordinating thread first computes every region snapshot
+//      (BatchContext::snapshots()), so the workers only read them; each
+//      worker then solves ET(k, 0) (BatchContext::ComputeIdleSeconds) for
+//      every dropoff region of the pair list that the shard owns, into a
 //      per-shard vector — the value every pair's initial greedy score
 //      reads.
 //   2. Sequential selection: the values are written into the BatchContext

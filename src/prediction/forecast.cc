@@ -56,19 +56,25 @@ double DemandForecast::WindowCount(double t_seconds, double window_seconds,
   return total;
 }
 
-void DemandForecast::WindowCounts(double t_seconds, double window_seconds,
-                                  std::vector<double>* out) const {
-  // Each region's sum adds the same terms in the same slot order as
-  // WindowCount, so the values are bit-identical.
-  const double slot_secs = slot_seconds();
-  out->assign(static_cast<size_t>(num_regions_), 0.0);
-  double* counts = out->data();
+void DemandForecast::WindowSlots(double t_seconds, double window_seconds,
+                                 std::vector<WindowSlot>* out) const {
+  out->clear();
   ForEachWindowSlot(t_seconds, window_seconds, [&](int s, double seconds) {
-    const double* slot = &predicted_[static_cast<size_t>(s) * num_regions_];
-    for (int k = 0; k < num_regions_; ++k) {
-      counts[k] += Share(slot[k], seconds, slot_secs);
-    }
+    out->push_back({s, seconds});
   });
+}
+
+void DemandForecast::WindowCountsOf(const std::vector<WindowSlot>& slots,
+                                    int first, int count, double* out) const {
+  const double slot_secs = slot_seconds();
+  std::fill(out, out + count, 0.0);
+  for (const WindowSlot& ws : slots) {
+    const double* slot = predicted_.data() +
+                         static_cast<size_t>(ws.slot) * num_regions_ + first;
+    for (int i = 0; i < count; ++i) {
+      out[i] += Share(slot[i], ws.seconds, slot_secs);
+    }
+  }
 }
 
 }  // namespace mrvd

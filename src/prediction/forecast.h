@@ -37,11 +37,24 @@ class DemandForecast {
   double WindowCount(double t_seconds, double window_seconds,
                      int region) const;
 
-  /// WindowCount of every region at once: `out` is resized to
-  /// num_regions() and entry k equals WindowCount(t_seconds,
-  /// window_seconds, k) bit for bit. The slot bounds are found once.
-  void WindowCounts(double t_seconds, double window_seconds,
-                    std::vector<double>* out) const;
+  /// One slot of a window: the slot and how many of the window's seconds
+  /// fall in it.
+  struct WindowSlot {
+    int slot = 0;
+    double seconds = 0.0;
+  };
+
+  /// The slots that overlap [t_seconds, t_seconds + window_seconds), in
+  /// the ascending order WindowCount sums them; `out` is replaced.
+  void WindowSlots(double t_seconds, double window_seconds,
+                   std::vector<WindowSlot>* out) const;
+
+  /// WindowCount of the `count` regions from `first` on, over a window
+  /// whose WindowSlots are `slots`, with the slot bounds found once: out[i]
+  /// equals WindowCount(t_seconds, window_seconds, first + i) bit for bit,
+  /// because it adds the same terms in the same slot order.
+  void WindowCountsOf(const std::vector<WindowSlot>& slots, int first,
+                      int count, double* out) const;
 
  private:
   DemandForecast(int slots_per_day, int num_regions)

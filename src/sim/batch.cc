@@ -27,8 +27,10 @@ BatchContext::BatchContext(double now, double window_seconds,
       candidate_mode_(candidate_mode),
       drivers_by_region_(static_cast<size_t>(grid.num_regions())),
       snapshots_(static_cast<size_t>(grid.num_regions())),
+      row_epoch_(static_cast<size_t>(grid.rows()), 0),
       idle_memo_(static_cast<size_t>(grid.num_regions())),
-      latest_join_(static_cast<size_t>(grid.num_regions())) {}
+      latest_join_(static_cast<size_t>(grid.num_regions()),
+                   -std::numeric_limits<double>::infinity()) {}
 
 BatchContext::BatchContext(double now, double window_seconds,
                            double reneging_beta, const Grid& grid,
@@ -44,15 +46,29 @@ BatchContext::BatchContext(double now, double window_seconds,
       candidate_mode_(candidate_mode),
       drivers_by_region_(static_cast<size_t>(grid.num_regions())),
       snapshots_(static_cast<size_t>(grid.num_regions())),
+      row_epoch_(static_cast<size_t>(grid.rows()), 0),
       idle_memo_(static_cast<size_t>(grid.num_regions())),
-      latest_join_(static_cast<size_t>(grid.num_regions())) {}
+      latest_join_(static_cast<size_t>(grid.num_regions()),
+                   -std::numeric_limits<double>::infinity()) {}
 
 void BatchContext::Reset(double now) {
   now_ = now;
   riders_.clear();
+  // Only the regions of the last batch's drivers hold anything: clear
+  // those, or every region when the drivers outnumber the regions.
+  constexpr double kNone = -std::numeric_limits<double>::infinity();
+  if (drivers_.size() < drivers_by_region_.size()) {
+    for (const AvailableDriver& d : drivers_) {
+      drivers_by_region_[static_cast<size_t>(d.region)].clear();
+      latest_join_[static_cast<size_t>(d.region)] = kNone;
+    }
+  } else {
+    for (auto& bucket : drivers_by_region_) bucket.clear();
+    std::fill(latest_join_.begin(), latest_join_.end(), kNone);
+  }
   drivers_.clear();
-  for (auto& bucket : drivers_by_region_) bucket.clear();
   shard_index_.partitioner = nullptr;
+  has_source_ = false;
   pairs_current_ = false;
   searched_this_batch_ = false;
   BumpMemoEpoch();
@@ -128,9 +144,9 @@ void BatchContext::ComputeValidPairs() const {
   // A search at a later clock had a smaller reach box than this batch's.
   if (now_ < search_memo_now_) search_memo_.clear();
   if (!search_memo_.empty()) {
-    // One pass here costs less than keeping the maximum in AddDriver.
-    std::fill(latest_join_.begin(), latest_join_.end(),
-              -std::numeric_limits<double>::infinity());
+    // One pass here costs less than keeping the maximum in AddDriver. The
+    // entries of regions without a driver stay -inf from Reset; a second
+    // pass in the same batch sees the same drivers and changes nothing.
     for (const AvailableDriver& d : drivers_) {
       double& latest = latest_join_[static_cast<size_t>(d.region)];
       latest = std::max(latest, d.available_since);
@@ -188,7 +204,80 @@ void BatchContext::ComputeValidPairs() const {
 void BatchContext::SetSnapshots(std::vector<RegionSnapshot> snapshots) {
   assert(static_cast<int>(snapshots.size()) == grid_.num_regions());
   snapshots_ = std::move(snapshots);
+  has_source_ = false;
   BumpMemoEpoch();
+}
+
+void BatchContext::SetSnapshotSource(const SnapshotSource& source) {
+  source_ = source;
+  has_source_ = true;
+  window_slots_found_ = false;
+  BumpMemoEpoch();
+#ifndef NDEBUG
+  // The eager fill every batch used to make, summed region by region, for
+  // FillSnapshotRow to check against; it also catches a read made after
+  // the counters moved.
+  reference_snapshots_.resize(snapshots_.size());
+  for (size_t k = 0; k < snapshots_.size(); ++k) {
+    const double count =
+        source_.forecast == nullptr
+            ? 0.0
+            : source_.forecast->WindowCount(now_, window_seconds_,
+                                            static_cast<int>(k));
+    reference_snapshots_[k] = SourceSnapshot(k, count);
+  }
+#endif
+}
+
+RegionSnapshot BatchContext::SourceSnapshot(size_t k,
+                                            double window_count) const {
+  RegionSnapshot s;
+  s.waiting_riders = (*source_.waiting_riders)[k];
+  s.available_drivers = (*source_.available_drivers)[k];
+  if (source_.forecast != nullptr) {
+    s.predicted_riders = window_count;
+    if (source_.demand_multipliers != nullptr) {
+      s.predicted_riders *= (*source_.demand_multipliers)[k];
+    }
+  }
+  s.predicted_drivers = static_cast<double>((*source_.rejoining_drivers)[k]);
+  return s;
+}
+
+// Out of line: almost every read finds its rows already computed.
+[[gnu::noinline]] void BatchContext::FillSnapshotRow(int row) const {
+  const int cols = grid_.cols();
+  const size_t first = static_cast<size_t>(grid_.RegionAt(row, 0));
+  row_counts_.resize(static_cast<size_t>(cols));
+  if (source_.forecast != nullptr) {
+    if (!window_slots_found_) {
+      source_.forecast->WindowSlots(now_, window_seconds_, &window_slots_);
+      window_slots_found_ = true;
+    }
+    source_.forecast->WindowCountsOf(window_slots_, static_cast<int>(first),
+                                     cols, row_counts_.data());
+  }
+  for (int c = 0; c < cols; ++c) {
+    const size_t k = first + static_cast<size_t>(c);
+    snapshots_[k] = SourceSnapshot(k, row_counts_[static_cast<size_t>(c)]);
+#ifndef NDEBUG
+    const RegionSnapshot& s = snapshots_[k];
+    const RegionSnapshot& want = reference_snapshots_[k];
+    assert(s.waiting_riders == want.waiting_riders &&
+           s.available_drivers == want.available_drivers &&
+           std::bit_cast<uint64_t>(s.predicted_riders) ==
+               std::bit_cast<uint64_t>(want.predicted_riders) &&
+           std::bit_cast<uint64_t>(s.predicted_drivers) ==
+               std::bit_cast<uint64_t>(want.predicted_drivers) &&
+           "a snapshot read after its batch's counters moved");
+#endif
+  }
+  row_epoch_[static_cast<size_t>(row)] = memo_epoch_;
+}
+
+const std::vector<RegionSnapshot>& BatchContext::snapshots() const {
+  if (has_source_) EnsureSnapshotRows(0, grid_.rows() - 1);
+  return snapshots_;
 }
 
 const BatchContext::ShardIndex* BatchContext::EnsureShardIndex() const {
@@ -215,8 +304,15 @@ const BatchContext::ShardIndex* BatchContext::EnsureShardIndex() const {
 
 BatchContext::RegionQueue BatchContext::QueueFor(RegionId region,
                                                   int extra_drivers) const {
+  const bool ring = candidate_mode_ == CandidateMode::kRingExpand;
+  if (has_source_) {
+    // The rows of the region's service neighbourhood, checked once here.
+    const int row = grid_.RowOf(region);
+    EnsureSnapshotRows(ring ? std::max(row - 1, 0) : row,
+                       ring ? std::min(row + 1, grid_.rows() - 1) : row);
+  }
   RegionSnapshot snap = snapshots_[static_cast<size_t>(region)];
-  if (candidate_mode_ == CandidateMode::kRingExpand) {
+  if (ring) {
     // Under cross-region matching a driver rejoining region k competes in
     // (and is served from) the 3x3 service neighbourhood, so the queue that
     // determines his idle time aggregates those regions' demand and supply.
@@ -272,6 +368,7 @@ void BatchContext::BumpMemoEpoch() {
   for (auto& row : idle_memo_) {
     for (IdleMemoEntry& entry : row) entry.epoch = 0;
   }
+  std::fill(row_epoch_.begin(), row_epoch_.end(), 0);
   memo_epoch_ = 1;
 }
 

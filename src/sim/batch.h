@@ -12,6 +12,7 @@
 
 #include "geo/grid.h"
 #include "geo/travel.h"
+#include "prediction/forecast.h"
 #include "queueing/birth_death.h"
 #include "queueing/rates.h"
 #include "workload/types.h"
@@ -90,6 +91,24 @@ enum class CandidateMode {
   kRingExpand,
 };
 
+/// Where a batch's region snapshots come from: the engine stages' live
+/// per-region counters, read the first time a snapshot is. Every pointer is
+/// borrowed, and what it points to must not change from the batch's fill
+/// until its last snapshot read, which must come before the batch's
+/// assignments are applied (AssignmentApplier moves the counters).
+struct SnapshotSource {
+  /// OrderBook::demand_by_region.
+  const std::vector<int64_t>* waiting_riders = nullptr;
+  /// FleetState::available_by_region.
+  const std::vector<int64_t>* available_drivers = nullptr;
+  /// FleetState::rejoining_in_window.
+  const std::vector<int32_t>* rejoining_drivers = nullptr;
+  /// Null: no predicted riders.
+  const DemandForecast* forecast = nullptr;
+  /// Per-region factors on the predicted riders; null: all 1.0.
+  const std::vector<double>* demand_multipliers = nullptr;
+};
+
 /// Read-mostly snapshot of one batch. The idle-time estimates are cached
 /// per (region, extra-driver count) because IRG/LS/SHORT re-query them as
 /// their tentative selections shift future driver supply (§5.1, line 11).
@@ -125,8 +144,10 @@ class BatchContext {
     return drivers_by_region_;
   }
 
-  /// Region demand/supply snapshots (inputs of Eqs. 18/19).
-  const std::vector<RegionSnapshot>& snapshots() const { return snapshots_; }
+  /// Region demand/supply snapshots (inputs of Eqs. 18/19). With a
+  /// SnapshotSource, this first computes every snapshot the batch has not
+  /// read yet. NOT thread-safe then.
+  const std::vector<RegionSnapshot>& snapshots() const;
 
   /// Expected idle time ET(λ(k), μ(k)) in seconds for a driver rejoining
   /// `region`, given `extra_drivers` >= 0 additional rejoiners (cached in a
@@ -137,7 +158,10 @@ class BatchContext {
   double ExpectedIdleSeconds(RegionId region, int extra_drivers = 0) const;
 
   /// Same value as ExpectedIdleSeconds but bypassing the memo table: a pure
-  /// function of the immutable snapshots, safe to call concurrently. Under
+  /// function of the batch's snapshots. It computes the snapshots it reads
+  /// if the batch has not read them yet, so it is safe to call concurrently
+  /// only once snapshots() has been called in the batch (or for a context
+  /// with no SnapshotSource). Under
   /// kRingExpand the queue is the region's 3x3 service neighbourhood; λ(k)
   /// and μ(k) (Eqs. 18/19) get `extra_drivers` more rejoining drivers, and
   /// K is the neighbourhood's available drivers plus predicted rejoiners
@@ -214,11 +238,12 @@ class BatchContext {
   int64_t skipped_searches() const { return skipped_searches_; }
 
   /// Starts the next batch at `now` in place: empties riders, drivers and
-  /// the region buckets (keeping their capacity), drops the shard index and
-  /// invalidates every memoised ET. The snapshots stay as they were until
-  /// the caller overwrites them (mutable_snapshot), which it must do before
-  /// any ET is read. A context refilled this way must give each driver the
-  /// time it became available at its current location (see
+  /// the region buckets the last batch filled (keeping their capacity),
+  /// drops the shard index and the SnapshotSource, and invalidates every
+  /// memoised ET. The snapshots stay as they were until the caller sets
+  /// them (SetSnapshotSource or SetSnapshots), which it must do before any
+  /// snapshot or ET is read. A context refilled this way must give each
+  /// driver the time it became available at its current location (see
   /// AvailableDriver::available_since), which ValidPairs' memo relies on.
   void Reset(double now);
 
@@ -241,12 +266,16 @@ class BatchContext {
     // This batch's searches ran without the driver, whenever it joined.
     if (searched_this_batch_) search_memo_.clear();
   }
-  /// Replaces every region's snapshot and invalidates every memoised ET.
+  /// Replaces every region's snapshot, drops any SnapshotSource and
+  /// invalidates every memoised ET: for a context assembled by hand.
   void SetSnapshots(std::vector<RegionSnapshot> snapshots);
-  /// Region `region`'s snapshot, for overwriting in place after Reset.
-  RegionSnapshot& mutable_snapshot(RegionId region) {
-    return snapshots_[static_cast<size_t>(region)];
-  }
+  /// Makes the batch's snapshots come from `source`, one grid row at a
+  /// time: a row is computed the first time an ET solve or snapshots()
+  /// reads it, and stamped with the batch's epoch like the ET memo.
+  /// Invalidates every memoised ET. Builds without NDEBUG also compute
+  /// every snapshot here, and assert that each row computed later equals
+  /// them bit for bit.
+  void SetSnapshotSource(const SnapshotSource& source);
 
   /// Per-shard context-index lists, shared by every shard worker of the
   /// batch. Built in ONE pass over riders + drivers.
@@ -276,6 +305,18 @@ class BatchContext {
     int64_t max_drivers = 1;
   };
   RegionQueue QueueFor(RegionId region, int extra_drivers) const;
+  /// Region k's snapshot from source_, given its forecast window count.
+  RegionSnapshot SourceSnapshot(size_t k, double window_count) const;
+  /// Computes grid row `row`'s snapshots from source_ and stamps the row.
+  void FillSnapshotRow(int row) const;
+  /// Computes every row from lo to hi that the batch has not read yet.
+  void EnsureSnapshotRows(int lo, int hi) const {
+    for (int row = lo; row <= hi; ++row) {
+      if (row_epoch_[static_cast<size_t>(row)] != memo_epoch_) {
+        FillSnapshotRow(row);
+      }
+    }
+  }
 
   /// One memoised ET(region, extra) and the epoch it was solved in.
   struct IdleMemoEntry {
@@ -285,7 +326,7 @@ class BatchContext {
   /// The memo entry of (region, extra_drivers), growing the region's row
   /// if `extra_drivers` is past its end.
   IdleMemoEntry& MemoEntry(RegionId region, int extra_drivers) const;
-  /// Invalidates every memo entry at once.
+  /// Invalidates every memo entry and computed snapshot row at once.
   void BumpMemoEpoch();
 
   /// What ValidPairs remembers of one rider's last computation.
@@ -318,17 +359,30 @@ class BatchContext {
   std::vector<WaitingRider> riders_;
   std::vector<AvailableDriver> drivers_;
   std::vector<std::vector<int>> drivers_by_region_;
-  std::vector<RegionSnapshot> snapshots_;
+  mutable std::vector<RegionSnapshot> snapshots_;
+  /// Set by SetSnapshotSource; Reset and SetSnapshots clear it.
+  bool has_source_ = false;
+  SnapshotSource source_;
+  /// Per grid row: the epoch its snapshots were computed in (0: never).
+  mutable std::vector<uint32_t> row_epoch_;
+  /// The forecast window's slots, found at the batch's first row.
+  mutable std::vector<DemandForecast::WindowSlot> window_slots_;
+  mutable bool window_slots_found_ = false;
+  mutable std::vector<double> row_counts_;  ///< one row's forecast, reused
+  /// Builds without NDEBUG: every snapshot as SetSnapshotSource saw it.
+  std::vector<RegionSnapshot> reference_snapshots_;
   const BatchExecution* execution_ = nullptr;
   telemetry::TelemetrySession* telemetry_ = nullptr;  ///< borrowed; may be null
   mutable ShardIndex shard_index_;  ///< lazily built; see EnsureShardIndex
 
-  /// [region][extra] -> ET; an entry is current iff stamped memo_epoch_.
+  /// [region][extra] -> ET; an entry (and a snapshot row of row_epoch_)
+  /// is current iff stamped memo_epoch_.
   mutable std::vector<std::vector<IdleMemoEntry>> idle_memo_;
   uint32_t memo_epoch_ = 1;
 
   /// Per region: the latest available_since among the batch's drivers,
-  /// filled by each computation that has a memo to check.
+  /// filled by each computation that has a memo to check; -inf where no
+  /// driver of the batch is (Reset restores the entries it filled).
   mutable std::vector<double> latest_join_;
   mutable std::vector<CandidatePair> pairs_;  ///< ValidPairs' list
   mutable bool pairs_current_ = false;        ///< pairs_ is this batch's

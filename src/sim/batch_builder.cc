@@ -87,7 +87,10 @@ void BatchBuilder::Fill(double now, const OrderBook& orders,
 #ifndef NDEBUG
   CheckDriversMatchFleetScan(*ctx, fleet);
 #endif
-  FillSnapshots(now, orders, fleet, demand_multipliers, ctx);
+  ctx->SetSnapshotSource({&orders.demand_by_region(),
+                          &fleet.available_by_region(),
+                          &fleet.rejoining_in_window(), forecast_,
+                          demand_multipliers});
   if (execution_ != nullptr && execution_->Parallel()) {
     ctx->EnsureShardIndex();
   }
@@ -99,31 +102,6 @@ std::unique_ptr<BatchContext> BatchBuilder::Build(
   std::unique_ptr<BatchContext> ctx = NewContext();
   Fill(now, orders, fleet, demand_multipliers, ctx.get());
   return ctx;
-}
-
-void BatchBuilder::FillSnapshots(
-    double now, const OrderBook& orders, const FleetState& fleet,
-    const std::vector<double>* demand_multipliers, BatchContext* ctx) {
-  if (forecast_ != nullptr) {
-    forecast_->WindowCounts(now, window_seconds_, &window_counts_);
-  }
-  const std::vector<int64_t>& demand = orders.demand_by_region();
-  const std::vector<int64_t>& supply = fleet.available_by_region();
-  const std::vector<int32_t>& rejoining = fleet.rejoining_in_window();
-  for (int k = 0; k < grid_.num_regions(); ++k) {
-    const size_t i = static_cast<size_t>(k);
-    RegionSnapshot& s = ctx->mutable_snapshot(k);
-    s.waiting_riders = demand[i];
-    s.available_drivers = supply[i];
-    s.predicted_riders = 0.0;
-    if (forecast_ != nullptr) {
-      s.predicted_riders = window_counts_[i];
-      if (demand_multipliers != nullptr) {
-        s.predicted_riders *= (*demand_multipliers)[i];
-      }
-    }
-    s.predicted_drivers = static_cast<double>(rejoining[i]);
-  }
 }
 
 }  // namespace mrvd

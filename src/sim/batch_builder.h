@@ -7,18 +7,20 @@
 //     once in ascending fleet index (the order UPPER's pairing and the
 //     tie-breaks and draws of NEAR, LTG, RAND and POLAR read), each also
 //     filed into its region bucket — no scan of the whole fleet;
-//   * region demand/supply snapshots are overwritten in place from the
-//     stages' incremental counters (OrderBook::demand_by_region, FleetState::
-//     available_by_region / rejoining_in_window) and one bulk
-//     DemandForecast::WindowCounts per batch;
+//   * region demand/supply snapshots are not written: the context gets a
+//     SnapshotSource over the stages' incremental counters (OrderBook::
+//     demand_by_region, FleetState::available_by_region /
+//     rejoining_in_window), the forecast and the surge multipliers, and
+//     computes a grid row of snapshots the first time the batch reads it;
 //   * the context's vectors and ET memo rows keep their capacity; an epoch
-//     bump invalidates the memo;
+//     bump invalidates the memo and the computed rows;
 //   * the run's reneging-growth table is built once, with the builder, and
 //     the context borrows it for its ET solves.
 //
 // Test builds (no NDEBUG) check every batch that the bitset walk gave
 // exactly the drivers a full Dispatchable() scan finds, in the same order,
-// and that each region bucket holds its region's available count.
+// and that each region bucket holds its region's available count; the
+// context checks every snapshot row it computes against an eager fill.
 #pragma once
 
 #include <memory>
@@ -56,8 +58,11 @@ class BatchBuilder {
   /// FleetState index as driver_id, in ascending order. Signed-off
   /// (scenario shift) drivers are never materialised. `demand_multipliers`
   /// (may be null = all 1.0) scales each region's predicted rider demand —
-  /// the engine passes the active surge windows' per-region product. With
-  /// a parallel execution attached the shard index is built as well.
+  /// the engine passes the active surge windows' per-region product. The
+  /// context reads `orders`, `fleet` and `demand_multipliers` again when a
+  /// snapshot is first read, so they must outlive the batch and keep their
+  /// counters until its assignments are applied. With a parallel execution
+  /// attached the shard index is built as well.
   void Fill(double now, const OrderBook& orders, const FleetState& fleet,
             const std::vector<double>* demand_multipliers, BatchContext* ctx);
 
@@ -67,11 +72,6 @@ class BatchBuilder {
       const std::vector<double>* demand_multipliers = nullptr);
 
  private:
-  void FillSnapshots(double now, const OrderBook& orders,
-                     const FleetState& fleet,
-                     const std::vector<double>* demand_multipliers,
-                     BatchContext* ctx);
-
   const Grid& grid_;
   const TravelCostModel& cost_model_;
   const DemandForecast* forecast_;
@@ -79,7 +79,6 @@ class BatchBuilder {
   const RenegingGrowthTable growth_;
   const CandidateMode candidate_mode_;
   const BatchExecution* execution_;
-  std::vector<double> window_counts_;  ///< per-batch forecast, reused
 };
 
 }  // namespace mrvd

@@ -19,6 +19,7 @@
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
+#include "util/stopwatch.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -310,10 +311,11 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
   AssignmentApplier applier(dispatcher.name(), config_.zero_pickup_travel);
 
   // The session (null = none) only traces and exports: each stage scope
-  // below reads the clock once on entry and once on exit, into its
-  // BatchTimings field and, when tracing, its span. The run's metrics
-  // registry lives in `metrics` and reaches the session in one merge at
-  // the end, so every run's SimResult covers that run alone.
+  // below starts at the previous one's end reading and reads the clock
+  // once on exit, into its BatchTimings field and, when tracing, its span.
+  // The run's metrics registry lives in `metrics` and reaches the session
+  // in one merge at the end, so every run's SimResult covers that run
+  // alone.
   telemetry::TelemetrySession* const tele = config_.telemetry;
 
   // One context for the whole run, refilled in place every batch.
@@ -326,11 +328,13 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
   for (; now < horizon; now += delta) {
     telemetry::TraceSpan batch_span(tele, "batch");
     BatchTimings timings;
+    // Consecutive stages share one reading per boundary (see BatchTimings).
+    int64_t clock_ns = Stopwatch::NowNanos();
 
     // 1. Busy drivers finishing by `now` rejoin at their destination.
     {
       telemetry::TraceSpan span(tele, "release_finished",
-                                &timings.release_seconds);
+                                &timings.release_seconds, &clock_ns);
       fleet.ReleaseFinished(now);
     }
 
@@ -341,17 +345,17 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
     //    as cancelled, not reneged.
     {
       telemetry::TraceSpan span(tele, "inject_arrivals",
-                                &timings.inject_seconds);
+                                &timings.inject_seconds, &clock_ns);
       orders.InjectArrivals(now);
     }
     {
       telemetry::TraceSpan span(tele, "scenario_events",
-                                &timings.scenario_seconds);
+                                &timings.scenario_seconds, &clock_ns);
       scenario.ApplyDueEvents(now, &fleet, &orders, &observers);
     }
     {
       telemetry::TraceSpan span(tele, "remove_expired",
-                                &timings.expire_seconds);
+                                &timings.expire_seconds, &clock_ns);
       orders.RemoveExpired(now, &observers);
     }
 
@@ -381,24 +385,30 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
       }
     }
 
-    // 4. Refill the batch context off the incremental counters.
+    // 4. Refill the batch context off the incremental counters, then
+    // 5. capture idle-time estimates for freshly (re)joined drivers: their
+    //    ET solves may be the batch's first snapshot reads. The build stage
+    //    starts where expire ended, so it also times the end-of-day check,
+    //    step 3 and the rejoin-window advance.
     fleet.AdvanceRejoinWindow(now, config_.window_seconds);
     {
-      telemetry::TraceSpan span(tele, "batch_build", &timings.build_seconds);
+      telemetry::TraceSpan span(tele, "batch_build", &timings.build_seconds,
+                                &clock_ns);
       builder.Fill(now, orders, fleet, scenario.demand_multipliers(),
                    ctx.get());
+      fleet.CaptureIdleEstimates(config_.record_idle_samples ? ctx.get()
+                                                             : nullptr);
     }
     observers.OnBatchBuilt(now, timings.build_seconds, *ctx);
     if (load_tracker != nullptr) load_tracker->Observe(ctx->snapshots());
 
-    // 5. Capture idle-time estimates for freshly (re)joined drivers.
-    fleet.CaptureIdleEstimates(config_.record_idle_samples ? ctx.get()
-                                                           : nullptr);
-
-    // 6. Dispatch.
+    // 6. Dispatch, timed from a fresh reading so that it leaves out the
+    //    hooks above.
     std::vector<Assignment> assignments;
+    clock_ns = Stopwatch::NowNanos();
     {
-      telemetry::TraceSpan span(tele, "dispatch", &timings.dispatch_seconds);
+      telemetry::TraceSpan span(tele, "dispatch", &timings.dispatch_seconds,
+                                &clock_ns);
       dispatcher.Dispatch(*ctx, &assignments);
     }
     observers.OnDispatchDone(now, timings.dispatch_seconds, assignments);
@@ -406,7 +416,7 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
     // 7. Apply assignments and compact the served riders out of the book.
     {
       telemetry::TraceSpan span(tele, "assignment_apply",
-                                &timings.apply_seconds);
+                                &timings.apply_seconds, &clock_ns);
       applier.Apply(now, *ctx, assignments, &fleet, &orders, &observers);
     }
 

@@ -26,14 +26,24 @@ struct DispatchCounters;
 /// Wall-time split of one batch across the engine's stages, in stage order
 /// (where a batch's milliseconds went). Each field is the one reading of
 /// its stage's scope, the same value its trace span and the run's metrics
-/// registry record. Execution metadata: the values vary run to run; only
-/// the event count is deterministic.
+/// registry record. Consecutive stages share the clock reading at their
+/// boundary, so a stage's time includes the hook calls its own work fires
+/// (OnDriverShiftChange, OnRiderCancelled and OnSurgeChange in scenario,
+/// OnRiderReneged in expire, OnAssignmentApplied in apply) and apply's also
+/// includes OnDispatchDone. OnBatchBuilt runs between build and dispatch,
+/// in neither; OnBatchTimings and OnBatchEnd run after apply. Execution
+/// metadata: the values vary run to run; only the event count is
+/// deterministic.
 struct BatchTimings {
   double release_seconds = 0.0;   ///< FleetState::ReleaseFinished
   double inject_seconds = 0.0;    ///< OrderBook::InjectArrivals
   double scenario_seconds = 0.0;  ///< ScenarioState::ApplyDueEvents
   double expire_seconds = 0.0;    ///< OrderBook::RemoveExpired
-  double build_seconds = 0.0;     ///< BatchBuilder::Fill
+  /// The end-of-day check, adaptive sharding's repartition check,
+  /// FleetState::AdvanceRejoinWindow, BatchBuilder::Fill and
+  /// FleetState::CaptureIdleEstimates (whose ET solves may compute the
+  /// batch's first snapshots).
+  double build_seconds = 0.0;
   double dispatch_seconds = 0.0;  ///< Dispatcher::Dispatch
   double apply_seconds = 0.0;     ///< AssignmentApplier::Apply
 
@@ -75,6 +85,9 @@ class SimObserver {
   /// `build_seconds` is the wall time of the incremental construction.
   /// The engine refills one context in place every batch, so `ctx` is
   /// valid only until the next batch starts; copy what must outlive it.
+  /// Its snapshots (and ET values) are computed from the engine's live
+  /// counters when first read, so read them here or during dispatch, never
+  /// once the batch's assignments are applied.
   virtual void OnBatchBuilt(double now, double build_seconds,
                             const BatchContext& ctx) {
     (void)now, (void)build_seconds, (void)ctx;

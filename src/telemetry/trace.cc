@@ -25,19 +25,29 @@ void ThreadTraceBuffer::Flush() {
 }
 
 TraceSpan::TraceSpan(TelemetrySession* session, const char* name,
-                     const char* category, double* seconds)
-    : name_(name), category_(category), seconds_(seconds) {
+                     const char* category, double* seconds,
+                     int64_t* clock_ns)
+    : name_(name),
+      category_(category),
+      seconds_(seconds),
+      clock_ns_(clock_ns) {
   if (session != nullptr && session->tracing()) {
     buffer_ = session->BufferForCurrentThread();
   }
-  if (buffer_ != nullptr || seconds_ != nullptr) {
+  if (clock_ns_ != nullptr) {
+    start_ns_ = *clock_ns_;
+  } else if (buffer_ != nullptr || seconds_ != nullptr) {
     start_ns_ = Stopwatch::NowNanos();
   }
 }
 
 TraceSpan::~TraceSpan() {
-  if (buffer_ == nullptr && seconds_ == nullptr) return;
-  const int64_t dur_ns = Stopwatch::NowNanos() - start_ns_;
+  if (buffer_ == nullptr && seconds_ == nullptr && clock_ns_ == nullptr) {
+    return;
+  }
+  const int64_t end_ns = Stopwatch::NowNanos();
+  const int64_t dur_ns = end_ns - start_ns_;
+  if (clock_ns_ != nullptr) *clock_ns_ = end_ns;
   if (seconds_ != nullptr) *seconds_ = static_cast<double>(dur_ns) * 1e-9;
   if (buffer_ != nullptr) {
     buffer_->Record({name_, category_, start_ns_, dur_ns});

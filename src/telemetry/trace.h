@@ -74,12 +74,19 @@ class ThreadTraceBuffer {
 /// sessions make both ends no-ops, except that a non-null `seconds` always
 /// receives the scope's wall time: one pair of clock reads then serves
 /// both the span and the caller's own timing.
+///
+/// A non-null `clock_ns` shares boundary readings between consecutive
+/// spans: the span starts at `*clock_ns`, a Stopwatch::NowNanos reading
+/// already taken (the previous span's end), and stores its end reading
+/// back there for the next span. Each span then reads the clock once.
 class TraceSpan {
  public:
   TraceSpan(TelemetrySession* session, const char* name,
-            const char* category = "mrvd", double* seconds = nullptr);
-  TraceSpan(TelemetrySession* session, const char* name, double* seconds)
-      : TraceSpan(session, name, "mrvd", seconds) {}
+            const char* category = "mrvd", double* seconds = nullptr,
+            int64_t* clock_ns = nullptr);
+  TraceSpan(TelemetrySession* session, const char* name, double* seconds,
+            int64_t* clock_ns = nullptr)
+      : TraceSpan(session, name, "mrvd", seconds, clock_ns) {}
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -90,6 +97,7 @@ class TraceSpan {
   const char* name_ = nullptr;
   const char* category_ = nullptr;
   double* seconds_ = nullptr;  ///< null = the scope's time is not wanted
+  int64_t* clock_ns_ = nullptr;  ///< null = the end reading is not shared
   int64_t start_ns_ = 0;
 };
 

@@ -4,8 +4,11 @@
 // monolithic engine used to perform every batch, the BatchBuilder's build
 // with a parallel execution attached must equal the serial build, the one
 // context the engine refills in place must equal a freshly built context
-// on every batch, and the SimObserver hooks must fire consistently with
-// the aggregates the MetricsCollector reports.
+// on every batch (with snapshots computed on demand by ET solves first), a
+// snapshot first read after the batch's assignments were applied must trip
+// the eager reference check of builds without NDEBUG, and the SimObserver
+// hooks must fire consistently with the aggregates the MetricsCollector
+// reports.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -593,6 +596,15 @@ TEST(BatchContextReuseTest, RefilledContextEqualsAFreshBuildEveryBatch) {
     builder.Fill(now, orders, fleet, multipliers, ctx.get());
     std::unique_ptr<BatchContext> fresh =
         fresh_builder.Build(now, orders, fleet, multipliers);
+    // A few solves first, so that the refilled context computes its first
+    // snapshot rows on demand before snapshots() computes the rest.
+    const RegionId last = grid.num_regions() - 1;
+    for (RegionId k : {static_cast<RegionId>((b * 37) % grid.num_regions()),
+                       RegionId{0}, last}) {
+      ASSERT_TRUE(SameBits(ctx->ExpectedIdleSeconds(k, 0),
+                           fresh->ExpectedIdleSeconds(k, 0)))
+          << "batch " << b << " region " << k;
+    }
     ExpectSameContext(*ctx, *fresh, b);
 
     // The drivers are the dispatchable ones, in ascending fleet index.
@@ -638,6 +650,36 @@ TEST(BatchContextReuseTest, RefilledContextEqualsAFreshBuildEveryBatch) {
   // The memo skipped riders, so the check above covered the skip; the
   // fresh contexts never have a memo to skip with.
   EXPECT_GT(ctx->skipped_searches(), 0);
+}
+
+TEST(BatchContextDeathTest, SnapshotReadAfterApplyTripsTheEagerCheck) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the eager reference is checked only without NDEBUG";
+#else
+  GeneratorConfig gcfg;
+  gcfg.orders_per_day = 30000.0;
+  gcfg.seed = 20190417;
+  NycLikeGenerator gen(gcfg);
+  Workload workload = gen.GenerateDay(/*day_index=*/1, /*num_drivers=*/200);
+  const Grid& grid = gen.grid();
+  StraightLineCostModel cost(7.0, 1.3);
+  const double now = 8 * 3600.0, window = 1200.0;
+  FleetState fleet(workload, grid);
+  OrderBook orders(workload, grid, cost, /*alpha=*/1.0);
+  orders.InjectArrivals(now);
+  fleet.AdvanceRejoinWindow(now, window);
+  BatchBuilder builder(grid, cost, nullptr, window, /*reneging_beta=*/0.02,
+                       CandidateMode::kRingExpand, nullptr);
+  std::unique_ptr<BatchContext> ctx = builder.Build(now, orders, fleet);
+  std::vector<Assignment> assignments;
+  MakeNearestDispatcher()->Dispatch(*ctx, &assignments);
+  ASSERT_FALSE(assignments.empty());
+  // NEAR reads no snapshot, so the first read comes after Apply moved the
+  // assigned drivers' and riders' region counters.
+  AssignmentApplier("NEAR", /*zero_pickup_travel=*/false)
+      .Apply(now, *ctx, assignments, &fleet, &orders, nullptr);
+  EXPECT_DEATH(ctx->snapshots(), "counters moved");
+#endif
 }
 
 // ------------------------------------------------------- observer hooks

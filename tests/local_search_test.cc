@@ -318,6 +318,41 @@ TEST_F(LocalSearchSwapTest, NoAssignmentsCountsOneEmptySweep) {
   }
 }
 
+TEST_F(LocalSearchSwapTest, RidersAndDriversWithoutAValidPairAssignNothing) {
+  // Riders and drivers on opposite sides of the city, beyond every
+  // deadline's reach: the batch has no valid pair, so the dispatchers
+  // return before any per-region work, and LS's counters read as its sweep
+  // loop leaves them (one sweep over no slot).
+  const LatLon south{40.60, -74.02};
+  const LatLon north{40.90, -73.78};
+  ctx_.AddRider(MakeRider(0, south, north, 2000.0));
+  ctx_.AddRider(MakeRider(1, south, south, 600.0));
+  ctx_.AddDriver(MakeDriver(0, north));
+  ctx_.AddDriver(MakeDriver(1, north));
+  FinalizeSnapshots();
+  ASSERT_TRUE(ctx_.ValidPairs().empty());
+
+  for (auto make : {MakeIrgDispatcher, MakeShortDispatcher}) {
+    std::unique_ptr<Dispatcher> greedy = make();
+    std::vector<Assignment> out = {{0, 0}};
+    greedy->Dispatch(ctx_, &out);
+    EXPECT_TRUE(out.empty()) << greedy->name();
+  }
+  for (int max_sweeps : {1, 16}) {
+    const std::string label = "max_sweeps=" + std::to_string(max_sweeps);
+    LsOutcome got = RunDispatcher(ctx_, max_sweeps);
+    EXPECT_TRUE(got.assignments.empty()) << label;
+    EXPECT_EQ(got.counters.sweeps, 1) << label;
+    EXPECT_EQ(got.counters.proposals, 0) << label;
+    EXPECT_EQ(got.counters.swaps_applied, 0) << label;
+    ExpectSameOutcome(RunReference(ctx_, max_sweeps), got, label);
+  }
+  // With no sweep allowed, none is counted.
+  LsOutcome none = RunDispatcher(ctx_, 0);
+  EXPECT_EQ(none.counters.sweeps, 0);
+  ExpectSameOutcome(RunReference(ctx_, 0), none, "max_sweeps=0");
+}
+
 // -------------------------------------------------- randomized batches
 
 std::unique_ptr<BatchContext> MakeRandomBatch(const Grid& grid,

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "prediction/forecast.h"
@@ -231,7 +232,7 @@ double ReferenceWindowCount(const DemandForecast& fc, double t_seconds,
   return total;
 }
 
-TEST(ForecastWindowCountsTest, BulkCountsEqualPerRegionCountsBitForBit) {
+TEST(ForecastWindowCountsTest, RowCountsEqualPerRegionCountsBitForBit) {
   constexpr int kRegions = 37;
   for (int slots : {48, 7}) {
     // Fractional per-slot counts, so any change in the order or grouping
@@ -269,20 +270,29 @@ TEST(ForecastWindowCountsTest, BulkCountsEqualPerRegionCountsBitForBit) {
       windows.push_back({"sweep", t, 1200.0});
     }
 
-    std::vector<double> counts;
+    std::vector<DemandForecast::WindowSlot> window_slots;
+    std::vector<double> counts(static_cast<size_t>(kRegions));
     for (const Window& w : windows) {
-      fc->WindowCounts(w.t, w.width, &counts);
-      ASSERT_EQ(counts.size(), static_cast<size_t>(kRegions));
-      for (int k = 0; k < kRegions; ++k) {
-        const double want = ReferenceWindowCount(*fc, w.t, w.width, k);
-        EXPECT_EQ(std::bit_cast<uint64_t>(counts[static_cast<size_t>(k)]),
-                  std::bit_cast<uint64_t>(fc->WindowCount(w.t, w.width, k)))
-            << slots << " slots, " << w.what << " t=" << w.t
-            << " region " << k;
-        EXPECT_EQ(std::bit_cast<uint64_t>(counts[static_cast<size_t>(k)]),
-                  std::bit_cast<uint64_t>(want))
-            << slots << " slots, " << w.what << " t=" << w.t
-            << " region " << k;
+      // The slot list is found once per window; the counts are summed over
+      // ranges of regions, as a batch context sums one grid row: all of
+      // them, and ranges inside and at the end.
+      fc->WindowSlots(w.t, w.width, &window_slots);
+      for (auto [first, count] : {std::pair{0, kRegions}, std::pair{5, 7},
+                                  std::pair{kRegions - 3, 3}}) {
+        fc->WindowCountsOf(window_slots, first, count, counts.data());
+        for (int i = 0; i < count; ++i) {
+          const int k = first + i;
+          const uint64_t got =
+              std::bit_cast<uint64_t>(counts[static_cast<size_t>(i)]);
+          EXPECT_EQ(got,
+                    std::bit_cast<uint64_t>(fc->WindowCount(w.t, w.width, k)))
+              << slots << " slots, " << w.what << " t=" << w.t
+              << " region " << k;
+          EXPECT_EQ(got, std::bit_cast<uint64_t>(
+                             ReferenceWindowCount(*fc, w.t, w.width, k)))
+              << slots << " slots, " << w.what << " t=" << w.t
+              << " region " << k;
+        }
       }
     }
   }
