@@ -1,7 +1,7 @@
 // Micro-benchmarks of the matching substrate and one-batch dispatch latency
-// (google-benchmark): Hungarian and Hopcroft-Karp scaling, greedy matching,
-// and the IRG lazy-requeue greedy vs. a full re-sort baseline — the
-// "lazy re-sorting" ablation called out in DESIGN.md.
+// (google-benchmark): greedy matching, one synthetic batch through IRG, LS,
+// NEAR and POLAR, and the IRG lazy-requeue greedy vs. a full re-sort
+// baseline (the "lazy re-sorting" ablation of Algorithm 2).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,39 +11,10 @@
 #include "dispatch/irg_core.h"
 #include "geo/travel.h"
 #include "matching/bipartite.h"
-#include "matching/hungarian.h"
 #include "util/rng.h"
 
 namespace mrvd {
 namespace {
-
-void BM_Hungarian(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Rng rng(42);
-  std::vector<double> cost(static_cast<size_t>(n) * n);
-  for (auto& c : cost) c = rng.Uniform(0, 1000);
-  for (auto _ : state) {
-    auto r = SolveMinCostAssignment(cost, n, n);
-    benchmark::DoNotOptimize(r->total_cost);
-  }
-  state.SetComplexityN(n);
-}
-BENCHMARK(BM_Hungarian)->Arg(16)->Arg(64)->Arg(128)->Arg(256)->Complexity();
-
-void BM_HopcroftKarp(benchmark::State& state) {
-  int n = static_cast<int>(state.range(0));
-  Rng rng(7);
-  BipartiteGraph g(n, n);
-  for (int i = 0; i < 8 * n; ++i) {
-    g.AddEdge(static_cast<int>(rng.UniformInt(0, n - 1)),
-              static_cast<int>(rng.UniformInt(0, n - 1)));
-  }
-  for (auto _ : state) {
-    auto m = MaxCardinalityMatching(g);
-    benchmark::DoNotOptimize(m.size);
-  }
-}
-BENCHMARK(BM_HopcroftKarp)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_GreedyMatch(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));

@@ -16,14 +16,13 @@
 // doubles as a large-scale equivalence harness.
 //
 // The engine phase and the replication sweep run through the experiment
-// API (SimulationBuilder + ExperimentRunner), so the bench doubles as an
-// at-scale exercise of that layer; the "experiment_runner" series times an
-// N-replication sweep at runner threads {1, 4} against serial. The same
-// sweep is then routed through the campaign layer (CampaignRunner over a
-// WorkloadCatalog spec, artifacts in a scratch dir) so the grid overhead —
-// catalog build, content keys, artifact writes, manifest — is on the perf
-// record, including an all-loaded resume timing; campaign cells must stay
-// bit-identical to the ExperimentRunner serial baseline.
+// API (SimulationBuilder + RunOne), so the bench doubles as an at-scale
+// exercise of that layer. The "campaign" series times an N-replication
+// sweep through the campaign layer (CampaignRunner over a WorkloadCatalog
+// spec at runner threads {1, 4}, artifacts in a scratch dir), so the grid
+// overhead — catalog build, content keys, artifact writes, manifest — is
+// on the perf record, including an all-loaded resume timing; campaign
+// cells must stay bit-identical to a serial RunOne loop over the sweep.
 //
 // Scale knobs (env):
 //   MRVD_BENCH_RIDERS         riders in the batch        (default 1200)
@@ -170,6 +169,18 @@ bool SameResult(const SimResult& a, const SimResult& b) {
          a.driver_idle_seconds.mean() == b.driver_idle_seconds.mean();
 }
 
+/// Runs `specs` one after another through RunOne, in spec order.
+StatusOr<std::vector<RunResult>> RunEach(const Simulation& sim,
+                                         const std::vector<RunSpec>& specs) {
+  std::vector<RunResult> results;
+  for (const RunSpec& spec : specs) {
+    StatusOr<RunResult> run = RunOne(sim, spec);
+    if (!run.ok()) return run.status();
+    results.push_back(std::move(run).value());
+  }
+  return results;
+}
+
 }  // namespace
 
 int Main() {
@@ -256,10 +267,10 @@ int Main() {
   }
 
   // ---- Engine phase: batch construction vs. dispatch through the staged
-  // engine on a synthetic day-slice, expressed as an ExperimentRunner sweep
-  // (one RunSpec per dispatcher × thread count, runner itself serial so the
-  // per-batch timings stay clean). Construction time covers the incremental
-  // snapshot assembly plus the (shard-parallel) rider/driver
+  // engine on a synthetic day-slice, expressed as a serial RunOne sweep
+  // (one RunSpec per dispatcher × thread count, one run at a time so the
+  // per-batch timings stay clean). Construction time covers the
+  // incremental snapshot assembly plus the (shard-parallel) rider/driver
   // materialisation and shard-index build; dispatch time is the
   // dispatcher's Dispatch() call. Sharded runs must reproduce the serial
   // SimResult bit-for-bit.
@@ -305,9 +316,8 @@ int Main() {
       engine_specs.push_back(std::move(spec));
     }
   }
-  ExperimentRunner engine_runner(*engine_sim, /*num_threads=*/1);
   StatusOr<std::vector<RunResult>> engine_runs =
-      engine_runner.RunAll(engine_specs);
+      RunEach(*engine_sim, engine_specs);
   if (!engine_runs.ok()) {
     std::fprintf(stderr, "FATAL: %s\n",
                  engine_runs.status().ToString().c_str());
@@ -398,8 +408,7 @@ int Main() {
       skew_specs.push_back(std::move(spec));
     }
   }
-  ExperimentRunner skew_runner(*skew_sim, /*num_threads=*/1);
-  StatusOr<std::vector<RunResult>> skew_runs = skew_runner.RunAll(skew_specs);
+  StatusOr<std::vector<RunResult>> skew_runs = RunEach(*skew_sim, skew_specs);
   if (!skew_runs.ok()) {
     std::fprintf(stderr, "FATAL: %s\n", skew_runs.status().ToString().c_str());
     return 1;
@@ -437,10 +446,9 @@ int Main() {
     }
   }
 
-  // ---- ExperimentRunner phase: wall-clock of an N-replication sweep
-  // (RAND:seed=i over a one-hour slice) executed serially vs. on runner
-  // threads {4}. Replications are independent runs, so the sweep must be
-  // bit-identical at every thread count; speedup requires real cores.
+  // ---- The serial reference of the replication sweep (RAND:seed=i over a
+  // one-hour slice): replications are independent runs, so the campaign
+  // phase below must reproduce it bit for bit at every thread count.
   const int sweep_reps = EnvInt("MRVD_BENCH_SWEEP_REPS", 6, 1);
   SimConfig sweep_cfg = engine_cfg;
   sweep_cfg.horizon_seconds = 3600.0;
@@ -451,62 +459,21 @@ int Main() {
     spec.replication_seed = static_cast<uint64_t>(i + 1);
     sweep_specs.push_back(std::move(spec));
   }
-
-  struct SweepRecord {
-    int runner_threads;
-    double wall_seconds;
-    double speedup;
-    bool identical;
-  };
-  std::printf("\nexperiment_runner phase: %d replications, 1h slice\n",
-              sweep_reps);
-  std::printf("%8s %12s %9s %10s\n", "threads", "wall-s", "speedup",
-              "identical");
-  std::vector<SweepRecord> sweep_records;
-  std::vector<RunResult> sweep_serial;
-  for (int runner_threads : {1, 4}) {
-    ExperimentRunner sweep_runner(*engine_sim, runner_threads);
-    Stopwatch sweep_watch;
-    StatusOr<std::vector<RunResult>> sweep_runs =
-        sweep_runner.RunAll(sweep_specs);
-    double wall = sweep_watch.ElapsedSeconds();
-    if (!sweep_runs.ok()) {
-      std::fprintf(stderr, "FATAL: %s\n",
-                   sweep_runs.status().ToString().c_str());
-      return 1;
-    }
-    bool identical = true;
-    if (runner_threads == 1) {
-      sweep_serial = std::move(sweep_runs).value();
-    } else {
-      for (size_t i = 0; identical && i < sweep_serial.size(); ++i) {
-        identical = SameResult(sweep_serial[i].result,
-                               (*sweep_runs)[i].result);
-      }
-    }
-    SweepRecord rec{runner_threads, wall,
-                    sweep_records.empty()
-                        ? 1.0
-                        : sweep_records.front().wall_seconds / wall,
-                    identical};
-    sweep_records.push_back(rec);
-    std::printf("%8d %12.3f %8.2fx %10s\n", rec.runner_threads,
-                rec.wall_seconds, rec.speedup,
-                identical ? "yes" : "NO");
-    if (!identical) {
-      std::fprintf(stderr,
-                   "FATAL: replication sweep diverged at %d runner threads\n",
-                   runner_threads);
-      return 1;
-    }
+  StatusOr<std::vector<RunResult>> sweep_runs =
+      RunEach(*engine_sim, sweep_specs);
+  if (!sweep_runs.ok()) {
+    std::fprintf(stderr, "FATAL: %s\n",
+                 sweep_runs.status().ToString().c_str());
+    return 1;
   }
+  const std::vector<RunResult>& sweep_serial = *sweep_runs;
 
-  // ---- Campaign phase: the identical replication sweep expressed as a
-  // one-workload campaign grid (RAND x seeds) through CampaignRunner, so
-  // the grid layer's overhead — catalog Simulation build, key hashing,
-  // per-run artifact writes, manifest — lands on the perf record next to
-  // the bare ExperimentRunner numbers. A final Resume() times the
-  // all-loaded path (pure artifact reads, no simulation).
+  // ---- Campaign phase: the replication sweep expressed as a one-workload
+  // campaign grid (RAND x seeds) through CampaignRunner at runner threads
+  // {1, 4}, so the grid layer's cost — catalog Simulation build, key
+  // hashing, per-run artifact writes, manifest — lands on the perf record.
+  // A final Resume() times the all-loaded path (pure artifact reads, no
+  // simulation).
   struct CampaignRecord {
     std::string mode;  ///< "run@1", "run@4", "resume"
     double wall_seconds;
@@ -532,7 +499,7 @@ int Main() {
        ("mrvd_bench_campaign_" + std::to_string(getpid())))
           .string();
 
-  std::printf("\ncampaign phase: same sweep through the campaign layer\n");
+  std::printf("\ncampaign phase: %d replications, 1h slice\n", sweep_reps);
   std::printf("%8s %12s %9s %9s %10s\n", "mode", "wall-s", "executed",
               "loaded", "identical");
   std::vector<CampaignRecord> campaign_records;
@@ -969,23 +936,13 @@ int Main() {
   }
   w.EndArray();
   w.EndObject();
-  w.Key("experiment_runner").BeginObject();
+  // The replication sweep through the campaign layer: wall-clock includes
+  // the catalog Simulation build and the artifact store (writes for run@N,
+  // reads for resume).
+  w.Key("campaign").BeginObject();
   w.Key("replications").Number(sweep_reps);
   w.Key("horizon_hours").Number(1);
   w.Key("results").BeginArray();
-  for (const SweepRecord& r : sweep_records) {
-    w.BeginObject();
-    w.Key("runner_threads").Number(r.runner_threads);
-    w.Key("wall_seconds").Number(r.wall_seconds);
-    w.Key("speedup").Number(r.speedup);
-    w.Key("identical").Bool(r.identical);
-    w.EndObject();
-  }
-  w.EndArray();
-  // The same sweep through the campaign layer: wall-clock includes the
-  // catalog Simulation build and the artifact store (writes for run@N,
-  // reads for resume). Overhead = campaign run@1 vs runner_threads=1.
-  w.Key("campaign").BeginArray();
   for (const CampaignRecord& r : campaign_records) {
     w.BeginObject();
     w.Key("mode").String(r.mode);

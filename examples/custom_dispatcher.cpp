@@ -7,9 +7,10 @@
 // SELF-REGISTERS it in the DispatcherRegistry with a typed parameter, so
 // "URGENT" and "URGENT:idle_weight=0" become first-class specs next to
 // "IRG" and "LS:max_sweeps=8". The sweep at the bottom runs the whole
-// comparison through ExperimentRunner.
+// comparison as a loop over RunOne.
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "api/api.h"
@@ -78,28 +79,28 @@ int main() {
     return 1;
   }
 
-  ExperimentRunner runner(*sim);
-  StatusOr<std::vector<RunResult>> results = runner.RunAll({
-      {"URGENT"},                 // idle_weight at its declared default
-      {"URGENT:idle_weight=0"},   // pure deadline pressure, no queue signal
-      {"IRG"},
-      {"NEAR"},
-  });
-  if (!results.ok()) {
-    std::fprintf(stderr, "sweep failed: %s\n",
-                 results.status().ToString().c_str());
-    return 1;
+  std::vector<RunResult> results;
+  for (const char* spec : {
+           "URGENT",                // idle_weight at its declared default
+           "URGENT:idle_weight=0",  // pure deadline pressure, no queue signal
+           "IRG",
+           "NEAR",
+       }) {
+    StatusOr<RunResult> run = RunOne(*sim, RunSpec(spec));
+    if (!run.ok()) {
+      std::fprintf(stderr, "run failed: %s\n",
+                   run.status().ToString().c_str());
+      return 1;
+    }
+    results.push_back(std::move(run).value());
   }
 
   std::printf("%-22s %12s %10s %10s\n", "spec", "revenue", "served",
               "svc-rate");
-  for (const RunResult& r : *results) {
+  for (const RunResult& r : results) {
     std::printf("%-22s %12.4e %10lld %9.1f%%\n", r.label.c_str(),
                 r.result.total_revenue, (long long)r.result.served_orders,
                 100.0 * r.result.ServiceRate());
   }
-  std::printf(
-      "\nThe urgency rule typically serves more orders; IRG earns more\n"
-      "revenue per driver-hour — the trade-off Appendix C formalizes.\n");
   return 0;
 }

@@ -1,9 +1,9 @@
 // Full-day NYC-style simulation comparing every dispatching approach on the
-// same workload — the paper's evaluation loop in miniature, expressed as an
-// ExperimentRunner sweep over the DispatcherRegistry's roster. Also shows
-// the staged engine's SimObserver hooks: a custom observer collects a
-// per-hour served/reneged breakdown for one approach without touching the
-// engine.
+// same workload — the paper's evaluation loop in miniature, expressed as a
+// RunOne loop over the DispatcherRegistry's roster. Also shows the staged
+// engine's SimObserver hooks: the library's HourlyBreakdown observer
+// collects a per-hour served/reneged breakdown for one approach without
+// touching the engine.
 // (New here? Read examples/quickstart.cpp first — it introduces the
 // SimulationBuilder surface this example builds on.)
 //
@@ -34,12 +34,14 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.h"
 #include "geo/grid.h"
 #include "prediction/predictor.h"
 #include "scenario/generator.h"
+#include "sim/hourly_stats.h"
 #include "util/strings.h"
 #include "workload/order_stream.h"
 #include "workload/tlc_parser.h"
@@ -47,34 +49,6 @@
 using namespace mrvd;
 
 namespace {
-
-/// Hour-of-day service breakdown via the engine's observer hooks.
-class HourlyBreakdown : public SimObserver {
- public:
-  void OnAssignmentApplied(double now, const AssignmentEvent&) override {
-    ++served_[Hour(now)];
-  }
-  void OnRiderReneged(double now, const Order&) override {
-    ++reneged_[Hour(now)];
-  }
-
-  void Print() const {
-    std::printf("\nhourly breakdown (IRG):\n  hour   served  reneged\n");
-    for (int h = 0; h < 24; ++h) {
-      if (served_[h] == 0 && reneged_[h] == 0) continue;
-      std::printf("  %4d %8lld %8lld\n", h, (long long)served_[h],
-                  (long long)reneged_[h]);
-    }
-  }
-
- private:
-  static int Hour(double now) {
-    int h = static_cast<int>(now / 3600.0);
-    return h < 0 ? 0 : (h > 23 ? 23 : h);
-  }
-  int64_t served_[24] = {};
-  int64_t reneged_[24] = {};
-};
 
 /// Command-line configuration; positional [orders] [drivers] [tlc.csv] are
 /// still accepted for backward compatibility.
@@ -174,26 +148,24 @@ bool ParseCli(int argc, char** argv, CliOptions* opt) {
 /// materialised and streamed paths so their output is comparable line for
 /// line.
 int SweepAndPrint(const Simulation& sim) {
-  HourlyBreakdown hourly;
-  std::vector<RunSpec> specs;
+  HourlyBreakdown hourly(sim.config().horizon_seconds);
+  std::vector<RunResult> results;
   for (const std::string& name : DispatcherRegistry::Global().Names()) {
     RunSpec spec(name);
     if (name == "IRG") spec.observer = &hourly;
-    specs.push_back(spec);
-  }
-
-  ExperimentRunner runner(sim);
-  StatusOr<std::vector<RunResult>> results = runner.RunAll(specs);
-  if (!results.ok()) {
-    std::fprintf(stderr, "sweep failed: %s\n",
-                 results.status().ToString().c_str());
-    return 1;
+    StatusOr<RunResult> run = RunOne(sim, spec);
+    if (!run.ok()) {
+      std::fprintf(stderr, "run failed: %s\n",
+                   run.status().ToString().c_str());
+      return 1;
+    }
+    results.push_back(std::move(run).value());
   }
 
   std::printf("\n%-8s %12s %10s %10s %8s %12s %12s %10s\n", "approach",
               "revenue", "served", "reneged", "cancel", "svc-rate",
               "batch-ms", "build-ms");
-  for (const RunResult& run : *results) {
+  for (const RunResult& run : results) {
     const SimResult& r = run.result;
     std::printf("%-8s %12.4e %10lld %10lld %8lld %11.1f%% %12.3f %10.4f\n",
                 run.label.c_str(), r.total_revenue, (long long)r.served_orders,
@@ -201,7 +173,13 @@ int SweepAndPrint(const Simulation& sim) {
                 100.0 * r.ServiceRate(), r.batch_seconds.mean() * 1e3,
                 r.batch_build_seconds.mean() * 1e3);
   }
-  hourly.Print();
+  std::printf("\nhourly breakdown (IRG):\n  hour   served  reneged\n");
+  for (size_t h = 0; h < hourly.rows().size(); ++h) {
+    const HourlyRow& row = hourly.rows()[h];
+    if (row.served == 0 && row.reneged == 0) continue;
+    std::printf("  %4zu %8lld %8lld\n", h, (long long)row.served,
+                (long long)row.reneged);
+  }
   return 0;
 }
 
@@ -298,7 +276,7 @@ int main(int argc, char** argv) {
   auto forecast = DemandForecast::Build(*deepst, train, /*eval_day=*/21);
   if (!forecast.ok()) return 1;
 
-  // One assembled environment; the runner sweeps the registry's whole
+  // One assembled environment; the RunOne loop sweeps the registry's whole
   // roster over it (UPPER's zero-pickup-travel trait applies itself).
   StatusOr<Simulation> sim = SimulationBuilder()
                                  .WithWorkload(std::move(day), generator.grid())

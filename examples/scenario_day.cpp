@@ -6,10 +6,10 @@
 // SimulationBuilder surface this example builds on.)
 //
 // The roster comes straight from the DispatcherRegistry (no hand-written
-// name list), the runs execute through ExperimentRunner, and the first run
-// carries an ObserverChain composing two independent links — a narrator
-// printing shift/surge transitions and a per-hour cancellation profile —
-// where the old API offered a single observer slot.
+// name list), each run executes through RunOne, and the first run carries
+// an ObserverList composing two independent links in its one observer
+// slot: a narrator printing shift/surge transitions, and the library's
+// HourlyBreakdown, whose rows give the per-hour cancellation profile.
 //
 // Usage:
 //   ./build/examples/scenario_day [orders_per_day] [num_drivers]
@@ -17,10 +17,12 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.h"
 #include "scenario/generator.h"
+#include "sim/hourly_stats.h"
 #include "util/strings.h"
 
 using namespace mrvd;
@@ -52,27 +54,6 @@ class TimelineNarrator : public SimObserver {
     return buf;
   }
   int64_t changes_ = 0;
-};
-
-/// Per-hour cancellation counts — an independent chain link.
-class CancellationProfile : public SimObserver {
- public:
-  void OnRiderCancelled(double now, const Order&) override {
-    int h = static_cast<int>(now / 3600.0);
-    ++cancelled_by_hour_[h < 0 ? 0 : (h > 23 ? 23 : h)];
-  }
-
-  void Print(const std::string& label) const {
-    std::printf("\nhourly cancellations (%s):\n  hour  cancelled\n",
-                label.c_str());
-    for (int h = 0; h < 24; ++h) {
-      if (cancelled_by_hour_[h] == 0) continue;
-      std::printf("  %4d %10lld\n", h, (long long)cancelled_by_hour_[h]);
-    }
-  }
-
- private:
-  int64_t cancelled_by_hour_[24] = {};
 };
 
 }  // namespace
@@ -138,32 +119,31 @@ int main(int argc, char** argv) {
   // with zero pickup travel via its registered trait.
   const std::vector<std::string> roster = DispatcherRegistry::Global().Names();
 
-  // The first run narrates the timeline and profiles cancellations through
-  // one ObserverChain: two links, one observer slot.
+  // The first run narrates the timeline and profiles cancellations per
+  // hour through one ObserverList: two links, one observer slot.
   TimelineNarrator narrator;
-  CancellationProfile profile;
-  ObserverChain chain;
-  chain.Add(&narrator).Add(&profile);
-
-  std::vector<RunSpec> specs;
-  for (size_t i = 0; i < roster.size(); ++i) {
-    RunSpec spec(roster[i]);
-    if (i == 0) spec.observer = &chain;
-    specs.push_back(spec);
-  }
+  HourlyBreakdown hourly(sim->config().horizon_seconds);
+  ObserverList first_run_observers;
+  first_run_observers.Add(&narrator);
+  first_run_observers.Add(&hourly);
 
   std::printf("timeline (%s run):\n", roster.front().c_str());
-  ExperimentRunner runner(*sim);  // serial: keeps the narration readable
-  StatusOr<std::vector<RunResult>> results = runner.RunAll(specs);
-  if (!results.ok()) {
-    std::fprintf(stderr, "sweep failed: %s\n",
-                 results.status().ToString().c_str());
-    return 1;
+  std::vector<RunResult> results;
+  for (const std::string& name : roster) {
+    RunSpec spec(name);
+    if (results.empty()) spec.observer = &first_run_observers;
+    StatusOr<RunResult> run = RunOne(*sim, spec);
+    if (!run.ok()) {
+      std::fprintf(stderr, "run failed: %s\n",
+                   run.status().ToString().c_str());
+      return 1;
+    }
+    results.push_back(std::move(run).value());
   }
 
   std::printf("\n%-8s %12s %9s %9s %9s %9s %9s\n", "approach", "revenue",
               "served", "reneged", "cancel", "svc-rate", "shift-chg");
-  for (const RunResult& run : *results) {
+  for (const RunResult& run : results) {
     const SimResult& r = run.result;
     std::printf("%-8s %12.4e %9lld %9lld %9lld %8.1f%% %9lld\n",
                 run.label.c_str(), r.total_revenue,
@@ -171,6 +151,12 @@ int main(int argc, char** argv) {
                 (long long)r.cancelled_orders, 100.0 * r.ServiceRate(),
                 (long long)(r.driver_sign_ons + r.driver_sign_offs));
   }
-  profile.Print(roster.front());
+  std::printf("\nhourly cancellations (%s):\n  hour  cancelled\n",
+              roster.front().c_str());
+  for (size_t h = 0; h < hourly.rows().size(); ++h) {
+    const int64_t cancelled = hourly.rows()[h].cancelled;
+    if (cancelled == 0) continue;
+    std::printf("  %4zu %10lld\n", h, (long long)cancelled);
+  }
   return 0;
 }

@@ -1,12 +1,10 @@
 #include "api/simulation_builder.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "api/dispatcher_registry.h"
 #include "prediction/predictor.h"
-#include "util/logging.h"
 #include "workload/demand_history.h"
 #include "workload/order_source.h"
 #include "workload/order_stream.h"
@@ -16,34 +14,17 @@ namespace mrvd {
 // ---------------------------------------------------------------------
 // Simulation
 
-SimConfig Simulation::ConfigFor(const std::string& dispatcher_name) const {
-  SimConfig cfg = config_;
-  if (DispatcherRegistry::Global().RequiresZeroPickupTravel(dispatcher_name)) {
-    cfg.zero_pickup_travel = true;
-  }
-  return cfg;
-}
-
 StatusOr<SimResult> Simulation::Run(const std::string& dispatcher_spec,
                                     SimObserver* observer) const {
+  const DispatcherRegistry& registry = DispatcherRegistry::Global();
   StatusOr<std::unique_ptr<Dispatcher>> dispatcher =
-      DispatcherRegistry::Global().Create(dispatcher_spec);
+      registry.Create(dispatcher_spec);
   if (!dispatcher.ok()) return dispatcher.status();
-  return RunWith(ConfigFor((*dispatcher)->name()), **dispatcher, scenario_,
-                 observer);
-}
-
-SimResult Simulation::Run(Dispatcher& dispatcher, SimObserver* observer) const {
-  StatusOr<SimResult> result =
-      RunWith(ConfigFor(dispatcher.name()), dispatcher, scenario_, observer);
-  if (!result.ok()) {
-    // This overload predates streaming and returns a bare SimResult; an
-    // unreadable trace here is an environment failure with no recovery
-    // path, on par with the engine's invalid-config abort.
-    MRVD_LOG(Error) << "simulation run failed: " << result.status();
-    std::abort();
+  SimConfig config = config_;
+  if (registry.RequiresZeroPickupTravel((*dispatcher)->name())) {
+    config.zero_pickup_travel = true;
   }
-  return std::move(result).value();
+  return RunWith(config, **dispatcher, scenario_, observer);
 }
 
 StatusOr<SimResult> Simulation::RunWith(const SimConfig& config,
@@ -170,14 +151,6 @@ SimulationBuilder& SimulationBuilder::WithOracleForecast(int slots_per_day) {
 
 SimulationBuilder& SimulationBuilder::WithScenario(ScenarioScript script) {
   owned_scenario_ = std::make_shared<const ScenarioScript>(std::move(script));
-  borrowed_scenario_ = nullptr;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::BorrowScenario(
-    const ScenarioScript& script) {
-  borrowed_scenario_ = &script;
-  owned_scenario_ = nullptr;
   return *this;
 }
 
@@ -188,11 +161,6 @@ SimulationBuilder& SimulationBuilder::WithConfig(const SimConfig& config) {
 
 SimulationBuilder& SimulationBuilder::BatchInterval(double seconds) {
   config_.batch_interval = seconds;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::WindowSeconds(double seconds) {
-  config_.window_seconds = seconds;
   return *this;
 }
 
@@ -302,12 +270,8 @@ StatusOr<Simulation> SimulationBuilder::Build() const {
     }
   }
 
-  if (borrowed_scenario_ != nullptr) {
-    sim.scenario_ = borrowed_scenario_;
-  } else if (owned_scenario_ != nullptr) {
-    sim.owned_scenario_ = owned_scenario_;
-    sim.scenario_ = owned_scenario_.get();
-  }
+  sim.owned_scenario_ = owned_scenario_;
+  sim.scenario_ = owned_scenario_.get();
   return sim;
 }
 

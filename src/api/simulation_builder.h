@@ -58,16 +58,12 @@ class Simulation {
   StatusOr<SimResult> Run(const std::string& dispatcher_spec,
                           SimObserver* observer = nullptr) const;
 
-  /// Runs a caller-constructed dispatcher over the same environment.
-  /// Streamed simulations abort on stream I/O failure (use RunWith, or the
-  /// spec overload above, where a Status is wanted).
-  SimResult Run(Dispatcher& dispatcher, SimObserver* observer = nullptr) const;
-
   /// The single-run engine path under an explicit, already trait-applied
-  /// config — what every Run overload (and the ExperimentRunner) bottoms
-  /// out in. A streamed simulation opens a fresh OrderStreamReader per
-  /// call (runs stay independent, so sweeps parallelise), and stream
-  /// open/read failures surface as the Status.
+  /// config — what Run above (and RunOne) bottoms out in; it also runs a
+  /// caller-constructed dispatcher. An invalid config fails with
+  /// InvalidArgument before any batch runs. A streamed simulation opens a
+  /// fresh OrderStreamReader per call (runs stay independent, so sweeps
+  /// parallelise), and stream open/read failures surface as the Status.
   StatusOr<SimResult> RunWith(const SimConfig& config, Dispatcher& dispatcher,
                               const ScenarioScript* scenario,
                               SimObserver* observer = nullptr) const;
@@ -85,12 +81,7 @@ class Simulation {
 
  private:
   friend class SimulationBuilder;
-  friend class ExperimentRunner;
   Simulation() = default;
-
-  /// The effective per-run config for a dispatcher display name (applies
-  /// the registry's zero-pickup-travel trait).
-  SimConfig ConfigFor(const std::string& dispatcher_name) const;
 
   std::shared_ptr<const NycLikeGenerator> generator_;
   std::shared_ptr<const Workload> owned_workload_;
@@ -171,14 +162,10 @@ class SimulationBuilder {
   /// surge windows) merged into every run.
   SimulationBuilder& WithScenario(ScenarioScript script);
 
-  /// Borrows a caller-owned script.
-  SimulationBuilder& BorrowScenario(const ScenarioScript& script);
-
   // ---- Engine config (default: the paper's Table-2 values) ----
 
   SimulationBuilder& WithConfig(const SimConfig& config);
   SimulationBuilder& BatchInterval(double seconds);
-  SimulationBuilder& WindowSeconds(double seconds);
   SimulationBuilder& HorizonSeconds(double seconds);
   SimulationBuilder& Threads(int num_threads);
   SimulationBuilder& Shards(int num_shards);
@@ -210,7 +197,6 @@ class SimulationBuilder {
   const DemandForecast* borrowed_forecast_ = nullptr;
   std::shared_ptr<const DemandForecast> owned_forecast_;
   int oracle_slots_ = 0;  ///< > 0: derive the oracle forecast at Build()
-  const ScenarioScript* borrowed_scenario_ = nullptr;
   std::shared_ptr<const ScenarioScript> owned_scenario_;
   SimConfig config_;
   std::string stream_path_;

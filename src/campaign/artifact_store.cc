@@ -64,11 +64,6 @@ Status ArtifactStore::Init() const {
   return Status::OK();
 }
 
-bool ArtifactStore::HasRun(const std::string& key) const {
-  std::error_code ec;
-  return fs::exists(RunPath(key), ec);
-}
-
 Status ArtifactStore::WriteFileAtomic(const std::string& path,
                                       const std::string& content) {
   // Temp-then-rename: readers (and resumed campaigns) never observe a

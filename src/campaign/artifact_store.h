@@ -76,9 +76,6 @@ class ArtifactStore {
   /// Creates the campaign directory (and parents). Idempotent.
   Status Init() const;
 
-  /// True if an artifact file exists for `key` (it may still fail to load).
-  bool HasRun(const std::string& key) const;
-
   /// Writes the cell's artifact atomically (temp file + rename). Safe to
   /// call concurrently for distinct cells. I/O failures carry errno.
   Status SaveRun(const CampaignCell& cell, const RunArtifact& artifact) const;

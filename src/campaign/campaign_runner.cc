@@ -103,9 +103,8 @@ StatusOr<CampaignReport> CampaignRunner::Execute(
   }
 
   // Execute pending cells shard-parallel. Each cell resolves and runs
-  // through ExperimentRunner::RunOne — the identical single-run path a
-  // RunAll worker takes — into its own pre-sized outcome slot, so the
-  // pool's schedule cannot affect any result.
+  // through RunOne into its own pre-sized outcome slot, so the pool's
+  // schedule cannot affect any result.
   if (!pending.empty()) {
     const int num_threads = options.num_threads == 0
                                 ? ThreadPool::HardwareThreads()
@@ -151,7 +150,7 @@ StatusOr<CampaignReport> CampaignRunner::Execute(
       HourlyBreakdown hourly(config.horizon_seconds);
       spec.observer = &hourly;
 
-      StatusOr<RunResult> result = ExperimentRunner::RunOne(sim, spec);
+      StatusOr<RunResult> result = RunOne(sim, spec);
       if (!result.ok()) {
         outcome.source = CellOutcome::Source::kFailed;
         outcome.error = result.status().ToString();

@@ -7,11 +7,10 @@
 //     shared read-only across all grid cells of that workload; scenario
 //     scripts attach per (workload, scenario) pair via
 //     Simulation::WithScenario;
-//   * every cell runs through ExperimentRunner::RunOne — the exact
-//     single-run path RunAll's workers take — so a campaign's results are
-//     bit-identical to a per-simulation ExperimentRunner::RunAll over the
-//     same cells at any thread count (tests/campaign_test.cc enforces
-//     threads {1, 4});
+//   * every cell runs through RunOne (api/experiment_runner.h), the one
+//     single-run path, so a campaign's results are bit-identical to a
+//     serial RunOne loop over the same cells at any thread count
+//     (tests/campaign_test.cc enforces threads {1, 4});
 //   * Resume() loads each cell's artifact and re-executes only cells whose
 //     artifact is missing or fails to load/validate — killing a campaign
 //     mid-flight and resuming produces a manifest byte-identical to a

@@ -1,91 +1,8 @@
 #include "matching/bipartite.h"
 
 #include <algorithm>
-#include <cassert>
-#include <limits>
-#include <queue>
 
 namespace mrvd {
-
-BipartiteGraph::BipartiteGraph(int num_left, int num_right)
-    : num_left_(num_left), num_right_(num_right) {
-  assert(num_left >= 0 && num_right >= 0);
-  adj_.resize(static_cast<size_t>(num_left));
-}
-
-void BipartiteGraph::AddEdge(int left, int right) {
-  assert(left >= 0 && left < num_left_ && right >= 0 && right < num_right_);
-  adj_[static_cast<size_t>(left)].push_back(right);
-}
-
-namespace {
-
-constexpr int kInfDist = std::numeric_limits<int>::max();
-
-struct HkState {
-  const BipartiteGraph& g;
-  std::vector<int>& left_match;
-  std::vector<int>& right_match;
-  std::vector<int> dist;
-
-  bool Bfs() {
-    std::queue<int> q;
-    dist.assign(static_cast<size_t>(g.num_left()), kInfDist);
-    for (int u = 0; u < g.num_left(); ++u) {
-      if (left_match[static_cast<size_t>(u)] == -1) {
-        dist[static_cast<size_t>(u)] = 0;
-        q.push(u);
-      }
-    }
-    bool found_augmenting = false;
-    while (!q.empty()) {
-      int u = q.front();
-      q.pop();
-      for (int v : g.Adjacency(u)) {
-        int w = right_match[static_cast<size_t>(v)];
-        if (w == -1) {
-          found_augmenting = true;
-        } else if (dist[static_cast<size_t>(w)] == kInfDist) {
-          dist[static_cast<size_t>(w)] = dist[static_cast<size_t>(u)] + 1;
-          q.push(w);
-        }
-      }
-    }
-    return found_augmenting;
-  }
-
-  bool Dfs(int u) {
-    for (int v : g.Adjacency(u)) {
-      int w = right_match[static_cast<size_t>(v)];
-      if (w == -1 || (dist[static_cast<size_t>(w)] ==
-                          dist[static_cast<size_t>(u)] + 1 &&
-                      Dfs(w))) {
-        left_match[static_cast<size_t>(u)] = v;
-        right_match[static_cast<size_t>(v)] = u;
-        return true;
-      }
-    }
-    dist[static_cast<size_t>(u)] = kInfDist;
-    return false;
-  }
-};
-
-}  // namespace
-
-MatchingResult MaxCardinalityMatching(const BipartiteGraph& graph) {
-  MatchingResult result;
-  result.left_match.assign(static_cast<size_t>(graph.num_left()), -1);
-  result.right_match.assign(static_cast<size_t>(graph.num_right()), -1);
-  HkState state{graph, result.left_match, result.right_match, {}};
-  while (state.Bfs()) {
-    for (int u = 0; u < graph.num_left(); ++u) {
-      if (result.left_match[static_cast<size_t>(u)] == -1 && state.Dfs(u)) {
-        ++result.size;
-      }
-    }
-  }
-  return result;
-}
 
 std::vector<size_t> GreedyMatch(std::vector<WeightedPair> pairs) {
   if (pairs.empty()) return {};

@@ -1,41 +1,13 @@
-// Sparse bipartite matching: Hopcroft–Karp maximum-cardinality matching and
-// a weighted greedy matcher (the building block of the paper's batch
-// dispatchers: sort candidate pairs by priority, pick greedily subject to
-// one-rider-one-driver).
+// Weighted greedy bipartite matching: the building block of the paper's
+// batch dispatchers (sort candidate pairs by priority, pick greedily subject
+// to one-rider-one-driver). `WeightedPair` and `GreedyMatch` are all this
+// layer holds; no dispatcher solves an exact assignment.
 #pragma once
 
-#include <cstdint>
-#include <functional>
+#include <cstddef>
 #include <vector>
 
 namespace mrvd {
-
-/// Bipartite graph with `num_left` and `num_right` vertices; edges are added
-/// left -> right.
-class BipartiteGraph {
- public:
-  BipartiteGraph(int num_left, int num_right);
-
-  void AddEdge(int left, int right);
-
-  int num_left() const { return num_left_; }
-  int num_right() const { return num_right_; }
-  const std::vector<int>& Adjacency(int left) const {
-    return adj_[static_cast<size_t>(left)];
-  }
-
- private:
-  int num_left_, num_right_;
-  std::vector<std::vector<int>> adj_;
-};
-
-/// Maximum-cardinality matching (Hopcroft–Karp, O(E sqrt(V))).
-struct MatchingResult {
-  int size = 0;
-  std::vector<int> left_match;   ///< right vertex for each left (-1 = free)
-  std::vector<int> right_match;  ///< left vertex for each right (-1 = free)
-};
-MatchingResult MaxCardinalityMatching(const BipartiteGraph& graph);
 
 /// One weighted candidate pair for greedy matching.
 struct WeightedPair {

@@ -151,9 +151,9 @@ class SimObserver {
   }
 };
 
-/// Fans every hook out to a list of observers, in registration order.
-/// Borrows its links; the owning variant is ObserverChain
-/// (api/observer_chain.h), which extends this class.
+/// Fans every hook out to a list of observers, in registration order, so
+/// several observers can share one run's observer slot. Borrows its links
+/// (null is ignored); each must outlive the run.
 class ObserverList : public SimObserver {
  public:
   void Add(SimObserver* observer) {

@@ -17,11 +17,6 @@ LogLevel ParseLevelFromEnv() {
   return LogLevel::kInfo;
 }
 
-LogLevel& MutableLevel() {
-  static LogLevel level = ParseLevelFromEnv();
-  return level;
-}
-
 const char* LevelName(LogLevel level) {
   switch (level) {
     case LogLevel::kError:
@@ -38,8 +33,10 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-LogLevel GetLogLevel() { return MutableLevel(); }
-void SetLogLevel(LogLevel level) { MutableLevel() = level; }
+LogLevel GetLogLevel() {
+  static const LogLevel level = ParseLevelFromEnv();
+  return level;
+}
 
 namespace internal {
 

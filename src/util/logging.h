@@ -10,7 +10,6 @@ enum class LogLevel { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
 
 /// Current process-wide log threshold (read once from the environment).
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 namespace internal {
 

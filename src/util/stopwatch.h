@@ -11,8 +11,6 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
   /// Monotonic nanoseconds since an arbitrary (per-process) epoch — the one
   /// sanctioned raw-clock read outside Stopwatch itself (see the
   /// banned-wallclock lint rule). Telemetry trace spans stamp their
@@ -26,12 +24,6 @@ class Stopwatch {
 
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  int64_t ElapsedMicros() const {
-    return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                                 start_)
-        .count();
   }
 
  private:

@@ -79,10 +79,6 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::string FormatDouble(double value) {
   char buf[32];
   auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);

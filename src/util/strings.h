@@ -30,9 +30,6 @@ std::string FormatDouble(double value);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
 /// Parses a "key=value,key=value" list into whitespace-trimmed pairs.
 /// Rejects entries without '=', empty keys/values, and duplicate keys.
 /// `context` names the enclosing spec in error messages (e.g. "spec 'LS:…'").

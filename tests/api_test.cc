@@ -1,8 +1,7 @@
 // Experiment API layer (src/api/): SimulationBuilder validation,
-// DispatcherRegistry spec parsing and self-registration, ObserverChain
-// event-forwarding order, and ExperimentRunner determinism across runner
-// thread counts — the equivalence-suite guarantee extended to the sweep
-// layer.
+// DispatcherRegistry spec parsing and self-registration, ObserverList
+// event-forwarding order, and RunOne's spec resolution (unknown specs,
+// config overrides, scenario choice, replication seeds).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -468,7 +467,7 @@ TEST_F(ApiTest, UpperRunsWithZeroPickupTraitApplied) {
   EXPECT_GT(upper->served_orders, 0);
 }
 
-// ------------------------------------------------------------ ObserverChain
+// ------------------------------------------------------------- ObserverList
 
 /// Appends (observer_id, hook_tag) to a shared log on every hook.
 class RecordingObserver final : public SimObserver {
@@ -497,17 +496,19 @@ class RecordingObserver final : public SimObserver {
   std::vector<std::pair<int, char>>* log_;
 };
 
-TEST_F(ApiTest, ObserverChainForwardsEveryEventInRegistrationOrder) {
+TEST_F(ApiTest, ObserverListForwardsEveryEventInRegistrationOrder) {
   std::vector<std::pair<int, char>> log;
   RecordingObserver first(1, &log);
-  auto second = std::make_unique<RecordingObserver>(2, &log);
+  RecordingObserver second(2, &log);
 
-  ObserverChain chain;
-  chain.Add(&first).Own(std::move(second)).Add(nullptr);  // null ignored
+  ObserverList list;
+  list.Add(&first);
+  list.Add(&second);
+  list.Add(nullptr);  // ignored
 
   StatusOr<Simulation> sim = builder_->Build();
   ASSERT_TRUE(sim.ok());
-  StatusOr<SimResult> r = sim->Run("NEAR", &chain);
+  StatusOr<SimResult> r = sim->Run("NEAR", &list);
   ASSERT_TRUE(r.ok()) << r.status();
 
   // Both links saw every event, pairwise: for each engine event the first
@@ -524,60 +525,37 @@ TEST_F(ApiTest, ObserverChainForwardsEveryEventInRegistrationOrder) {
   EXPECT_NE(log[0].second, 'z');
 }
 
-// --------------------------------------------------------- ExperimentRunner
+// ------------------------------------------------------------------ RunOne
 
-std::vector<RunSpec> DeterminismSpecs() {
-  std::vector<RunSpec> specs;
-  specs.emplace_back("IRG");
-  specs.emplace_back("RAND:seed=7");
-  specs.emplace_back("LS:max_sweeps=2", "LS-shallow");
-  specs.emplace_back("NEAR");
-  RunSpec seeded("RAND", "RAND-replicated");
-  seeded.replication_seed = 7;
-  specs.push_back(seeded);
-  return specs;
-}
-
-TEST_F(ApiTest, RunnerIsBitIdenticalAcrossRunnerThreadCounts) {
+TEST_F(ApiTest, RunOneReplicationSeedEqualsExplicitSeed) {
   StatusOr<Simulation> sim = builder_->Build();
   ASSERT_TRUE(sim.ok());
-
-  ExperimentRunner serial(*sim, /*num_threads=*/1);
-  StatusOr<std::vector<RunResult>> want = serial.RunAll(DeterminismSpecs());
-  ASSERT_TRUE(want.ok()) << want.status();
-  ASSERT_EQ(want->size(), 5u);
-  for (const RunResult& r : *want) {
-    EXPECT_GT(r.result.served_orders, 0) << r.label;
-  }
-
-  ExperimentRunner threaded(*sim, /*num_threads=*/4);
-  StatusOr<std::vector<RunResult>> got = threaded.RunAll(DeterminismSpecs());
-  ASSERT_TRUE(got.ok()) << got.status();
-  ASSERT_EQ(got->size(), want->size());
-  for (size_t i = 0; i < want->size(); ++i) {
-    EXPECT_EQ((*want)[i].label, (*got)[i].label);
-    ExpectSameAggregates((*want)[i].result, (*got)[i].result,
-                         (*want)[i].label + " @4 runner threads");
-  }
 
   // replication_seed=7 on a bare "RAND" spec equals the explicit
   // "RAND:seed=7" spec, bit for bit.
-  ExpectSameAggregates((*want)[1].result, (*want)[4].result,
+  RunSpec seeded("RAND", "RAND-replicated");
+  seeded.replication_seed = 7;
+  StatusOr<RunResult> replicated = RunOne(*sim, seeded);
+  StatusOr<RunResult> explicit_seed = RunOne(*sim, RunSpec("RAND:seed=7"));
+  ASSERT_TRUE(replicated.ok()) << replicated.status();
+  ASSERT_TRUE(explicit_seed.ok()) << explicit_seed.status();
+  EXPECT_GT(replicated->result.served_orders, 0);
+  EXPECT_EQ(replicated->label, "RAND-replicated");
+  EXPECT_EQ(replicated->replication_seed, 7u);
+  ExpectSameAggregates(explicit_seed->result, replicated->result,
                        "replication seed vs explicit seed");
 }
 
-TEST_F(ApiTest, RunnerFailsFastOnUnknownSpec) {
+TEST_F(ApiTest, RunOneFailsOnUnknownSpec) {
   StatusOr<Simulation> sim = builder_->Build();
   ASSERT_TRUE(sim.ok());
-  ExperimentRunner runner(*sim);
-  StatusOr<std::vector<RunResult>> results =
-      runner.RunAll({RunSpec("IRG"), RunSpec("TYPO")});
-  ASSERT_FALSE(results.ok());
-  EXPECT_NE(results.status().message().find("known dispatchers"),
+  StatusOr<RunResult> result = RunOne(*sim, RunSpec("TYPO"));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("known dispatchers"),
             std::string::npos);
 }
 
-TEST_F(ApiTest, RunnerAppliesConfigOverridesAndScenarioChoice) {
+TEST_F(ApiTest, RunOneAppliesConfigOverridesAndScenarioChoice) {
   // A script that cancels a handful of early orders.
   ScenarioScript script;
   for (OrderId id = 0; id < 40; ++id) script.Cancel(600.0 + id, id);
@@ -586,7 +564,6 @@ TEST_F(ApiTest, RunnerAppliesConfigOverridesAndScenarioChoice) {
   StatusOr<Simulation> sim = with_scenario.Build();
   ASSERT_TRUE(sim.ok());
 
-  RunSpec scripted("NEAR", "scripted");
   RunSpec unscripted("NEAR", "unscripted");
   unscripted.use_scenario = false;
   RunSpec half_horizon("NEAR", "half");
@@ -594,29 +571,29 @@ TEST_F(ApiTest, RunnerAppliesConfigOverridesAndScenarioChoice) {
   half_cfg.horizon_seconds /= 2;
   half_horizon.config = half_cfg;
 
-  ExperimentRunner runner(*sim);
-  StatusOr<std::vector<RunResult>> results =
-      runner.RunAll({scripted, unscripted, half_horizon});
-  ASSERT_TRUE(results.ok()) << results.status();
-  EXPECT_GT((*results)[0].result.cancelled_orders, 0);
-  EXPECT_EQ((*results)[1].result.cancelled_orders, 0);
-  EXPECT_LT((*results)[2].result.num_batches,
-            (*results)[0].result.num_batches);
+  StatusOr<RunResult> scripted_run = RunOne(*sim, RunSpec("NEAR", "scripted"));
+  StatusOr<RunResult> unscripted_run = RunOne(*sim, unscripted);
+  StatusOr<RunResult> half_run = RunOne(*sim, half_horizon);
+  ASSERT_TRUE(scripted_run.ok()) << scripted_run.status();
+  ASSERT_TRUE(unscripted_run.ok()) << unscripted_run.status();
+  ASSERT_TRUE(half_run.ok()) << half_run.status();
+  EXPECT_GT(scripted_run->result.cancelled_orders, 0);
+  EXPECT_EQ(unscripted_run->result.cancelled_orders, 0);
+  EXPECT_LT(half_run->result.num_batches, scripted_run->result.num_batches);
 
-  // An invalid per-spec config is caught before anything runs, the valid
-  // spec ahead of it included.
+  // An invalid per-spec config fails before the run's first batch.
   struct BatchCounter : SimObserver {
     void OnBatchEnd(double) override { ++batches; }
     int batches = 0;
   } counter;
-  RunSpec good("NEAR", "good");
-  good.observer = &counter;
   RunSpec bad("IRG");
   SimConfig bad_cfg = sim->config();
   bad_cfg.window_seconds = -5.0;
   bad.config = bad_cfg;
-  StatusOr<std::vector<RunResult>> invalid = runner.RunAll({good, bad});
+  bad.observer = &counter;
+  StatusOr<RunResult> invalid = RunOne(*sim, bad);
   ASSERT_FALSE(invalid.ok());
+  EXPECT_EQ(invalid.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(invalid.status().message().find("window_seconds"),
             std::string::npos);
   EXPECT_EQ(counter.batches, 0);

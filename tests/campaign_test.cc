@@ -3,8 +3,8 @@
 // grid expansion determinism and stable content keys, the resumable
 // artifact store (resume skips completed cells; fresh vs resumed
 // manifests are byte-identical), and bit-identity of campaign results
-// against a per-simulation ExperimentRunner::RunAll over the same cells at
-// runner threads {1, 4}.
+// against a serial RunOne loop over the same cells at campaign threads
+// {1, 4}.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -628,25 +628,24 @@ TEST(CampaignRunnerTest, ResumeSkipsCompletedAndManifestsAreByteIdentical) {
   EXPECT_EQ(summary->manifest_json, fresh_manifest);
 }
 
-TEST(CampaignRunnerTest, BitIdenticalToExperimentRunnerAtThreads1And4) {
-  // The same cells, hand-built as an ExperimentRunner sweep over the
+TEST(CampaignRunnerTest, BitIdenticalToRunOneAtThreads1And4) {
+  // The same cells, hand-built as a serial RunOne loop over the
   // catalog-built Simulation (grid order: dispatcher-major, seed
   // innermost for the single workload/scenario/delta).
   CampaignSpec spec = SmallSpec();
   StatusOr<Simulation> sim = WorkloadCatalog::Global().Build(kTestWorkload);
   ASSERT_TRUE(sim.ok()) << sim.status();
-  std::vector<RunSpec> specs;
+  std::vector<RunResult> want;
   for (const std::string& dispatcher : spec.dispatchers) {
     for (uint64_t seed : spec.seeds) {
       RunSpec run_spec(dispatcher);
       run_spec.replication_seed = seed;
-      specs.push_back(std::move(run_spec));
+      StatusOr<RunResult> run = RunOne(*sim, run_spec);
+      ASSERT_TRUE(run.ok()) << run.status();
+      want.push_back(std::move(run).value());
     }
   }
-  ExperimentRunner reference(*sim, /*num_threads=*/1);
-  StatusOr<std::vector<RunResult>> want = reference.RunAll(specs);
-  ASSERT_TRUE(want.ok()) << want.status();
-  ASSERT_EQ(want->size(), 4u);
+  ASSERT_EQ(want.size(), 4u);
 
   for (int threads : {1, 4}) {
     TempDir dir("bitident_t" + std::to_string(threads));
@@ -655,14 +654,14 @@ TEST(CampaignRunnerTest, BitIdenticalToExperimentRunnerAtThreads1And4) {
     options.num_threads = threads;
     StatusOr<CampaignReport> report = runner.Run(options);
     ASSERT_TRUE(report.ok()) << report.status();
-    ASSERT_EQ(report->cells.size(), want->size());
-    for (size_t i = 0; i < want->size(); ++i) {
+    ASSERT_EQ(report->cells.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
       const CellOutcome& outcome = report->cells[i];
       ASSERT_EQ(outcome.source, CellOutcome::Source::kExecuted);
       ASSERT_TRUE(outcome.live.has_value());
       EXPECT_GT(outcome.live->result.served_orders, 0);
       ExpectSameAggregates(
-          (*want)[i].result, outcome.live->result,
+          want[i].result, outcome.live->result,
           outcome.cell.dispatcher + " seed " +
               std::to_string(outcome.cell.seed) + " @" +
               std::to_string(threads) + " campaign threads");

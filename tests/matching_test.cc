@@ -1,169 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <vector>
 
 #include "matching/bipartite.h"
-#include "matching/hungarian.h"
-#include "util/rng.h"
 
 namespace mrvd {
 namespace {
-
-// ------------------------------------------------------------- Hungarian
-
-TEST(HungarianTest, SolvesKnown3x3) {
-  // Classic instance: optimal assignment cost is 5 (0->1, 1->0, 2->2).
-  std::vector<double> cost = {4, 1, 3,
-                              2, 0, 5,
-                              3, 2, 2};
-  auto r = SolveMinCostAssignment(cost, 3, 3);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_DOUBLE_EQ(r->total_cost, 5.0);
-  EXPECT_EQ(r->row_to_col[0], 1);
-  EXPECT_EQ(r->row_to_col[1], 0);
-  EXPECT_EQ(r->row_to_col[2], 2);
-}
-
-TEST(HungarianTest, RectangularMoreColumns) {
-  std::vector<double> cost = {10, 1, 10,
-                              1, 10, 10};
-  auto r = SolveMinCostAssignment(cost, 2, 3);
-  ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(r->total_cost, 2.0);
-  EXPECT_EQ(r->row_to_col[0], 1);
-  EXPECT_EQ(r->row_to_col[1], 0);
-}
-
-TEST(HungarianTest, RectangularMoreRows) {
-  // Only 1 column: exactly one row gets it (the cheapest).
-  std::vector<double> cost = {5, 1, 3};
-  auto r = SolveMinCostAssignment(cost, 3, 1);
-  ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(r->total_cost, 1.0);
-  EXPECT_EQ(r->row_to_col[0], -1);
-  EXPECT_EQ(r->row_to_col[1], 0);
-  EXPECT_EQ(r->row_to_col[2], -1);
-}
-
-TEST(HungarianTest, ForbiddenPairsAvoided) {
-  std::vector<double> cost = {kForbiddenCost, 2,
-                              3, kForbiddenCost};
-  auto r = SolveMinCostAssignment(cost, 2, 2);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->row_to_col[0], 1);
-  EXPECT_EQ(r->row_to_col[1], 0);
-  EXPECT_DOUBLE_EQ(r->total_cost, 5.0);
-}
-
-TEST(HungarianTest, InfeasibleRowLeftUnassigned) {
-  std::vector<double> cost = {kForbiddenCost, kForbiddenCost,
-                              1, kForbiddenCost};
-  auto r = SolveMinCostAssignment(cost, 2, 2);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->row_to_col[0], -1);  // nothing allowed for row 0
-  EXPECT_EQ(r->row_to_col[1], 0);
-}
-
-TEST(HungarianTest, MaxWeightSelectsHeaviest) {
-  std::vector<double> weight = {1, 9,
-                                8, 2};
-  auto r = SolveMaxWeightAssignment(weight, 2, 2);
-  ASSERT_TRUE(r.ok());
-  EXPECT_DOUBLE_EQ(r->total_cost, 17.0);
-  EXPECT_EQ(r->row_to_col[0], 1);
-  EXPECT_EQ(r->row_to_col[1], 0);
-}
-
-TEST(HungarianTest, DimensionValidation) {
-  EXPECT_FALSE(SolveMinCostAssignment({1, 2, 3}, 2, 2).ok());
-  EXPECT_FALSE(SolveMaxWeightAssignment({-1.0}, 1, 1).ok());
-}
-
-TEST(HungarianTest, MatchesBruteForceOnRandomInstances) {
-  Rng rng(77);
-  for (int trial = 0; trial < 20; ++trial) {
-    const int n = 4;
-    std::vector<double> cost(n * n);
-    for (auto& c : cost) c = rng.Uniform(0.0, 100.0);
-    auto r = SolveMinCostAssignment(cost, n, n);
-    ASSERT_TRUE(r.ok());
-    // Brute force over all 24 permutations.
-    std::vector<int> perm{0, 1, 2, 3};
-    double best = 1e18;
-    do {
-      double t = 0;
-      for (int i = 0; i < n; ++i) t += cost[static_cast<size_t>(i) * n + perm[static_cast<size_t>(i)]];
-      best = std::min(best, t);
-    } while (std::next_permutation(perm.begin(), perm.end()));
-    EXPECT_NEAR(r->total_cost, best, 1e-9);
-  }
-}
-
-// ---------------------------------------------------------- Hopcroft–Karp
-
-TEST(HopcroftKarpTest, PerfectMatchingExists) {
-  BipartiteGraph g(3, 3);
-  g.AddEdge(0, 0);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 1);
-  g.AddEdge(2, 2);
-  auto m = MaxCardinalityMatching(g);
-  EXPECT_EQ(m.size, 3);
-  // Forced structure: 1 must take 1, so 0 takes 0.
-  EXPECT_EQ(m.left_match[1], 1);
-  EXPECT_EQ(m.left_match[0], 0);
-  EXPECT_EQ(m.left_match[2], 2);
-}
-
-TEST(HopcroftKarpTest, BottleneckLimitsMatching) {
-  // All three lefts can only reach right 0.
-  BipartiteGraph g(3, 2);
-  g.AddEdge(0, 0);
-  g.AddEdge(1, 0);
-  g.AddEdge(2, 0);
-  auto m = MaxCardinalityMatching(g);
-  EXPECT_EQ(m.size, 1);
-}
-
-TEST(HopcroftKarpTest, AugmentingPathsFound) {
-  // Greedy would match (0,0) and block; HK must augment to size 2.
-  BipartiteGraph g(2, 2);
-  g.AddEdge(0, 0);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 0);
-  auto m = MaxCardinalityMatching(g);
-  EXPECT_EQ(m.size, 2);
-  EXPECT_EQ(m.left_match[0], 1);
-  EXPECT_EQ(m.left_match[1], 0);
-}
-
-TEST(HopcroftKarpTest, EmptyGraph) {
-  BipartiteGraph g(3, 3);
-  auto m = MaxCardinalityMatching(g);
-  EXPECT_EQ(m.size, 0);
-  for (int v : m.left_match) EXPECT_EQ(v, -1);
-}
-
-TEST(HopcroftKarpTest, MatchingIsConsistent) {
-  Rng rng(5);
-  BipartiteGraph g(20, 15);
-  for (int i = 0; i < 60; ++i) {
-    g.AddEdge(static_cast<int>(rng.UniformInt(0, 19)),
-              static_cast<int>(rng.UniformInt(0, 14)));
-  }
-  auto m = MaxCardinalityMatching(g);
-  int count = 0;
-  for (int u = 0; u < 20; ++u) {
-    int v = m.left_match[static_cast<size_t>(u)];
-    if (v >= 0) {
-      EXPECT_EQ(m.right_match[static_cast<size_t>(v)], u);
-      ++count;
-    }
-  }
-  EXPECT_EQ(count, m.size);
-}
-
-// ---------------------------------------------------------------- greedy
 
 TEST(GreedyMatchTest, PicksLowestScoresFirst) {
   std::vector<WeightedPair> pairs = {

@@ -5,7 +5,7 @@
 // (the drain thread's shutdown handshake runs under TSan in CI), timed
 // spans, Chrome-trace export well-formedness, bit-identity of results with
 // telemetry on vs off, one stage timing reaching every sink, and
-// ObserverList/ObserverChain forwarding of the OnBatchTimings hook.
+// ObserverList forwarding of the OnBatchTimings hook.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -584,15 +584,17 @@ class HookRecorder final : public SimObserver {
   BatchTimings last_timings;
 };
 
-TEST_F(EngineTelemetryTest, ChainForwardsTimingsHook) {
+TEST_F(EngineTelemetryTest, ObserverListForwardsTimingsHook) {
   HookRecorder first;
   HookRecorder second;
-  ObserverChain chain;
-  chain.Add(&first).Add(&second);
+  ObserverList list;
+  list.Add(&first);
+  list.Add(&second);
+  list.Add(nullptr);  // ignored
 
   StatusOr<Simulation> sim = MakeBuilder().Build();
   ASSERT_TRUE(sim.ok()) << sim.status();
-  StatusOr<SimResult> result = sim->Run("NEAR", &chain);
+  StatusOr<SimResult> result = sim->Run("NEAR", &list);
   ASSERT_TRUE(result.ok()) << result.status();
 
   for (const HookRecorder* r : {&first, &second}) {
