@@ -1,7 +1,7 @@
 // Micro-benchmarks of the queueing substrate (google-benchmark):
 // closed-form ET(λ, μ) evaluation across regimes, the dispatch path's
-// table-backed solve, the reneging-strength (β) ablation called out in
-// DESIGN.md, and the CTMC queue simulator.
+// table-backed solve, the reneging-strength (β) ablation, and the CTMC
+// queue simulator.
 #include <benchmark/benchmark.h>
 
 #include "queueing/birth_death.h"

@@ -39,7 +39,8 @@ int main() {
       default_run = std::move(r);
     }
   }
-  std::printf("(* fleet sizes scaled by scale^1.5; see DESIGN.md)\n");
+  std::printf("(* fleet sizes scaled by scale^1.5; see the `paper` entry in "
+              "src/campaign/workload_catalog.cc)\n");
 
   // Figure 6: per-region predicted vs. real mean idle time at the default
   // fleet size, rendered as two aligned grids.

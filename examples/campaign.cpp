@@ -11,11 +11,11 @@
 //   ./campaign resume  out/demo          # re-executes only missing cells
 //   ./campaign summarize out/demo        # read-only aggregation
 //
-// `convert` turns a TLC trip CSV into the binary order-trace format the
-// `trace` catalog workload streams with O(batch) memory:
+// The `trace` catalog workload streams a binary order trace with O(batch)
+// memory; tools/tlc_to_trace converts a TLC trip CSV into one:
 //
-//   ./campaign convert trips.csv day.trace --drivers 3000 --day 27
-//   ./campaign run out/day --workloads "trace:path=day.trace"
+//   ./build/tools/tlc_to_trace trips.csv day.trace --drivers 3000 --day 27
+//   ./build/examples/campaign run out/day --workloads "trace:path=day.trace"
 //
 // `resume` and `summarize` re-read the grid from <dir>/campaign.json — no
 // flags needed. Axis flags take ';'-separated catalog/registry specs
@@ -34,7 +34,6 @@
 #include "api/dispatcher_registry.h"
 #include "campaign/campaign.h"
 #include "util/strings.h"
-#include "workload/order_stream.h"
 
 using namespace mrvd;
 
@@ -44,8 +43,6 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s <run|resume|summarize> <campaign-dir> [options]\n"
-      "       %s convert <trips.csv> <out.trace> [--drivers N] [--day D]\n"
-      "                  [--max-orders N] [--seed S]\n"
       "\n"
       "options (run only; resume/summarize read <dir>/campaign.json):\n"
       "  --name NAME           campaign name (default: demo)\n"
@@ -63,71 +60,10 @@ int Usage(const char* argv0) {
       "known workloads:   %s\n"
       "known scenarios:   %s\n"
       "known dispatchers: %s\n",
-      argv0, argv0, WorkloadCatalog::Global().RosterString().c_str(),
+      argv0, WorkloadCatalog::Global().RosterString().c_str(),
       ScenarioCatalog::Global().RosterString().c_str(),
       DispatcherRegistry::Global().RosterString().c_str());
   return 2;
-}
-
-/// `campaign convert <trips.csv> <out.trace> [...]` — the tools/
-/// tlc_to_trace converter reachable from the campaign CLI, so the whole
-/// stream-and-sweep path is drivable from one binary.
-int RunConvert(int argc, char** argv) {
-  if (argc < 4) return Usage(argv[0]);
-  const std::string csv_path = argv[2];
-  const std::string trace_path = argv[3];
-  int drivers = 3000;
-  TlcParseOptions options;
-  for (int i = 4; i < argc; ++i) {
-    auto value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    auto numeric = [&](const char* flag) -> int64_t {
-      StatusOr<int64_t> v = ParseInt64(value(flag));
-      if (!v.ok()) {
-        std::fprintf(stderr, "bad value for %s\n", flag);
-        std::exit(2);
-      }
-      return *v;
-    };
-    if (std::strcmp(argv[i], "--drivers") == 0) {
-      drivers = static_cast<int>(numeric("--drivers"));
-    } else if (std::strcmp(argv[i], "--day") == 0) {
-      options.day_filter = static_cast<int>(numeric("--day"));
-    } else if (std::strcmp(argv[i], "--max-orders") == 0) {
-      options.max_orders = numeric("--max-orders");
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      options.seed = static_cast<uint64_t>(numeric("--seed"));
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
-      return Usage(argv[0]);
-    }
-  }
-  TlcParseStats stats;
-  Status st =
-      ConvertTlcCsvToTrace(csv_path, trace_path, drivers, options, &stats);
-  if (!st.ok()) {
-    std::fprintf(stderr, "convert failed: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  StatusOr<OrderTraceInfo> info = ReadOrderTraceInfo(trace_path);
-  if (!info.ok()) {
-    std::fprintf(stderr, "written trace fails validation: %s\n",
-                 info.status().ToString().c_str());
-    return 1;
-  }
-  std::printf(
-      "kept %lld of %lld rows -> %s (%lld orders, %lld drivers, %lld "
-      "bytes)\nrun it with: --workloads \"trace:path=%s\"\n",
-      (long long)stats.rows_kept, (long long)stats.rows_total,
-      trace_path.c_str(), (long long)info->order_count,
-      (long long)info->driver_count, (long long)info->file_bytes,
-      trace_path.c_str());
-  return 0;
 }
 
 std::vector<std::string> SplitSpecs(const std::string& list) {
@@ -167,7 +103,6 @@ void PrintReport(const CampaignReport& report, const std::string& dir) {
 int main(int argc, char** argv) {
   if (argc < 3) return Usage(argv[0]);
   const std::string command = argv[1];
-  if (command == "convert") return RunConvert(argc, argv);
   const std::string dir = argv[2];
   if (command != "run" && command != "resume" && command != "summarize") {
     return Usage(argv[0]);

@@ -22,8 +22,8 @@
 //                   cancellation-hazard + rush-hour-surge day through the
 //                   scenario event subsystem (see examples/scenario_day.cpp
 //                   for the full roster under that script)
-//   --stream PATH   stream a binary order trace (tools/tlc_to_trace or
-//                   `campaign convert`) instead of materialising a workload;
+//   --stream PATH   stream a binary order trace (from tools/tlc_to_trace)
+//                   instead of materialising a workload;
 //                   peak memory stays O(batch) regardless of trace length.
 //                   Prediction-free and scenario-free: the forecast needs
 //                   the full day up front, which streaming deliberately

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <utility>
 
-#include "api/dispatcher_registry.h"
+#include "api/experiment_runner.h"
 #include "prediction/predictor.h"
 #include "workload/demand_history.h"
 #include "workload/order_source.h"
@@ -16,15 +16,11 @@ namespace mrvd {
 
 StatusOr<SimResult> Simulation::Run(const std::string& dispatcher_spec,
                                     SimObserver* observer) const {
-  const DispatcherRegistry& registry = DispatcherRegistry::Global();
-  StatusOr<std::unique_ptr<Dispatcher>> dispatcher =
-      registry.Create(dispatcher_spec);
-  if (!dispatcher.ok()) return dispatcher.status();
-  SimConfig config = config_;
-  if (registry.RequiresZeroPickupTravel((*dispatcher)->name())) {
-    config.zero_pickup_travel = true;
-  }
-  return RunWith(config, **dispatcher, scenario_, observer);
+  RunSpec spec(dispatcher_spec);
+  spec.observer = observer;
+  StatusOr<RunResult> run = RunOne(*this, spec);
+  if (!run.ok()) return run.status();
+  return std::move(run).value().result;
 }
 
 StatusOr<SimResult> Simulation::RunWith(const SimConfig& config,

@@ -52,15 +52,17 @@ class Simulation {
   const NycLikeGenerator* generator() const { return generator_.get(); }
 
   /// Runs one dispatcher built from a DispatcherRegistry spec ("IRG",
-  /// "LS:max_sweeps=8", ...). Unknown names fail with a Status listing the
-  /// known roster. Dispatchers marked requires_zero_pickup_travel (UPPER)
-  /// automatically run with SimConfig::zero_pickup_travel set.
+  /// "LS:max_sweeps=8", ...) under this simulation's config and scenario:
+  /// the result of RunOne(*this, RunSpec(dispatcher_spec)), so unknown
+  /// names fail with a Status listing the known roster, and dispatchers
+  /// marked requires_zero_pickup_travel (UPPER) run with
+  /// SimConfig::zero_pickup_travel set.
   StatusOr<SimResult> Run(const std::string& dispatcher_spec,
                           SimObserver* observer = nullptr) const;
 
   /// The single-run engine path under an explicit, already trait-applied
-  /// config — what Run above (and RunOne) bottoms out in; it also runs a
-  /// caller-constructed dispatcher. An invalid config fails with
+  /// config — what RunOne (and so Run above) bottoms out in; it also runs
+  /// a caller-constructed dispatcher. An invalid config fails with
   /// InvalidArgument before any batch runs. A streamed simulation opens a
   /// fresh OrderStreamReader per call (runs stay independent, so sweeps
   /// parallelise), and stream open/read failures surface as the Status.

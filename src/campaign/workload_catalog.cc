@@ -347,7 +347,7 @@ void RegisterBuiltinWorkloads(WorkloadCatalog* c) {
       [](const CatalogParams& p) {
         return RequirePath(p,
                            "pass path=/path/to/day.trace (convert CSVs with "
-                           "`campaign convert`)");
+                           "tools/tlc_to_trace)");
       }));
 }
 

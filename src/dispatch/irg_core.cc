@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <queue>
 
-#include "util/thread_pool.h"
-
 namespace mrvd {
 
 double ScoreFromIdleTrip(double idle_seconds, double trip_seconds,
@@ -93,35 +91,8 @@ IrgState RunGreedySelectionWithIdle(const BatchContext& ctx,
   // priority queue holding only the re-scored stale entries (hundreds, not
   // tens of thousands). Both orders follow the same strict total order, so
   // the merged pop sequence is exactly the single-heap one.
-  auto ascending = [](const Entry& a, const Entry& b) { return b > a; };
-  const BatchExecution* exec = ctx.execution();
-  if (exec != nullptr && exec->Parallel() && entries.size() >= 4096) {
-    // Chunk-sort on the pool, then pairwise in-place merges. The sorted
-    // result is unique under the strict total order, so this is
-    // indistinguishable from the serial sort.
-    size_t chunks = static_cast<size_t>(exec->pool->num_threads());
-    std::vector<size_t> bounds(chunks + 1);
-    for (size_t c = 0; c <= chunks; ++c) {
-      bounds[c] = entries.size() * c / chunks;
-    }
-    exec->pool->ParallelFor(static_cast<int>(chunks), [&](int c) {
-      std::sort(entries.begin() + static_cast<ptrdiff_t>(bounds[c]),
-                entries.begin() + static_cast<ptrdiff_t>(bounds[c + 1]),
-                ascending);
-    });
-    for (size_t width = 1; width < chunks; width *= 2) {
-      for (size_t c = 0; c + width < chunks; c += 2 * width) {
-        std::inplace_merge(
-            entries.begin() + static_cast<ptrdiff_t>(bounds[c]),
-            entries.begin() + static_cast<ptrdiff_t>(bounds[c + width]),
-            entries.begin() + static_cast<ptrdiff_t>(
-                bounds[std::min(c + 2 * width, chunks)]),
-            ascending);
-      }
-    }
-  } else {
-    std::sort(entries.begin(), entries.end(), ascending);
-  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return b > a; });
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> requeue;
   size_t next_sorted = 0;
 

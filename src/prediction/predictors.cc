@@ -93,7 +93,13 @@ class LinearRegressionPredictor final : public DemandPredictor {
 /// closeness (recent slots), period (same slot previous days), trend (same
 /// slot previous weeks), metadata (time-of-day harmonics, weekend flag) and
 /// a spatial 8-neighbour aggregate of the last slot (the conv-layer
-/// surrogate). See DESIGN.md §2 for the substitution rationale.
+/// surrogate). The paper's DeepST is a deep residual CNN; running one would
+/// need a neural-network runtime, which this dependency-free library does
+/// not carry. The dispatchers read a forecast only as each region's
+/// predicted riders and drivers, so what must carry over is DeepST's inputs
+/// and its rank in accuracy (the most accurate learned model, ahead of
+/// GBRT, LR and HA, as bench_table6_prediction_accuracy prints), not its
+/// architecture.
 class DeepStSurrogatePredictor final : public DemandPredictor {
  public:
   explicit DeepStSurrogatePredictor(const DeepStOptions& options)

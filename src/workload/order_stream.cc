@@ -260,7 +260,7 @@ StatusOr<std::unique_ptr<OrderStreamReader>> OrderStreamReader::Open(
   if (std::memcmp(header, kOrderTraceMagic, 8) != 0) {
     return Status::InvalidArgument(
         "'" + path + "' is not an order trace (bad magic); convert CSVs "
-        "with tlc_to_trace or `campaign convert` first");
+        "with tlc_to_trace first");
   }
   OrderTraceInfo& info = reader->info_;
   info.version = GetU32(header + 8);

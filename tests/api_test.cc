@@ -462,9 +462,26 @@ TEST_F(ApiTest, UpperRunsWithZeroPickupTraitApplied) {
   StatusOr<Simulation> sim = builder_->Build();
   ASSERT_TRUE(sim.ok());
   // The caller never touches zero_pickup_travel; the registry trait does.
+  ASSERT_FALSE(sim->config().zero_pickup_travel);
   StatusOr<SimResult> upper = sim->Run("UPPER");
   ASSERT_TRUE(upper.ok()) << upper.status();
   EXPECT_GT(upper->served_orders, 0);
+
+  // Bit for bit the run under an explicit zero_pickup_travel = true, which
+  // differs from one without it.
+  for (bool zero_pickup : {true, false}) {
+    SimConfig cfg = sim->config();
+    cfg.zero_pickup_travel = zero_pickup;
+    auto d = DispatcherRegistry::Global().Create("UPPER");
+    ASSERT_TRUE(d.ok()) << d.status();
+    StatusOr<SimResult> explicit_run = sim->RunWith(cfg, **d, sim->scenario());
+    ASSERT_TRUE(explicit_run.ok()) << explicit_run.status();
+    if (zero_pickup) {
+      ExpectSameAggregates(*explicit_run, *upper, "UPPER: Run vs RunWith");
+    } else {
+      EXPECT_NE(explicit_run->total_revenue, upper->total_revenue);
+    }
+  }
 }
 
 // ------------------------------------------------------------- ObserverList

@@ -3,8 +3,9 @@
 // the registry's deterministic-signature contract across engine thread
 // counts {1, 4}, trace-span recording in synchronous and async-drain modes
 // (the drain thread's shutdown handshake runs under TSan in CI), timed
-// spans, Chrome-trace export well-formedness, bit-identity of results with
-// telemetry on vs off, one stage timing reaching every sink, and
+// spans, Chrome-trace export well-formedness, bit-identity of results and
+// metric signatures with telemetry off, metrics-only and tracing, one stage
+// timing reaching every sink, and
 // ObserverList forwarding of the OnBatchTimings hook.
 #include <gtest/gtest.h>
 
@@ -405,20 +406,34 @@ TEST_F(EngineTelemetryTest, TelemetryDoesNotChangeResults) {
   StatusOr<SimResult> baseline = plain->Run("LS");
   ASSERT_TRUE(baseline.ok()) << baseline.status();
 
-  TelemetrySession session;
-  StatusOr<Simulation> instrumented =
-      MakeBuilder().WithTelemetry(&session).Build();
-  ASSERT_TRUE(instrumented.ok()) << instrumented.status();
-  StatusOr<SimResult> with = instrumented->Run("LS");
-  ASSERT_TRUE(with.ok()) << with.status();
-  session.Finish();
+  // A metrics-only synchronous session and full tracing through the async
+  // drainer: neither changes the result, and both record the same
+  // deterministic metrics.
+  std::vector<std::string> signatures;
+  for (bool tracing : {false, true}) {
+    SCOPED_TRACE(tracing ? "tracing, async drain" : "metrics only");
+    TelemetryConfig config;
+    config.tracing = tracing;
+    config.async_drain = tracing;
+    TelemetrySession session(config);
+    StatusOr<Simulation> instrumented =
+        MakeBuilder().WithTelemetry(&session).Build();
+    ASSERT_TRUE(instrumented.ok()) << instrumented.status();
+    StatusOr<SimResult> with = instrumented->Run("LS");
+    ASSERT_TRUE(with.ok()) << with.status();
+    session.Finish();
 
-  EXPECT_EQ(with->served_orders, baseline->served_orders);
-  EXPECT_EQ(with->reneged_orders, baseline->reneged_orders);
-  EXPECT_EQ(with->num_batches, baseline->num_batches);
-  EXPECT_EQ(with->total_revenue, baseline->total_revenue);
-  EXPECT_EQ(with->dispatch_sweeps, baseline->dispatch_sweeps);
-  EXPECT_EQ(with->dispatch_swaps_applied, baseline->dispatch_swaps_applied);
+    EXPECT_EQ(with->served_orders, baseline->served_orders);
+    EXPECT_EQ(with->reneged_orders, baseline->reneged_orders);
+    EXPECT_EQ(with->num_batches, baseline->num_batches);
+    EXPECT_EQ(with->total_revenue, baseline->total_revenue);
+    EXPECT_EQ(with->dispatch_sweeps, baseline->dispatch_sweeps);
+    EXPECT_EQ(with->dispatch_swaps_applied, baseline->dispatch_swaps_applied);
+    EXPECT_EQ(session.drained_events() > 0, tracing);
+    signatures.push_back(session.metrics().DeterministicSignature());
+  }
+  EXPECT_FALSE(signatures[0].empty());
+  EXPECT_EQ(signatures[0], signatures[1]);
 }
 
 TEST_F(EngineTelemetryTest, DeterministicSignatureIdenticalAcrossThreads) {
