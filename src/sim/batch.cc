@@ -15,6 +15,15 @@ bool BatchExecution::Parallel() const {
          partitioner->num_shards() > 1;
 }
 
+namespace {
+
+/// 64-bit words that hold one grid row of join bits.
+size_t JoinWordsPerRow(const Grid& grid) {
+  return (static_cast<size_t>(grid.cols()) + 63) / 64;
+}
+
+}  // namespace
+
 BatchContext::BatchContext(double now, double window_seconds,
                            const RenegingGrowthTable& growth, const Grid& grid,
                            const TravelCostModel& cost_model,
@@ -29,8 +38,8 @@ BatchContext::BatchContext(double now, double window_seconds,
       snapshots_(static_cast<size_t>(grid.num_regions())),
       row_epoch_(static_cast<size_t>(grid.rows()), 0),
       idle_memo_(static_cast<size_t>(grid.num_regions())),
-      latest_join_(static_cast<size_t>(grid.num_regions()),
-                   -std::numeric_limits<double>::infinity()) {}
+      join_bits_(static_cast<size_t>(grid.rows()) * JoinWordsPerRow(grid)),
+      words_per_row_(JoinWordsPerRow(grid)) {}
 
 BatchContext::BatchContext(double now, double window_seconds,
                            double reneging_beta, const Grid& grid,
@@ -48,25 +57,29 @@ BatchContext::BatchContext(double now, double window_seconds,
       snapshots_(static_cast<size_t>(grid.num_regions())),
       row_epoch_(static_cast<size_t>(grid.rows()), 0),
       idle_memo_(static_cast<size_t>(grid.num_regions())),
-      latest_join_(static_cast<size_t>(grid.num_regions()),
-                   -std::numeric_limits<double>::infinity()) {}
+      join_bits_(static_cast<size_t>(grid.rows()) * JoinWordsPerRow(grid)),
+      words_per_row_(JoinWordsPerRow(grid)) {}
 
 void BatchContext::Reset(double now) {
   now_ = now;
   riders_.clear();
+  lent_riders_ = nullptr;
   // Only the regions of the last batch's drivers hold anything: clear
   // those, or every region when the drivers outnumber the regions.
-  constexpr double kNone = -std::numeric_limits<double>::infinity();
   if (drivers_.size() < drivers_by_region_.size()) {
     for (const AvailableDriver& d : drivers_) {
       drivers_by_region_[static_cast<size_t>(d.region)].clear();
-      latest_join_[static_cast<size_t>(d.region)] = kNone;
     }
   } else {
     for (auto& bucket : drivers_by_region_) bucket.clear();
-    std::fill(latest_join_.begin(), latest_join_.end(), kNone);
   }
   drivers_.clear();
+  for (size_t word : joined_words_) join_bits_[word] = 0;
+  joined_words_.clear();
+  // Without a memo there is nothing to check: mark no driver.
+  join_bits_since_ = search_memo_.empty()
+                         ? std::numeric_limits<double>::infinity()
+                         : search_memo_now_;
   shard_index_.partitioner = nullptr;
   has_source_ = false;
   pairs_current_ = false;
@@ -76,7 +89,7 @@ void BatchContext::Reset(double now) {
 
 CellSpan BatchContext::SearchRider(int ri,
                                    std::vector<CandidatePair>* out) const {
-  const WaitingRider& r = riders_[static_cast<size_t>(ri)];
+  const WaitingRider& r = riders()[static_cast<size_t>(ri)];
   const double budget_seconds = r.pickup_deadline - now_;
   if (budget_seconds < 0.0) return CellSpan{0, -1, 0, -1};
 
@@ -117,6 +130,14 @@ const std::vector<CandidatePair>& BatchContext::ValidPairs() const {
   return pairs_;
 }
 
+void BatchContext::MarkJoined(RegionId region) {
+  const size_t col = static_cast<size_t>(grid_.ColOf(region));
+  const size_t word =
+      static_cast<size_t>(grid_.RowOf(region)) * words_per_row_ + col / 64;
+  if (join_bits_[word] == 0) joined_words_.push_back(word);
+  join_bits_[word] |= uint64_t{1} << (col % 64);
+}
+
 bool BatchContext::StillPairless(const RiderSearch& memo,
                                  const WaitingRider& r) const {
   auto same = [](double a, double b) {
@@ -128,67 +149,74 @@ bool BatchContext::StillPairless(const RiderSearch& memo,
       !same(memo.pickup_deadline, r.pickup_deadline)) {
     return false;
   }
+  // No driver joined anywhere, or the search walked nothing (its deadline
+  // had passed).
   const CellSpan& walked = memo.walked;
+  if (joined_words_.empty() || walked.row_lo > walked.row_hi ||
+      walked.col_lo > walked.col_hi) {
+    return true;
+  }
+  const size_t lo_word = static_cast<size_t>(walked.col_lo) / 64;
+  const size_t hi_word = static_cast<size_t>(walked.col_hi) / 64;
+  const uint64_t lo_mask = ~uint64_t{0} << (walked.col_lo % 64);
+  const uint64_t hi_mask = ~uint64_t{0} >> (63 - walked.col_hi % 64);
   for (int row = walked.row_lo; row <= walked.row_hi; ++row) {
-    for (int col = walked.col_lo; col <= walked.col_hi; ++col) {
-      const double joined =
-          latest_join_[static_cast<size_t>(grid_.RegionAt(row, col))];
-      if (!(joined < memo.now)) return false;
+    const uint64_t* words =
+        &join_bits_[static_cast<size_t>(row) * words_per_row_];
+    for (size_t w = lo_word; w <= hi_word; ++w) {
+      uint64_t mask = ~uint64_t{0};
+      if (w == lo_word) mask &= lo_mask;
+      if (w == hi_word) mask &= hi_mask;
+      if ((words[w] & mask) != 0) return false;
     }
   }
   return true;
 }
 
 void BatchContext::ComputeValidPairs() const {
+  const std::vector<WaitingRider>& riders = this->riders();
   pairs_.clear();
   // A search at a later clock had a smaller reach box than this batch's.
   if (now_ < search_memo_now_) search_memo_.clear();
-  if (!search_memo_.empty()) {
-    // One pass here costs less than keeping the maximum in AddDriver. The
-    // entries of regions without a driver stay -inf from Reset; a second
-    // pass in the same batch sees the same drivers and changes nothing.
-    for (const AvailableDriver& d : drivers_) {
-      double& latest = latest_join_[static_cast<size_t>(d.region)];
-      latest = std::max(latest, d.available_since);
-    }
-  }
-  next_memo_.clear();
-  // Waiting riders keep arrival order and new ones are appended, so one
-  // forward walk over the memo finds every rider that is still waiting.
+  // Entry ri becomes rider ri's. Waiting riders keep arrival order and new
+  // ones are appended, so one forward walk finds each rider that is still
+  // waiting at or after its new index: survivors move down, and a new
+  // rider takes the slot of one that left (which no later rider can
+  // match) or is appended.
+  const size_t old_size = search_memo_.size();
   size_t cursor = 0;
-  for (int ri = 0; ri < static_cast<int>(riders_.size()); ++ri) {
-    const WaitingRider& r = riders_[static_cast<size_t>(ri)];
-    const RiderSearch* memo = nullptr;
-    for (size_t m = cursor; m < search_memo_.size(); ++m) {
-      if (search_memo_[m].order_id == r.order_id) {
-        memo = &search_memo_[m];
-        cursor = m + 1;
-        break;
+  for (size_t ri = 0; ri < riders.size(); ++ri) {
+    const WaitingRider& r = riders[ri];
+    size_t m = cursor;
+    while (m < old_size && search_memo_[m].order_id != r.order_id) ++m;
+    if (m < old_size) {
+      cursor = m + 1;
+      if (StillPairless(search_memo_[m], r)) {
+        if (m != ri) search_memo_[ri] = search_memo_[m];
+        ++skipped_searches_;
+        continue;
       }
+    } else {
+      cursor = std::max(cursor, ri + 1);  // slot ri is overwritten below
     }
-    if (memo != nullptr && StillPairless(*memo, r)) {
-      next_memo_.push_back(*memo);  // keeps the search's now and cells
-      ++skipped_searches_;
-      continue;
-    }
+    if (ri == search_memo_.size()) search_memo_.emplace_back();
+    RiderSearch& entry = search_memo_[ri];
     const size_t before = pairs_.size();
-    RiderSearch& entry = next_memo_.emplace_back();
     entry.order_id = r.order_id;
     entry.pickup = r.pickup;
-    entry.pickup_region = r.pickup_region;
     entry.pickup_deadline = r.pickup_deadline;
-    entry.walked = SearchRider(ri, &pairs_);
+    entry.walked = SearchRider(static_cast<int>(ri), &pairs_);
+    entry.pickup_region = r.pickup_region;
     entry.found_nothing = pairs_.size() == before;
-    entry.now = now_;
   }
-  search_memo_.swap(next_memo_);
+  search_memo_.resize(riders.size());
   search_memo_now_ = now_;
   pairs_current_ = true;
   searched_this_batch_ = true;
 #ifndef NDEBUG
   // The memoised list must equal the from-scratch search bit for bit.
   std::vector<CandidatePair> scratch;
-  for (int ri = 0; ri < static_cast<int>(riders_.size()); ++ri) {
+  for (int ri = 0; ri < static_cast<int>(riders.size()); ++ri) {
     SearchRider(ri, &scratch);
   }
   assert(scratch.size() == pairs_.size());
@@ -291,8 +319,9 @@ const BatchContext::ShardIndex* BatchContext::EnsureShardIndex() const {
   shard_index_.partitioner = parts;
   shard_index_.riders.assign(num_shards, {});
   shard_index_.drivers.assign(num_shards, {});
-  for (int i = 0; i < static_cast<int>(riders_.size()); ++i) {
-    int s = parts->shard_of(riders_[static_cast<size_t>(i)].pickup_region);
+  const std::vector<WaitingRider>& riders = this->riders();
+  for (int i = 0; i < static_cast<int>(riders.size()); ++i) {
+    int s = parts->shard_of(riders[static_cast<size_t>(i)].pickup_region);
     shard_index_.riders[static_cast<size_t>(s)].push_back(i);
   }
   for (int j = 0; j < static_cast<int>(drivers_.size()); ++j) {

@@ -6,6 +6,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -137,7 +138,11 @@ class BatchContext {
   const Grid& grid() const { return grid_; }
   const TravelCostModel& cost_model() const { return cost_model_; }
 
-  const std::vector<WaitingRider>& riders() const { return riders_; }
+  /// The batch's waiting riders: the OrderBook pool that BatchBuilder::Fill
+  /// lends (LendRiders), or the context's own array that AddRider fills.
+  const std::vector<WaitingRider>& riders() const {
+    return lent_riders_ != nullptr ? *lent_riders_ : riders_;
+  }
   const std::vector<AvailableDriver>& drivers() const { return drivers_; }
   /// Indices of available drivers bucketed by current region.
   const std::vector<std::vector<int>>& drivers_by_region() const {
@@ -210,18 +215,19 @@ class BatchContext {
   /// All valid pairs of the batch in the canonical order: rider-major; per
   /// rider, rings outward from the pickup region, cells in Grid::Ring
   /// order, drivers in bucket order. Computed at the first call after
-  /// Reset, AddRider or AddDriver, into a buffer that keeps its capacity.
+  /// Reset, LendRiders, AddRider or AddDriver, into a buffer that keeps its
+  /// capacity.
   ///
   /// Between batches a pair can only expire (idle drivers do not move and
   /// deadlines are fixed), so a rider whose last search found nothing is
   /// not searched again while every cell that search walked holds only
-  /// drivers available since before its `now`: each of them was there when
-  /// that search ran and failed it, and the reach box has only shrunk
-  /// since. The list equals SearchRider over every rider bit for bit
-  /// (checked after every computation in builds without NDEBUG). The memo
-  /// behind this survives Reset; it is dropped when `now` goes backwards
-  /// or a driver is added after a computation in the same batch. NOT
-  /// thread-safe.
+  /// drivers available since before the previous computation's `now`:
+  /// each of them was in that computation's context, where the rider
+  /// stayed pair-less, and the reach box has only shrunk since. The list
+  /// equals SearchRider over every rider bit for bit (checked after every
+  /// computation in builds without NDEBUG). The memo behind this survives
+  /// Reset; it is dropped when `now` goes backwards or a driver is added
+  /// after a computation in the same batch. NOT thread-safe.
   const std::vector<CandidatePair>& ValidPairs() const;
 
   /// The memo-free Def.-3 search for rider `ri`: appends its valid pairs
@@ -237,19 +243,41 @@ class BatchContext {
   /// Riders whose search ValidPairs has skipped, over the context's life.
   int64_t skipped_searches() const { return skipped_searches_; }
 
-  /// Starts the next batch at `now` in place: empties riders, drivers and
-  /// the region buckets the last batch filled (keeping their capacity),
-  /// drops the shard index and the SnapshotSource, and invalidates every
-  /// memoised ET. The snapshots stay as they were until the caller sets
-  /// them (SetSnapshotSource or SetSnapshots), which it must do before any
-  /// snapshot or ET is read. A context refilled this way must give each
+  /// Starts the next batch at `now` in place: drops any lent rider pool
+  /// and empties the context's own riders, the drivers and the region
+  /// buckets the last batch filled (keeping their capacity), clears the
+  /// join bits the last batch set, drops the shard index and the
+  /// SnapshotSource, and invalidates every memoised ET. The snapshots
+  /// stay as they were until the caller sets them (SetSnapshotSource or
+  /// SetSnapshots), which it must do before any snapshot or ET is read.
+  /// A context refilled this way must give each
   /// driver the time it became available at its current location (see
   /// AvailableDriver::available_since), which ValidPairs' memo relies on.
   void Reset(double now);
 
   /// Mutable setup API (used by the engine when building the batch).
   /// Defined here so the builder's per-entity calls inline.
+  ///
+  /// Makes riders() read `riders` (the OrderBook's waiting pool) in place of
+  /// the context's own array, until the next Reset. Borrowed: the vector
+  /// must not change until the batch's assignments are applied. The
+  /// context's own array must be empty.
+  void LendRiders(const std::vector<WaitingRider>& riders) {
+    assert(riders_.empty());
+#ifndef NDEBUG
+    for (const WaitingRider& r : riders) {
+      assert(r.pickup_region != kInvalidRegion &&
+             r.dropoff_region != kInvalidRegion);
+    }
+#endif
+    lent_riders_ = &riders;
+    shard_index_.partitioner = nullptr;  // invalidate any cached index
+    pairs_current_ = false;
+  }
+  /// Appends to the context's own rider array: for a context assembled by
+  /// hand, which lends no pool.
   void AddRider(const WaitingRider& r) {
+    assert(lent_riders_ == nullptr);
     assert(r.pickup_region != kInvalidRegion &&
            r.dropoff_region != kInvalidRegion);
     riders_.push_back(r);
@@ -263,6 +291,7 @@ class BatchContext {
     drivers_.push_back(d);
     shard_index_.partitioner = nullptr;  // invalidate any cached index
     pairs_current_ = false;
+    if (d.available_since >= join_bits_since_) MarkJoined(d.region);
     // This batch's searches ran without the driver, whenever it joined.
     if (searched_this_batch_) search_memo_.clear();
   }
@@ -333,18 +362,21 @@ class BatchContext {
   struct RiderSearch {
     OrderId order_id = -1;
     LatLon pickup;
-    RegionId pickup_region = kInvalidRegion;
     double pickup_deadline = 0.0;
+    CellSpan walked;  ///< the cells the rider's last search walked
+    RegionId pickup_region = kInvalidRegion;
     bool found_nothing = false;
-    /// For a search that found nothing: its `now` and the cells it walked.
-    double now = 0.0;
-    CellSpan walked;
   };
   /// True if `memo`, the entry of rider `r`, proves that the rider still
   /// has no valid pair: it is `r`'s, its search found nothing, and no
-  /// driver in a walked cell became available at or after its `now`.
+  /// walked cell has its join bit set. A computation that follows another
+  /// one with no Reset in between needs no bits at all (its drivers were
+  /// all in that one, since AddDriver drops the memo); the bits Reset's
+  /// threshold gave can only make it search more riders than it must.
   bool StillPairless(const RiderSearch& memo, const WaitingRider& r) const;
   void ComputeValidPairs() const;
+  /// Sets `region`'s join bit.
+  void MarkJoined(RegionId region);
 
   double now_;
   double window_seconds_;
@@ -356,7 +388,8 @@ class BatchContext {
   const TravelCostModel& cost_model_;
   CandidateMode candidate_mode_;
 
-  std::vector<WaitingRider> riders_;
+  std::vector<WaitingRider> riders_;  ///< AddRider's; empty when lending
+  const std::vector<WaitingRider>* lent_riders_ = nullptr;  ///< borrowed
   std::vector<AvailableDriver> drivers_;
   std::vector<std::vector<int>> drivers_by_region_;
   mutable std::vector<RegionSnapshot> snapshots_;
@@ -380,17 +413,21 @@ class BatchContext {
   mutable std::vector<std::vector<IdleMemoEntry>> idle_memo_;
   uint32_t memo_epoch_ = 1;
 
-  /// Per region: the latest available_since among the batch's drivers,
-  /// filled by each computation that has a memo to check; -inf where no
-  /// driver of the batch is (Reset restores the entries it filled).
-  mutable std::vector<double> latest_join_;
+  /// One bit per region, a grid row at a time (words_per_row_ words per
+  /// row): set when the region holds a driver of the batch whose
+  /// available_since is at or after join_bits_since_. Reset sets that to
+  /// the last computation's now, or to +inf (mark nothing) when there is
+  /// no memo to check.
+  std::vector<uint64_t> join_bits_;
+  size_t words_per_row_ = 1;
+  std::vector<size_t> joined_words_;  ///< the non-zero words
+  double join_bits_since_ = std::numeric_limits<double>::infinity();
   mutable std::vector<CandidatePair> pairs_;  ///< ValidPairs' list
   mutable bool pairs_current_ = false;        ///< pairs_ is this batch's
   mutable bool searched_this_batch_ = false;  ///< since Reset
-  /// One entry per rider of the last computation, in rider order; it
-  /// survives Reset. search_memo_now_ is that computation's now.
+  /// Entry i is rider i's of the last computation; it survives Reset.
+  /// search_memo_now_ is that computation's now.
   mutable std::vector<RiderSearch> search_memo_;
-  mutable std::vector<RiderSearch> next_memo_;  ///< reused scratch
   mutable double search_memo_now_ = 0.0;
   mutable int64_t skipped_searches_ = 0;
 };

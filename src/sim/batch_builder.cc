@@ -6,20 +6,6 @@ namespace mrvd {
 
 namespace {
 
-WaitingRider Materialise(const PendingRider& pr) {
-  WaitingRider wr;
-  wr.order_id = pr.order.id;
-  wr.pickup = pr.order.pickup;
-  wr.dropoff = pr.order.dropoff;
-  wr.request_time = pr.order.request_time;
-  wr.pickup_deadline = pr.order.pickup_deadline;
-  wr.revenue = pr.revenue;
-  wr.trip_seconds = pr.trip_seconds;
-  wr.pickup_region = pr.pickup_region;
-  wr.dropoff_region = pr.dropoff_region;
-  return wr;
-}
-
 #ifndef NDEBUG
 /// The kept dispatchable set must give exactly the drivers a full fleet
 /// scan finds, in the same ascending order, and every region bucket must
@@ -72,9 +58,7 @@ void BatchBuilder::Fill(double now, const OrderBook& orders,
                         const std::vector<double>* demand_multipliers,
                         BatchContext* ctx) {
   ctx->Reset(now);
-  for (const PendingRider& pr : orders.waiting()) {
-    ctx->AddRider(Materialise(pr));
-  }
+  ctx->LendRiders(orders.waiting());
   fleet.ForEachDispatchable([&](int j) {
     const DriverState& d = fleet.driver(j);
     AvailableDriver ad;

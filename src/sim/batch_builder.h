@@ -2,7 +2,8 @@
 // BatchContext in place each batch, from the state the other stages keep
 // up to date:
 //
-//   * riders are copied from the OrderBook's waiting pool in arrival order;
+//   * riders are not copied: the context reads the OrderBook's waiting pool,
+//     which keeps arrival order, through a pointer (LendRiders);
 //   * drivers come from FleetState's dispatchable-driver bitset, walked
 //     once in ascending fleet index (the order UPPER's pairing and the
 //     tie-breaks and draws of NEAR, LTG, RAND and POLAR read), each also
@@ -53,16 +54,18 @@ class BatchBuilder {
   std::unique_ptr<BatchContext> NewContext() const;
 
   /// Refills `ctx` (made by this builder's NewContext) for the batch at
-  /// `now`. Context rider index i is waiting() index i (every waiting rider
-  /// is materialised, in order); context driver entries carry their
+  /// `now`. The context's riders() is `orders.waiting()` itself, so context
+  /// rider index i is waiting() index i; context driver entries carry their
   /// FleetState index as driver_id, in ascending order. Signed-off
   /// (scenario shift) drivers are never materialised. `demand_multipliers`
   /// (may be null = all 1.0) scales each region's predicted rider demand —
   /// the engine passes the active surge windows' per-region product. The
-  /// context reads `orders`, `fleet` and `demand_multipliers` again when a
-  /// snapshot is first read, so they must outlive the batch and keep their
-  /// counters until its assignments are applied. With a parallel execution
-  /// attached the shard index is built as well.
+  /// context reads the pool whenever riders() is read, and `orders`,
+  /// `fleet` and `demand_multipliers` again when a snapshot is first read,
+  /// so they must outlive the batch, and the pool and counters must not
+  /// change until its assignments are applied (OrderBook::MarkServed moves
+  /// no rider). With a parallel execution attached the shard index is
+  /// built as well.
   void Fill(double now, const OrderBook& orders, const FleetState& fleet,
             const std::vector<double>* demand_multipliers, BatchContext* ctx);
 

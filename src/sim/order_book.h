@@ -1,42 +1,35 @@
 // Order-book stage of the staged engine: owns the waiting-rider pool and
 // the demand-side region counters. Riders are injected as their request
 // times pass, renege when their pickup deadline expires, and leave the pool
-// when served. Serving uses mark-and-compact — assignments only flip a
-// flag, and one stable compaction pass per batch removes all served riders
-// — so a batch with A assignments costs O(W + A) instead of the former
-// O(A · W) per-assignment deque erases. The pool's relative order (arrival
-// order) is preserved by the stable compaction, which keeps the batch's
+// when served.
+//
+// The pool is the std::vector<WaitingRider> that dispatchers read:
+// BatchBuilder::Fill lends it to the batch's context instead of copying
+// it, so context rider index i is pool index i. As with the context's
+// SnapshotSource, the pool must not change from the fill until the batch's
+// assignments are applied. Serving therefore uses mark-and-compact:
+// MarkServed records the rider's index and leaves it in place, and one
+// stable CompactServed pass per batch removes every marked rider, so a
+// batch with A assignments costs O(W + A). A batch that served nobody, or
+// in which no deadline has passed, skips the pool pass altogether. Every
+// pass is stable, so the pool keeps arrival order, which keeps the batch's
 // canonical rider order — and therefore every dispatcher's output —
 // bit-identical to the monolithic engine.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "geo/grid.h"
 #include "geo/travel.h"
+#include "sim/batch.h"
 #include "sim/observer.h"
 #include "workload/order_source.h"
 #include "workload/types.h"
 
 namespace mrvd {
-
-/// A rider waiting to be dispatched, with the derived per-order quantities
-/// (trip cost, revenue, regions) computed once at injection. Owns its
-/// Order record: with a streamed source the day is never materialised, so
-/// there is nothing stable to point into — the pool (plus the stream
-/// buffer) IS the order-side working set, which is what makes peak memory
-/// O(batch) instead of O(day).
-struct PendingRider {
-  Order order;
-  double trip_seconds = 0.0;
-  double revenue = 0.0;
-  RegionId pickup_region = kInvalidRegion;
-  RegionId dropoff_region = kInvalidRegion;
-  bool served = false;  ///< marked by the applier, removed by CompactServed
-};
 
 class OrderBook {
  public:
@@ -51,11 +44,13 @@ class OrderBook {
   OrderBook(const Workload& workload, const Grid& grid,
             const TravelCostModel& cost_model, double alpha);
 
-  /// Injects every order with request_time <= now (orders are sorted).
+  /// Injects every order with request_time <= now (orders are sorted),
+  /// with its trip cost, revenue and regions computed once.
   void InjectArrivals(double now);
 
   /// Removes riders whose pickup deadline passed, notifying `observer`
-  /// (may be null) per renege in pool order.
+  /// (may be null) per renege in pool order. Returns at once when no
+  /// deadline in the pool is before `now`; a NaN deadline never passes.
   void RemoveExpired(double now, SimObserver* observer);
 
   /// Scenario cancellation, explicitly distinct from deadline reneging:
@@ -67,18 +62,19 @@ class OrderBook {
   int64_t CancelRiders(const std::vector<OrderId>& order_ids, double now,
                        SimObserver* observer);
 
-  /// Flags the rider at `waiting_index` as served and updates the demand
+  /// Marks the rider at `waiting_index` as served and updates the demand
   /// counter; the rider stays in place until CompactServed().
   void MarkServed(int waiting_index);
 
   /// Removes all served riders in one stable pass; call once per batch
-  /// after the assignments are applied.
+  /// after the assignments are applied. Returns at once when none was
+  /// marked.
   void CompactServed();
 
-  /// Waiting riders in arrival order. Indices into this deque are the batch
-  /// context's rider indices (the builder materialises all of them, in
-  /// order), so Assignment::rider_index addresses this pool directly.
-  const std::deque<PendingRider>& waiting() const { return waiting_; }
+  /// Waiting riders in arrival order, served ones included until
+  /// CompactServed. A batch context filled from this book reads this very
+  /// vector, so Assignment::rider_index addresses it directly.
+  const std::vector<WaitingRider>& waiting() const { return waiting_; }
 
   /// |R_k|: unserved in-deadline riders per pickup region.
   const std::vector<int64_t>& demand_by_region() const {
@@ -103,7 +99,12 @@ class OrderBook {
   const TravelCostModel& cost_model_;
   const double alpha_;
 
-  std::deque<PendingRider> waiting_;
+  std::vector<WaitingRider> waiting_;
+  /// Pool indices marked by MarkServed since the last CompactServed.
+  std::vector<int> served_;
+  /// At most the earliest non-NaN deadline in the pool (+inf when there is
+  /// none): lowered at injection, recomputed by each RemoveExpired pass.
+  double earliest_deadline_ = std::numeric_limits<double>::infinity();
   std::vector<int64_t> demand_by_region_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <tuple>
 
 #include "dispatch/candidates.h"
 #include "dispatch/dispatchers.h"
@@ -118,14 +119,19 @@ TEST_F(DispatchTest, CandidatesFindCrossRegionDrivers) {
 
 /// One context refilled by hand across batches, as the engine refills its
 /// own: each batch checks ValidPairs() against the from-scratch search bit
-/// for bit, and how many rider searches the memo skipped.
-class ValidPairsMemoTest : public ::testing::TestWithParam<CandidateMode> {
+/// for bit, and how many rider searches the memo skipped. Parameters: the
+/// candidate mode and the grid's column count. 4 rows x 4 columns makes
+/// cells ~9.4 km tall and ~5.5 km wide; 4 x 700 makes them ~30 m wide, so
+/// a 2 km reach walks more than 64 columns and one row's join bits span
+/// several words.
+class ValidPairsMemoTest
+    : public ::testing::TestWithParam<std::tuple<CandidateMode, int>> {
  protected:
   ValidPairsMemoTest()
-      : grid_(kNycBoundingBox, 4, 4),  // cells ~9.4 km tall, ~5.5 km wide
+      : grid_(kNycBoundingBox, 4, std::get<1>(GetParam())),
         cost_(10.0, 1.0),
         ctx_(/*now=*/1000.0, /*window=*/1200.0, /*beta=*/0.02, grid_, cost_,
-             GetParam()) {}
+             std::get<0>(GetParam())) {}
 
   /// A rider at `pickup` whose deadline is 1200 s: a 2 km reach at 1000 s.
   WaitingRider Rider(OrderId id, LatLon pickup) const {
@@ -191,29 +197,42 @@ class ValidPairsMemoTest : public ::testing::TestWithParam<CandidateMode> {
 TEST_P(ValidPairsMemoTest, SkipsOnlyRidersNoDriverHasJoinedNear) {
   // A sits 280 m below a row boundary, so its 2 km reach box spans two
   // rows under ring expansion; B, C and E are far from A and each other.
+  // L stands on E's pickup, but its deadline passed before the first batch,
+  // so its search walks no cell at all.
   const WaitingRider a = Rider(1, {40.7475, -73.9325});
   const WaitingRider b = Rider(2, {40.88, -74.00});
   const WaitingRider c = Rider(3, {40.85, -73.80});
   const WaitingRider e = Rider(5, {40.62, -74.00});
+  WaitingRider late = Rider(6, e.pickup);
+  late.pickup_deadline = 990.0;
   const LatLon far_corner{40.60, -73.78};
   const AvailableDriver far = Driver(0, far_corner, 0.0);
 
   // Batch 1000: nothing in reach; every rider is searched.
-  Refill(1000.0, {a, b, c}, {far});
+  Refill(1000.0, {a, b, c, late}, {far});
   EXPECT_EQ(CheckBatch("1000"), 0);
   EXPECT_TRUE(ctx_.ValidPairs().empty());
   std::vector<CandidatePair> unused;
   const CellSpan a_walked = ctx_.SearchRider(0, &unused);
   ASSERT_LT(a_walked.col_hi + 1, grid_.cols());
+  if (grid_.cols() > 64 &&
+      std::get<0>(GetParam()) == CandidateMode::kRingExpand) {
+    // A's walked cells cover a whole word of each row and part of the
+    // words on either side.
+    ASSERT_GE(a_walked.col_hi / 64 - a_walked.col_lo / 64, 2);
+  }
+  const CellSpan late_walked = ctx_.SearchRider(3, &unused);
+  ASSERT_GT(late_walked.row_lo, late_walked.row_hi);
+  ASSERT_GT(late_walked.col_lo, late_walked.col_hi);
 
   // Batch 1030: no driver joined, so no rider is searched again.
-  Refill(1030.0, {a, b, c}, {far});
-  EXPECT_EQ(CheckBatch("1030"), 3);
+  Refill(1030.0, {a, b, c, late}, {far});
+  EXPECT_EQ(CheckBatch("1030"), 4);
   EXPECT_TRUE(ctx_.ValidPairs().empty());
 
   // Batch 1060: B leaves from the middle of the list and E arrives at its
-  // end; a driver joins just across the east edge of A's walked cells. A
-  // and C are skipped, E (new) is searched. `zero` waits at the far
+  // end; a driver joins just across the east edge of A's walked cells. A,
+  // C and L are skipped, E (new) is searched. `zero` waits at the far
   // corner, where it has been all day.
   const LatLon past_a_edge{
       a.pickup.lat,
@@ -223,18 +242,27 @@ TEST_P(ValidPairsMemoTest, SkipsOnlyRidersNoDriverHasJoinedNear) {
           1e-6};
   const AvailableDriver edge = Driver(1, past_a_edge, 1060.0);
   ASSERT_EQ(grid_.ColOf(edge.region), a_walked.col_hi + 1);
-  Refill(1060.0, {a, c, e}, {far, edge, Driver(2, far_corner, 0.0)});
-  EXPECT_EQ(CheckBatch("1060"), 2);
+  Refill(1060.0, {a, c, late, e}, {far, edge, Driver(2, far_corner, 0.0)});
+  EXPECT_EQ(CheckBatch("1060"), 3);
   EXPECT_TRUE(ctx_.ValidPairs().empty());
 
   // Batch 1090: `zero` was assigned at 1060 and its zero-length trip put
   // it on E's pickup, available since exactly E's search `now`. E is
-  // searched and paired; A and C stay skipped.
+  // searched and paired. `inside` joins the far corner of A's last walked
+  // column, out of A's reach: A is searched and stays pair-less. C and L
+  // stay skipped, L although a driver joined at its pickup.
   const AvailableDriver zero = Driver(2, e.pickup, 1060.0);
-  Refill(1090.0, {a, c, e}, {far, edge, zero});
+  const BoundingBox last_cell = grid_.CellBox(
+      grid_.RegionAt(grid_.RowOf(a.pickup_region), a_walked.col_hi));
+  const AvailableDriver inside = Driver(
+      3, {last_cell.lat_min + 1e-6, last_cell.lon_max - 1e-6}, 1090.0);
+  ASSERT_EQ(grid_.RowOf(inside.region), grid_.RowOf(a.pickup_region));
+  ASSERT_EQ(grid_.ColOf(inside.region), a_walked.col_hi);
+  Refill(1090.0, {a, c, late, e}, {far, edge, zero, inside});
   EXPECT_EQ(CheckBatch("1090"), 2);
   EXPECT_FALSE(Paired(0));
-  EXPECT_TRUE(Paired(2));
+  EXPECT_FALSE(Paired(2));
+  EXPECT_TRUE(Paired(3));
 
   // The clock going backwards drops the memo: every rider is searched.
   Refill(1000.0, {a, c, e}, {far, edge, zero});
@@ -260,8 +288,8 @@ TEST_P(ValidPairsMemoTest, SkipsOnlyRidersNoDriverHasJoinedNear) {
   EXPECT_EQ(CheckBatch("1150, C's deadline moved"), 0);
   EXPECT_TRUE(Paired(1));
   // ...and A, pair-less again at 1150, moves within its cell onto a driver
-  // that its old search priced from the old pickup and found too far.
-  const LatLon stand{40.70, -73.95};
+  // 5.3 km south of its old pickup, out of the old search's reach.
+  const LatLon stand{40.70, a.pickup.lon};
   const WaitingRider a_moved = Rider(1, stand);
   ASSERT_EQ(a_moved.pickup_region, a.pickup_region);
   Refill(1180.0, {a_moved}, {far, Driver(4, stand, 0.0)});
@@ -269,9 +297,34 @@ TEST_P(ValidPairsMemoTest, SkipsOnlyRidersNoDriverHasJoinedNear) {
   EXPECT_TRUE(Paired(0));
 }
 
-INSTANTIATE_TEST_SUITE_P(BothModes, ValidPairsMemoTest,
-                         ::testing::Values(CandidateMode::kRingExpand,
-                                           CandidateMode::kRegionLocal));
+TEST_P(ValidPairsMemoTest, LaterComputationsInOneBatchKeepTheMemo) {
+  // A rider added after the batch's list was read makes the context compute
+  // the list again, at the same `now` and with the same drivers: a rider
+  // that an earlier computation left pair-less is skipped.
+  const WaitingRider a = Rider(1, {40.7475, -73.9325});
+  const WaitingRider c = Rider(3, {40.85, -73.80});
+  const AvailableDriver far = Driver(0, {40.60, -73.78}, 0.0);
+  // A driver waits in C's cell all day, 2.2 km north of C: out of the
+  // 1.7 km reach C has at 1030.
+  const AvailableDriver north_of_c = Driver(1, {40.87, -73.80}, 0.0);
+  ASSERT_EQ(north_of_c.region, c.pickup_region);
+  Refill(1000.0, {a}, {far, north_of_c});
+  EXPECT_EQ(CheckBatch("1000"), 0);
+
+  Refill(1030.0, {a}, {far, north_of_c});
+  EXPECT_EQ(CheckBatch("1030"), 1);  // A
+  ctx_.AddRider(c);
+  EXPECT_EQ(CheckBatch("1030 + C"), 1);  // A; C is new
+  ctx_.AddRider(Rider(7, {40.88, -74.00}));
+  EXPECT_EQ(CheckBatch("1030 + C + 7"), 2);  // A and C; 7 is new
+  EXPECT_TRUE(ctx_.ValidPairs().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothModes, ValidPairsMemoTest,
+    ::testing::Combine(::testing::Values(CandidateMode::kRingExpand,
+                                         CandidateMode::kRegionLocal),
+                       ::testing::Values(4, 700)));
 
 // ---------------------------------------------------------------- scoring
 

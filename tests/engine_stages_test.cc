@@ -1,18 +1,22 @@
 // Unit tests for the staged engine's building blocks: the incremental
 // region counters of FleetState/OrderBook and FleetState's
 // dispatchable-driver set must track the brute-force recounts the
-// monolithic engine used to perform every batch, the BatchBuilder's build
-// with a parallel execution attached must equal the serial build, the one
-// context the engine refills in place must equal a freshly built context
-// on every batch (with snapshots computed on demand by ET solves first), a
+// monolithic engine used to perform every batch, OrderBook's early-outs
+// must renege exactly what a full scan of the pool would, the
+// BatchBuilder's build with a parallel execution attached must equal the
+// serial build, the one context the engine refills in place must read the
+// book's pool and equal a freshly built context on every batch (with
+// snapshots computed on demand by ET solves first), a
 // snapshot first read after the batch's assignments were applied must trip
 // the eager reference check of builds without NDEBUG, and the SimObserver
 // hooks must fire consistently with the aggregates the MetricsCollector
 // reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -250,16 +254,26 @@ class OrderBookTest : public ::testing::Test {
     }
   }
 
-  void ExpectDemandMatchesRecount(const OrderBook& book) {
+  /// `served`: the pool indices marked served and not yet compacted.
+  void ExpectDemandMatchesRecount(const OrderBook& book,
+                                  const std::vector<int>& served = {}) {
     std::vector<int64_t> demand(static_cast<size_t>(grid_.num_regions()), 0);
-    for (const PendingRider& pr : book.waiting()) {
-      if (!pr.served) ++demand[static_cast<size_t>(pr.pickup_region)];
+    for (int i = 0; i < static_cast<int>(book.waiting().size()); ++i) {
+      if (std::ranges::find(served, i) != served.end()) continue;
+      ++demand[static_cast<size_t>(
+          book.waiting()[static_cast<size_t>(i)].pickup_region)];
     }
     for (int k = 0; k < grid_.num_regions(); ++k) {
       EXPECT_EQ(book.demand_by_region()[static_cast<size_t>(k)],
                 demand[static_cast<size_t>(k)])
           << "region " << k;
     }
+  }
+
+  static std::vector<OrderId> WaitingIds(const OrderBook& book) {
+    std::vector<OrderId> ids;
+    for (const WaitingRider& r : book.waiting()) ids.push_back(r.order_id);
+    return ids;
   }
 
   Grid grid_;
@@ -273,11 +287,17 @@ TEST_F(OrderBookTest, InjectRenegeServeCompactKeepsCountsAndOrder) {
   ASSERT_EQ(book.waiting().size(), 3u);
   EXPECT_FALSE(book.Exhausted());
   ExpectDemandMatchesRecount(book);
-  // Derived quantities are computed once at injection.
-  const PendingRider& first = book.waiting().front();
-  EXPECT_EQ(first.order.id, 0);
+  // The order's fields are copied and the derived quantities computed
+  // once, at injection.
+  const WaitingRider& first = book.waiting().front();
+  const Order& order = workload_.orders[0];
+  EXPECT_EQ(first.order_id, 0);
+  EXPECT_EQ(first.request_time, order.request_time);
+  EXPECT_EQ(first.pickup_deadline, order.pickup_deadline);
+  EXPECT_EQ(first.pickup_region, grid_.RegionOf(order.pickup));
+  EXPECT_EQ(first.dropoff_region, grid_.RegionOf(order.dropoff));
   EXPECT_EQ(first.trip_seconds,
-            cost_.TravelSeconds(first.order.pickup, first.order.dropoff));
+            cost_.TravelSeconds(order.pickup, order.dropoff));
   EXPECT_EQ(first.revenue, 2.0 * first.trip_seconds);
 
   // Order 1 (deadline 25) reneges at now = 30; the observer hears it.
@@ -293,16 +313,15 @@ TEST_F(OrderBookTest, InjectRenegeServeCompactKeepsCountsAndOrder) {
   ExpectDemandMatchesRecount(book);
   EXPECT_TRUE(book.Exhausted());
 
-  // Serve the first and third waiting riders; the pool keeps arrival order
-  // after the single compaction pass.
-  book.MarkServed(0);
+  // Serve the first and third waiting riders. Marking moves no rider (a
+  // batch context may still be reading the pool); the pool keeps arrival
+  // order after the single compaction pass.
   book.MarkServed(2);
-  ExpectDemandMatchesRecount(book);
+  book.MarkServed(0);
+  EXPECT_EQ(WaitingIds(book), (std::vector<OrderId>{0, 2, 3, 4, 5}));
+  ExpectDemandMatchesRecount(book, {0, 2});
   book.CompactServed();
-  ASSERT_EQ(book.waiting().size(), 3u);
-  std::vector<OrderId> left;
-  for (const PendingRider& pr : book.waiting()) left.push_back(pr.order.id);
-  EXPECT_EQ(left, (std::vector<OrderId>{2, 4, 5}));
+  EXPECT_EQ(WaitingIds(book), (std::vector<OrderId>{2, 4, 5}));
   ExpectDemandMatchesRecount(book);
   EXPECT_EQ(book.UnservedRemainder(), 3);
 }
@@ -315,7 +334,7 @@ TEST_F(OrderBookTest, CompactionWhenEveryWaitingRiderServedInOneBatch) {
 
   // A dispatcher clears the whole pool in a single batch.
   for (int i = 0; i < 6; ++i) book.MarkServed(i);
-  ExpectDemandMatchesRecount(book);  // demand zeroed before compaction
+  ExpectDemandMatchesRecount(book, {0, 1, 2, 3, 4, 5});
   for (int k = 0; k < grid_.num_regions(); ++k) {
     EXPECT_EQ(book.demand_by_region()[static_cast<size_t>(k)], 0) << k;
   }
@@ -336,17 +355,14 @@ TEST_F(OrderBookTest, ServeAndRenegeDistinctRidersInTheSameBatch) {
   RenegeCounter reneges;
   book.RemoveExpired(60.0, &reneges);
   EXPECT_EQ(reneges.reneged_ids, (std::vector<OrderId>{1, 4}));
-  ASSERT_EQ(book.waiting().size(), 4u);  // orders 0, 2, 3, 5
+  EXPECT_EQ(WaitingIds(book), (std::vector<OrderId>{0, 2, 3, 5}));
   ExpectDemandMatchesRecount(book);
 
   book.MarkServed(0);  // order 0
   book.MarkServed(3);  // order 5
-  ExpectDemandMatchesRecount(book);
+  ExpectDemandMatchesRecount(book, {0, 3});
   book.CompactServed();
-  ASSERT_EQ(book.waiting().size(), 2u);
-  std::vector<OrderId> left;
-  for (const PendingRider& pr : book.waiting()) left.push_back(pr.order.id);
-  EXPECT_EQ(left, (std::vector<OrderId>{2, 3}));
+  EXPECT_EQ(WaitingIds(book), (std::vector<OrderId>{2, 3}));
   ExpectDemandMatchesRecount(book);
   EXPECT_EQ(book.UnservedRemainder(), 2);
 }
@@ -356,8 +372,8 @@ TEST_F(OrderBookTest, CancelledRidersLeaveDemandAndSkipServedAndUnknown) {
   book.InjectArrivals(60.0);
   ASSERT_EQ(book.waiting().size(), 6u);
 
-  // Serve order 0, then cancel {0, 2, 5, 99}: the served rider and the
-  // unknown id are skipped; 2 and 5 cancel, in pool order.
+  // Serve order 0, then cancel {0, 2, 5, 99}: the served rider leaves as
+  // served and the unknown id is skipped; 2 and 5 cancel, in pool order.
   book.MarkServed(0);
   class CancelRecorder : public SimObserver {
    public:
@@ -369,10 +385,66 @@ TEST_F(OrderBookTest, CancelledRidersLeaveDemandAndSkipServedAndUnknown) {
   int64_t n = book.CancelRiders({0, 2, 5, 99}, 60.0, &cancels);
   EXPECT_EQ(n, 2);
   EXPECT_EQ(cancels.ids, (std::vector<OrderId>{2, 5}));
+  EXPECT_EQ(WaitingIds(book), (std::vector<OrderId>{1, 3, 4}));
   ExpectDemandMatchesRecount(book);
   book.CompactServed();
-  ASSERT_EQ(book.waiting().size(), 3u);  // orders 1, 3, 4
+  EXPECT_EQ(WaitingIds(book), (std::vector<OrderId>{1, 3, 4}));
   ExpectDemandMatchesRecount(book);
+}
+
+TEST_F(OrderBookTest, EarlyOutsRenegeExactlyWhatAFullScanWould) {
+  // Deadlines out of arrival order, and a NaN one first: a NaN deadline
+  // never passes, and it must not hide any other rider's expiry.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> deadlines = {kNaN, 30.0, 400.0, 45.0,
+                                         300.0, 70.0, 65.0, 1000.0};
+  Workload workload;
+  for (size_t i = 0; i < deadlines.size(); ++i) {
+    Order o;
+    o.id = static_cast<OrderId>(i);
+    o.request_time = 10.0 * static_cast<double>(i);
+    o.pickup = {40.70 + 0.02 * static_cast<double>(i), -73.95};
+    o.dropoff = {40.75, -73.95};
+    o.pickup_deadline = deadlines[i];
+    workload.orders.push_back(o);
+  }
+  OrderBook book(workload, grid_, cost_, /*alpha=*/1.0);
+
+  // The full scan: every waiting rider whose deadline is before `now`, in
+  // pool order.
+  std::vector<Order> shadow;
+  size_t injected = 0;
+  for (double now : {10.0, 40.0, 50.0, 66.0, 71.0, 100.0, 350.0, 500.0,
+                     5000.0}) {
+    while (injected < workload.orders.size() &&
+           workload.orders[injected].request_time <= now) {
+      shadow.push_back(workload.orders[injected++]);
+    }
+    std::vector<OrderId> want_reneged, want_left;
+    for (const Order& o : shadow) {
+      (o.pickup_deadline < now ? want_reneged : want_left).push_back(o.id);
+    }
+    std::erase_if(shadow, [&](const Order& o) {
+      return o.pickup_deadline < now;
+    });
+
+    book.InjectArrivals(now);
+    RenegeCounter reneges;
+    book.RemoveExpired(now, &reneges);
+    EXPECT_EQ(reneges.reneged_ids, want_reneged) << "now " << now;
+    EXPECT_EQ(WaitingIds(book), want_left) << "now " << now;
+    ExpectDemandMatchesRecount(book);
+
+    // A batch that served nobody leaves the pool as it was: same storage,
+    // same riders, same order.
+    const WaitingRider* data = book.waiting().data();
+    book.CompactServed();
+    EXPECT_EQ(book.waiting().data(), data) << "now " << now;
+    EXPECT_EQ(WaitingIds(book), want_left) << "now " << now;
+  }
+  // Only the NaN rider is left, and it never expires.
+  EXPECT_EQ(WaitingIds(book), (std::vector<OrderId>{0}));
+  EXPECT_TRUE(book.Exhausted());
 }
 
 // ----------------------------------------------------------- BatchBuilder
@@ -594,6 +666,8 @@ TEST(BatchContextReuseTest, RefilledContextEqualsAFreshBuildEveryBatch) {
     fleet.AdvanceRejoinWindow(now, window);
     const std::vector<double>* multipliers = b % 3 == 2 ? &surge : nullptr;
     builder.Fill(now, orders, fleet, multipliers, ctx.get());
+    // The context reads the book's pool itself; nothing is copied.
+    ASSERT_EQ(&ctx->riders(), &orders.waiting()) << "batch " << b;
     std::unique_ptr<BatchContext> fresh =
         fresh_builder.Build(now, orders, fleet, multipliers);
     // A few solves first, so that the refilled context computes its first
