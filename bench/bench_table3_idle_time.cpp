@@ -3,11 +3,15 @@
 // the Figure-6 per-region comparison of predicted vs. real idle time.
 //
 // Each row builds its `paper` day in-process: the idle-time samples live in
-// the SimResult, which no campaign artifact holds.
+// the SimResult, which no campaign artifact holds. A run records them only
+// when its config sets SimConfig::record_idle_samples (off by default, as
+// the capture costs one ET(k, 0) solve per rejoin region per batch), so
+// each row runs through RunOne with the day's config and that flag set.
 #include <cstdio>
 #include <optional>
 #include <string>
 
+#include "api/experiment_runner.h"
 #include "campaign/workload_catalog.h"
 #include "experiment_common.h"
 #include "util/strings.h"
@@ -28,7 +32,10 @@ int main() {
   for (int paper_n : {1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000}) {
     Simulation day = OrDie(WorkloadCatalog::Global().Build(
         scale.Paper(StrFormat("drivers=%d", paper_n))));
-    SimResult r = OrDie(day.Run("IRG"));
+    RunSpec spec("IRG");
+    spec.config = day.config();
+    spec.config->record_idle_samples = true;
+    SimResult r = OrDie(RunOne(day, spec)).result;
     PrintTableRow({StrFormat("%dK*", paper_n / 1000),
                    StrFormat("%.2f", r.idle_error.Mae()),
                    StrFormat("%.2f", r.idle_error.RelativeRmsePct()),

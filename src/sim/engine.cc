@@ -386,10 +386,12 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
     }
 
     // 4. Refill the batch context off the incremental counters, then
-    // 5. capture idle-time estimates for freshly (re)joined drivers: their
-    //    ET solves may be the batch's first snapshot reads. The build stage
-    //    starts where expire ended, so it also times the end-of-day check,
-    //    step 3 and the rejoin-window advance.
+    // 5. capture idle-time estimates for freshly (re)joined drivers when
+    //    the run records idle samples: their ET solves may be the batch's
+    //    first snapshot reads. Either way the fresh list is consumed, as
+    //    the end-of-day check reads it. The build stage starts where
+    //    expire ended, so it also times the end-of-day check, step 3 and
+    //    the rejoin-window advance.
     fleet.AdvanceRejoinWindow(now, config_.window_seconds);
     {
       telemetry::TraceSpan span(tele, "batch_build", &timings.build_seconds,

@@ -49,8 +49,13 @@ struct SimConfig {
   /// engine then realises the paper's per-batch upper bound (§6.3).
   bool zero_pickup_travel = false;
 
-  /// Record (estimated, real) idle-time samples (Table 3 / Fig. 6 study).
-  bool record_idle_samples = true;
+  /// Record (estimated, real) idle-time samples into SimResult::idle_error
+  /// and region_idle (Table 3 / Fig. 6 study). Off by default: when on, the
+  /// build stage solves ET(k, 0) once per region where a driver (re)joined
+  /// that batch, a value only this study reads. Dispatch results are the
+  /// same either way. To opt in for one run, set it in RunSpec::config
+  /// (a copy of Simulation::config()).
+  bool record_idle_samples = false;
 
   /// Dispatch parallelism: worker threads for the region-sharded batch
   /// pipeline. 1 = serial (default); 0 = hardware concurrency. Any value

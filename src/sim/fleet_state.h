@@ -96,7 +96,8 @@ class FleetState {
   bool SignOn(int j, double now);
 
   /// Captures ET estimates for drivers that (re)joined since the last call
-  /// (skipped when `ctx` is null, but the fresh list is always consumed).
+  /// (skipped when `ctx` is null, but the fresh list is always consumed:
+  /// HasFreshDrivers() gates the engine's end-of-day break).
   void CaptureIdleEstimates(const BatchContext* ctx);
 
   /// Clears a driver's captured estimate once it has been consumed.

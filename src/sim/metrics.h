@@ -53,7 +53,8 @@ struct SimResult {
   telemetry::LogHistogram batch_seconds;        ///< dispatcher time
   telemetry::LogHistogram batch_build_seconds;  ///< batch construction time
 
-  // Idle-time estimation study (Table 3, Figure 6).
+  // Idle-time estimation study (Table 3, Figure 6). Both hold no samples
+  // unless the run set SimConfig::record_idle_samples (off by default).
   ErrorStats idle_error;                    ///< (estimated, real) pairs
   std::vector<RegionIdleStats> region_idle; ///< indexed by region
 

@@ -41,8 +41,10 @@ struct BatchTimings {
   double expire_seconds = 0.0;    ///< OrderBook::RemoveExpired
   /// The end-of-day check, adaptive sharding's repartition check,
   /// FleetState::AdvanceRejoinWindow, BatchBuilder::Fill and
-  /// FleetState::CaptureIdleEstimates (whose ET solves may compute the
-  /// batch's first snapshots).
+  /// FleetState::CaptureIdleEstimates. The capture solves ET only when the
+  /// run records idle samples (SimConfig::record_idle_samples); those
+  /// solves may compute the batch's first snapshots, which otherwise fall
+  /// to dispatch.
   double build_seconds = 0.0;
   double dispatch_seconds = 0.0;  ///< Dispatcher::Dispatch
   double apply_seconds = 0.0;     ///< AssignmentApplier::Apply

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
+#include <numeric>
 
 namespace mrvd {
 
@@ -46,6 +48,12 @@ NycLikeGenerator::NycLikeGenerator(const GeneratorConfig& config)
   };
   residential_ = make_field(field_rng.Fork(1));
   business_ = make_field(field_rng.Fork(2));
+
+  gravity_.resize(static_cast<size_t>(std::max(grid_.rows(), grid_.cols())));
+  for (size_t d = 0; d < gravity_.size(); ++d) {
+    gravity_[d] =
+        std::exp(-static_cast<double>(d) / config_.gravity_scale_cells);
+  }
 
   // Diurnal profile over 48 half-hour slots: overnight low, AM peak ~8:30,
   // midday shoulder, PM peak ~18:30.
@@ -114,61 +122,55 @@ LatLon NycLikeGenerator::RandomPointIn(RegionId region, Rng& rng) const {
           rng.Uniform(cell.lon_min, cell.lon_max)};
 }
 
-RegionId NycLikeGenerator::SampleDestination(int slot, RegionId from,
-                                             Rng& rng) const {
+std::vector<double> NycLikeGenerator::DestinationShares(int slot) const {
   // Destination field is the *opposite* mix of the origin field: morning
   // trips end at business hotspots, evening trips end at residential ones.
   double m = MorningMix(slot);
-  const int n = grid_.num_regions();
-  auto dest_share = [&](RegionId r) {
-    return (1.0 - m) * residential_[static_cast<size_t>(r)] +
-           m * business_[static_cast<size_t>(r)];
-  };
+  std::vector<double> shares(residential_.size());
+  for (size_t r = 0; r < shares.size(); ++r) {
+    shares[r] = (1.0 - m) * residential_[r] + m * business_[r];
+  }
+  return shares;
+}
 
-  bool local = rng.Bernoulli(config_.local_dest_prob);
-  // Inverse-CDF over the (possibly gravity-damped) destination weights.
-  double total = 0.0;
-  thread_local std::vector<double> weights;
-  weights.assign(static_cast<size_t>(n), 0.0);
-  for (RegionId r = 0; r < n; ++r) {
-    double w = dest_share(r);
-    if (local) {
-      double d = grid_.RingDistance(from, r);
-      w *= std::exp(-d / config_.gravity_scale_cells);
+void NycLikeGenerator::LocalWeights(const std::vector<double>& shares,
+                                    RegionId from,
+                                    std::vector<double>* weights) const {
+  const int from_row = grid_.RowOf(from), from_col = grid_.ColOf(from);
+  weights->resize(shares.size());
+  size_t r = 0;
+  for (int row = 0; row < grid_.rows(); ++row) {
+    const int row_dist = std::abs(row - from_row);
+    for (int col = 0; col < grid_.cols(); ++col, ++r) {
+      const int ring = std::max(row_dist, std::abs(col - from_col));
+      (*weights)[r] = shares[r] * gravity_[static_cast<size_t>(ring)];
     }
-    weights[static_cast<size_t>(r)] = w;
-    total += w;
   }
-  double u = rng.NextDouble() * total;
-  double acc = 0.0;
-  for (RegionId r = 0; r < n; ++r) {
-    acc += weights[static_cast<size_t>(r)];
-    if (u <= acc) return r;
+}
+
+RegionId NycLikeGenerator::DrawRegion(const std::vector<double>& cdf,
+                                      double u) {
+  // A NaN u (NaN weights, or 0 * inf) reaches no prefix. The last region
+  // then keeps such days as GeneratedDaysArePinnedBitForBit pins them.
+  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  if (it == cdf.end() || !(u <= *it)) {
+    return static_cast<RegionId>(cdf.size() - 1);
   }
-  return static_cast<RegionId>(n - 1);
+  return static_cast<RegionId>(it - cdf.begin());
 }
 
 std::vector<double> NycLikeGenerator::DestinationDistribution(
     int day_index, int slot, RegionId from) const {
   (void)day_index;
-  double m = MorningMix(slot);
-  const int n = grid_.num_regions();
-  std::vector<double> out(static_cast<size_t>(n), 0.0);
-  // Marginal over the local/global mixture.
-  double total_local = 0.0, total_global = 0.0;
-  std::vector<double> local_w(static_cast<size_t>(n));
-  for (RegionId r = 0; r < n; ++r) {
-    double base = (1.0 - m) * residential_[static_cast<size_t>(r)] +
-                  m * business_[static_cast<size_t>(r)];
-    double d = grid_.RingDistance(from, r);
-    local_w[static_cast<size_t>(r)] =
-        base * std::exp(-d / config_.gravity_scale_cells);
-    total_local += local_w[static_cast<size_t>(r)];
-    out[static_cast<size_t>(r)] = base;
-    total_global += base;
-  }
-  for (RegionId r = 0; r < n; ++r) {
-    auto i = static_cast<size_t>(r);
+  // Marginal over the local/global mixture, from the weights the sampler's
+  // CDFs sum.
+  std::vector<double> out = DestinationShares(slot);
+  std::vector<double> local_w;
+  LocalWeights(out, from, &local_w);
+  const double total_local =
+      std::accumulate(local_w.begin(), local_w.end(), 0.0);
+  const double total_global = std::accumulate(out.begin(), out.end(), 0.0);
+  for (size_t i = 0; i < out.size(); ++i) {
     out[i] = config_.local_dest_prob * local_w[i] / total_local +
              (1.0 - config_.local_dest_prob) * out[i] / total_global;
   }
@@ -181,15 +183,31 @@ Workload NycLikeGenerator::GenerateDay(int day_index, int num_drivers) const {
   w.horizon_seconds = kSecondsPerDay;
   const double slot_secs = kSecondsPerDay / kSlotsPerDay;
 
+  // Destinations are drawn by inverse CDF: the slot's global CDF is built
+  // once per slot, an origin's gravity-damped local CDF once, at its first
+  // local draw in the slot.
+  std::vector<double> global_cdf, local_cdf;
   for (int slot = 0; slot < kSlotsPerDay; ++slot) {
+    const std::vector<double> shares = DestinationShares(slot);
+    global_cdf = shares;
+    std::partial_sum(global_cdf.begin(), global_cdf.end(), global_cdf.begin());
     for (RegionId r = 0; r < grid_.num_regions(); ++r) {
       double mean = ExpectedSlotCount(day_index, slot, r);
       int64_t count = rng.Poisson(mean);
+      bool local_built = false;
       for (int64_t c = 0; c < count; ++c) {
         Order o;
         o.request_time = slot * slot_secs + rng.Uniform(0.0, slot_secs);
         o.pickup = RandomPointIn(r, rng);
-        RegionId dest = SampleDestination(slot, r, rng);
+        const bool local = rng.Bernoulli(config_.local_dest_prob);
+        if (local && !local_built) {
+          LocalWeights(shares, r, &local_cdf);
+          std::partial_sum(local_cdf.begin(), local_cdf.end(),
+                           local_cdf.begin());
+          local_built = true;
+        }
+        const std::vector<double>& cdf = local ? local_cdf : global_cdf;
+        RegionId dest = DrawRegion(cdf, rng.NextDouble() * cdf.back());
         o.dropoff = RandomPointIn(dest, rng);
         o.pickup_deadline =
             o.request_time +

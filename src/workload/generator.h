@@ -9,7 +9,8 @@
 //     residential -> business and evening flow reverses — reproducing the
 //     demand/supply imbalance that motivates the paper (Example 1),
 //   * gravity-kernel destination choice (most trips are short; §6.6 notes
-//     most NYC taxi trips are under 20 minutes),
+//     most NYC taxi trips are under 20 minutes), drawn by binary search
+//     over a CDF built once per (slot, origin) rather than per order,
 //   * day-of-week modulation for multi-day training histories.
 //
 // Because arrivals are Poisson by construction, the Appendix-B chi-square
@@ -104,7 +105,8 @@ class NycLikeGenerator {
 
   /// Destination-region share for origin `from` in slot `slot` — exposed for
   /// tests and the Table-8 driver-side chi-square (rejoined drivers are born
-  /// at order destinations).
+  /// at order destinations). It normalises the same weights whose prefix
+  /// sums GenerateDay draws from, so the two cannot drift apart.
   std::vector<double> DestinationDistribution(int day_index, int slot,
                                               RegionId from) const;
 
@@ -119,13 +121,27 @@ class NycLikeGenerator {
   /// Morning-ness in [0,1] for mixing residential/business fields.
   static double MorningMix(int slot);
 
-  RegionId SampleDestination(int slot, RegionId from, Rng& rng) const;
+  /// Destination weights of a global draw in `slot`, in region order: the
+  /// opposite mix of the origin field. GenerateDay's global CDF is their
+  /// prefix sums, built once per slot.
+  std::vector<double> DestinationShares(int slot) const;
+  /// Destination weights of a local draw from `from`, in region order:
+  /// `shares` damped by the gravity kernel of each region's ring distance
+  /// to `from`. GenerateDay's local CDF is their prefix sums, built once per
+  /// (slot, origin) at the origin's first local draw.
+  void LocalWeights(const std::vector<double>& shares, RegionId from,
+                    std::vector<double>* weights) const;
+  /// Inverse-CDF draw: the first region whose prefix sum in `cdf` reaches
+  /// `u`, or the last region when none does (a NaN `u`).
+  static RegionId DrawRegion(const std::vector<double>& cdf, double u);
   LatLon RandomPointIn(RegionId region, Rng& rng) const;
 
   GeneratorConfig config_;
   Grid grid_;
   std::vector<double> residential_;  ///< normalized field over regions
   std::vector<double> business_;     ///< normalized field over regions
+  /// gravity_[d] = exp(-d / gravity_scale_cells) for each ring distance d.
+  std::vector<double> gravity_;
   std::vector<double> weekday_slot_weights_;  ///< 48, sums to 1
   std::vector<double> weekend_slot_weights_;  ///< 48, sums to 1
 };

@@ -332,8 +332,12 @@ class ApiTest : public ::testing::Test {
     gcfg.orders_per_day = 3000;
     gcfg.seed = 20190417;
     builder_ = new SimulationBuilder();
+    // Runs record idle samples, so ExpectSameAggregates compares them.
+    SimConfig config;
+    config.record_idle_samples = true;
     builder_->GenerateNycDay(/*day_index=*/1, /*num_drivers=*/40, gcfg)
         .WithOracleForecast()
+        .WithConfig(config)
         .BatchInterval(30.0)
         .HorizonSeconds(4 * 3600.0);
   }

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <queue>
@@ -326,6 +328,9 @@ class EngineEquivalenceTest : public ::testing::Test {
     SimConfig cfg;
     cfg.horizon_seconds = 4 * 3600.0;
     cfg.batch_interval = 30.0;
+    // Compare the idle samples too (ShortWithoutIdleSamples runs the
+    // default, which records none).
+    cfg.record_idle_samples = true;
     return cfg;
   }
 
@@ -405,10 +410,61 @@ TEST_F(EngineEquivalenceTest, PredictionBackedDispatchersWithForecast) {
   }
 }
 
+// The default path: no idle samples, so no ET(k, 0) solve at (re)join.
 TEST_F(EngineEquivalenceTest, ShortWithoutIdleSamples) {
   SimConfig cfg = BaseConfig();
-  cfg.record_idle_samples = false;
+  cfg.record_idle_samples = false;  // SimConfig's default
   CheckDispatcher("SHORT", cfg);
+}
+
+TEST_F(EngineEquivalenceTest, IdleSamplesChangeOnlyTheSamples) {
+  // Recording idle samples adds only the ET(k, 0) solves of the capture,
+  // values a dispatcher would compute the same way. Every roster
+  // dispatcher, with a forecast so the ET chain sees predicted riders,
+  // must run the same day with samples on and off.
+  DemandHistory realized = gen_->RealizedCounts(workload_, 48);
+  auto oracle = MakeOraclePredictor();
+  auto fc = DemandForecast::Build(*oracle, realized, /*eval_day=*/0);
+  ASSERT_TRUE(fc.ok());
+  for (const std::string& name : test::FullRoster()) {
+    SimResult on, off;
+    for (bool record : {true, false}) {
+      SimConfig cfg = BaseConfig();
+      cfg.record_idle_samples = record;
+      cfg.zero_pickup_travel =
+          DispatcherRegistry::Global().RequiresZeroPickupTravel(name);
+      auto dispatcher = MakeSeeded(name);
+      ASSERT_NE(dispatcher, nullptr) << name;
+      Simulator sim(cfg, workload_, gen_->grid(), cost_, &fc.value());
+      (record ? on : off) = sim.Run(*dispatcher);
+    }
+    ASSERT_GT(on.served_orders, 0) << name;
+    EXPECT_GT(on.idle_error.count(), 0) << name;
+    EXPECT_EQ(off.idle_error.count(), 0) << name;
+    for (const RegionIdleStats& reg : off.region_idle) {
+      EXPECT_EQ(reg.count, 0) << name;
+    }
+    EXPECT_EQ(std::bit_cast<uint64_t>(on.total_revenue),
+              std::bit_cast<uint64_t>(off.total_revenue))
+        << name;
+    EXPECT_EQ(on.served_orders, off.served_orders) << name;
+    EXPECT_EQ(on.reneged_orders, off.reneged_orders) << name;
+    EXPECT_EQ(on.num_batches, off.num_batches) << name;
+    EXPECT_EQ(on.dispatch_sweeps, off.dispatch_sweeps) << name;
+    EXPECT_EQ(on.dispatch_swaps_applied, off.dispatch_swaps_applied) << name;
+    EXPECT_EQ(on.dispatch_proposals, off.dispatch_proposals) << name;
+    EXPECT_EQ(on.driver_idle_seconds.count(), off.driver_idle_seconds.count())
+        << name;
+    EXPECT_EQ(std::bit_cast<uint64_t>(on.driver_idle_seconds.mean()),
+              std::bit_cast<uint64_t>(off.driver_idle_seconds.mean()))
+        << name;
+    EXPECT_EQ(std::bit_cast<uint64_t>(on.driver_idle_seconds.variance()),
+              std::bit_cast<uint64_t>(off.driver_idle_seconds.variance()))
+        << name;
+    EXPECT_EQ(std::bit_cast<uint64_t>(on.driver_idle_seconds.max()),
+              std::bit_cast<uint64_t>(off.driver_idle_seconds.max()))
+        << name;
+  }
 }
 
 }  // namespace

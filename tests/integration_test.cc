@@ -158,7 +158,9 @@ TEST_F(IntegrationTest, IdleTimeEstimatesTrackReality) {
   // Table 3's claim at small scale: the queueing estimate of driver idle
   // time is within a reasonable relative error of the realized idle time.
   auto irg = MakeIrgDispatcher();
-  SimResult r = RunDispatcher(*irg, BaseConfig());
+  SimConfig cfg = BaseConfig();
+  cfg.record_idle_samples = true;  // off by default
+  SimResult r = RunDispatcher(*irg, cfg);
   ASSERT_GT(r.idle_error.count(), 100);
   // At this toy scale (70 drivers, 6k orders) estimates are noisy; the
   // paper-scale accuracy claim is checked by bench_table3_idle_time.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <vector>
 
 #include "util/csv.h"
 #include "workload/demand_history.h"
@@ -126,6 +129,73 @@ TEST(GeneratorTest, PerMinuteRateConsistentWithSlotCount) {
   NycLikeGenerator gen(SmallConfig());
   EXPECT_NEAR(gen.ExpectedPerMinuteRate(0, 17 * 30 + 5, 9) * 30.0,
               gen.ExpectedSlotCount(0, 17, 9), 1e-9);
+}
+
+/// FNV-1a over the bits of every order field and driver of a day.
+uint64_t HashDay(const Workload& w) {
+  uint64_t h = 14695981039346656037ull;
+  auto add = [&h](uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  auto add_double = [&add](double v) { add(std::bit_cast<uint64_t>(v)); };
+  add(w.orders.size());
+  for (const Order& o : w.orders) {
+    add(static_cast<uint64_t>(o.id));
+    add_double(o.request_time);
+    add_double(o.pickup.lat);
+    add_double(o.pickup.lon);
+    add_double(o.dropoff.lat);
+    add_double(o.dropoff.lon);
+    add_double(o.pickup_deadline);
+  }
+  add(w.drivers.size());
+  for (const DriverSpec& d : w.drivers) {
+    add(static_cast<uint64_t>(d.id));
+    add_double(d.origin.lat);
+    add_double(d.origin.lon);
+    add_double(d.join_time);
+  }
+  add_double(w.horizon_seconds);
+  return h;
+}
+
+TEST(GeneratorTest, GeneratedDaysArePinnedBitForBit) {
+  // Hashes of whole generated days, recorded from the per-order
+  // linear-scan sampler that the per-(slot, origin) CDFs replaced. The
+  // gravity-0 day has NaN local weights (exp(-0/0)); there the scan, and
+  // so the CDF draw, returns the last region.
+  struct Case {
+    const char* name;
+    int day_index;
+    GeneratorConfig config;
+    uint64_t hash;
+  };
+  auto config = [](int rows, int cols) {
+    GeneratorConfig cfg;
+    cfg.grid_rows = rows;
+    cfg.grid_cols = cols;
+    cfg.orders_per_day = 20000.0;
+    return cfg;
+  };
+  std::vector<Case> cases = {
+      {"weekday 16x16", 1, config(16, 16), 13254116191377160950ull},
+      {"weekend 7x11", 5, config(7, 11), 7573379350244674039ull},
+      {"local_dest_prob 0", 1, config(16, 16), 9780308039592765696ull},
+      {"local_dest_prob 1", 1, config(16, 16), 2936135739119110530ull},
+      {"gravity 0", 1, config(16, 16), 5255691366090785954ull},
+      {"gravity -0.01", 1, config(16, 16), 16843879273333167973ull},
+  };
+  cases[2].config.local_dest_prob = 0.0;
+  cases[3].config.local_dest_prob = 1.0;
+  cases[4].config.gravity_scale_cells = 0.0;
+  cases[5].config.gravity_scale_cells = -0.01;
+  for (const Case& c : cases) {
+    NycLikeGenerator gen(c.config);
+    EXPECT_EQ(HashDay(gen.GenerateDay(c.day_index, 300)), c.hash) << c.name;
+  }
 }
 
 // ------------------------------------------------------------ demand history
