@@ -14,10 +14,6 @@
 //   --orders N      orders per generated day        (default 30000)
 //   --drivers N     fleet size                      (default 300)
 //   --tlc PATH      real TLC trip CSV instead of the generator
-//   --threads N     dispatch worker threads; 0 = hardware concurrency
-//                   (default 1 = serial)
-//   --shards N      region shards for the parallel pipeline; 0 derives
-//                   2x the worker count (default 0)
 //   --scenario S    "none" (default) or "day": a scripted two-shift +
 //                   cancellation-hazard + rush-hour-surge day through the
 //                   scenario event subsystem (see examples/scenario_day.cpp
@@ -57,8 +53,6 @@ struct CliOptions {
   int drivers = 300;
   std::string tlc_path;
   std::string stream_path;
-  int threads = 1;
-  int shards = 0;
   std::string scenario = "none";
 };
 
@@ -113,10 +107,6 @@ bool ParseCli(int argc, char** argv, CliOptions* opt) {
       const char* v = value();
       if (v == nullptr) return false;
       opt->stream_path = v;
-    } else if (arg == "--threads") {
-      if (!numeric(&opt->threads)) return false;
-    } else if (arg == "--shards") {
-      if (!numeric(&opt->shards)) return false;
     } else if (arg == "--scenario") {
       const char* v = value();
       if (v == nullptr || (std::strcmp(v, "none") != 0 &&
@@ -190,8 +180,7 @@ int main(int argc, char** argv) {
   if (!ParseCli(argc, argv, &opt)) {
     std::fprintf(stderr,
                  "usage: %s [--orders N] [--drivers N] [--tlc PATH] "
-                 "[--stream TRACE] [--threads N] [--shards N] "
-                 "[--scenario none|day]\n",
+                 "[--stream TRACE] [--scenario none|day]\n",
                  argv[0]);
     return 2;
   }
@@ -218,8 +207,6 @@ int main(int argc, char** argv) {
     StatusOr<Simulation> sim = SimulationBuilder()
                                    .StreamTrace(opt.stream_path,
                                                 MakeNycGrid16x16())
-                                   .Threads(opt.threads)
-                                   .Shards(opt.shards)
                                    .Build();
     if (!sim.ok()) {
       std::fprintf(stderr, "build failed: %s\n",
@@ -282,8 +269,6 @@ int main(int argc, char** argv) {
                                  .WithWorkload(std::move(day), generator.grid())
                                  .WithForecast(std::move(forecast).value())
                                  .WithScenario(std::move(script))
-                                 .Threads(opt.threads)
-                                 .Shards(opt.shards)
                                  .Build();
   if (!sim.ok()) {
     std::fprintf(stderr, "build failed: %s\n", sim.status().ToString().c_str());

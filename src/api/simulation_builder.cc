@@ -109,17 +109,10 @@ SimulationBuilder& SimulationBuilder::StreamTrace(const std::string& trace_path,
   return *this;
 }
 
-SimulationBuilder& SimulationBuilder::WithTravelModel(
-    const TravelCostModel& model) {
-  borrowed_travel_ = &model;
-  return *this;
-}
-
 SimulationBuilder& SimulationBuilder::WithStraightLineTravel(
     double speed_mps, double detour_factor) {
   line_speed_mps_ = speed_mps;
   line_detour_ = detour_factor;
-  borrowed_travel_ = nullptr;
   return *this;
 }
 
@@ -165,16 +158,6 @@ SimulationBuilder& SimulationBuilder::HorizonSeconds(double seconds) {
   return *this;
 }
 
-SimulationBuilder& SimulationBuilder::Threads(int num_threads) {
-  config_.num_threads = num_threads;
-  return *this;
-}
-
-SimulationBuilder& SimulationBuilder::Shards(int num_shards) {
-  config_.num_shards = num_shards;
-  return *this;
-}
-
 SimulationBuilder& SimulationBuilder::WithTelemetry(
     telemetry::TelemetrySession* session) {
   config_.telemetry = session;
@@ -190,21 +173,28 @@ StatusOr<Simulation> SimulationBuilder::Build() const {
         "no workload: call GenerateNycDay(), WithWorkload(), "
         "BorrowWorkload() or StreamTrace() before Build()");
   }
+  // A local destination's weight is exp(-ring / gravity_scale_cells): NaN
+  // or infinite at a scale of 0 or below (or NaN), so the generator cannot
+  // draw one. +inf is valid: no decay.
+  if (generator_ != nullptr &&
+      !(generator_->config().gravity_scale_cells > 0.0)) {
+    return Status::InvalidArgument(
+        "generator gravity_scale_cells must be positive, got " +
+        std::to_string(generator_->config().gravity_scale_cells));
+  }
   MRVD_RETURN_NOT_OK(config_.Validate());
-  if (borrowed_travel_ == nullptr) {
-    // The TravelCostModel::SpeedMps contract that candidate generation
-    // prunes on: a finite positive speed, and no trip shorter than the
-    // crow-fly distance.
-    if (!(line_speed_mps_ > 0.0) || !std::isfinite(line_speed_mps_)) {
-      return Status::InvalidArgument(
-          "straight-line travel speed_mps must be positive and finite, got " +
-          std::to_string(line_speed_mps_));
-    }
-    if (!(line_detour_ >= 1.0) || !std::isfinite(line_detour_)) {
-      return Status::InvalidArgument(
-          "straight-line travel detour must be finite and >= 1, got " +
-          std::to_string(line_detour_));
-    }
+  // The TravelCostModel::SpeedMps contract that candidate generation prunes
+  // on: a finite positive speed, and no trip shorter than the crow-fly
+  // distance.
+  if (!(line_speed_mps_ > 0.0) || !std::isfinite(line_speed_mps_)) {
+    return Status::InvalidArgument(
+        "straight-line travel speed_mps must be positive and finite, got " +
+        std::to_string(line_speed_mps_));
+  }
+  if (!(line_detour_ >= 1.0) || !std::isfinite(line_detour_)) {
+    return Status::InvalidArgument(
+        "straight-line travel detour must be finite and >= 1, got " +
+        std::to_string(line_detour_));
   }
 
   Simulation sim;
@@ -236,13 +226,8 @@ StatusOr<Simulation> SimulationBuilder::Build() const {
     sim.stream_max_orders_ = stream_max_orders_;
   }
 
-  if (borrowed_travel_ != nullptr) {
-    sim.travel_ = borrowed_travel_;
-  } else {
-    sim.owned_travel_ = std::make_shared<const StraightLineCostModel>(
-        line_speed_mps_, line_detour_);
-    sim.travel_ = sim.owned_travel_.get();
-  }
+  sim.travel_ = std::make_shared<const StraightLineCostModel>(line_speed_mps_,
+                                                             line_detour_);
 
   if (oracle_slots_ > 0) {
     DemandHistory realized(1, oracle_slots_, sim.grid_->num_regions());

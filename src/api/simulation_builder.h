@@ -89,8 +89,7 @@ class Simulation {
   std::shared_ptr<const Workload> owned_workload_;
   const Workload* workload_ = nullptr;  ///< always set after Build()
   std::shared_ptr<const Grid> grid_;
-  std::shared_ptr<const TravelCostModel> owned_travel_;
-  const TravelCostModel* travel_ = nullptr;  ///< always set after Build()
+  std::shared_ptr<const TravelCostModel> travel_;  ///< always set after Build()
   std::shared_ptr<const DemandForecast> owned_forecast_;
   const DemandForecast* forecast_ = nullptr;  ///< may stay null
   std::shared_ptr<const ScenarioScript> owned_scenario_;
@@ -136,9 +135,6 @@ class SimulationBuilder {
 
   // ---- Travel model (default: straight-line at 11 m/s, 1.3 detour) ----
 
-  /// Borrows a travel-cost model; the caller keeps it alive.
-  SimulationBuilder& WithTravelModel(const TravelCostModel& model);
-
   /// Owns a straight-line model with the given speed/detour factor.
   /// Build() rejects a speed that is not positive and finite and a detour
   /// that is not finite and >= 1.
@@ -169,8 +165,6 @@ class SimulationBuilder {
   SimulationBuilder& WithConfig(const SimConfig& config);
   SimulationBuilder& BatchInterval(double seconds);
   SimulationBuilder& HorizonSeconds(double seconds);
-  SimulationBuilder& Threads(int num_threads);
-  SimulationBuilder& Shards(int num_shards);
 
   /// Attaches a borrowed telemetry session (may be null to detach): runs
   /// record per-stage trace spans when it traces and merge their metrics
@@ -183,9 +177,11 @@ class SimulationBuilder {
   const SimConfig& config() const { return config_; }
 
   /// Validates and assembles. Fails with InvalidArgument when no workload
-  /// source was set, the config does not pass SimConfig::Validate(), the
-  /// straight-line travel parameters are out of range, or a forecast's
-  /// region count does not match the grid.
+  /// source was set, a GenerateNycDay() config's gravity_scale_cells is not
+  /// positive (the generator cannot draw local destinations then), the
+  /// config does not pass SimConfig::Validate(), the straight-line travel
+  /// parameters are out of range, or a forecast's region count does not
+  /// match the grid.
   StatusOr<Simulation> Build() const;
 
  private:
@@ -193,8 +189,7 @@ class SimulationBuilder {
   std::shared_ptr<const Workload> owned_workload_;
   const Workload* borrowed_workload_ = nullptr;
   std::shared_ptr<const Grid> grid_;
-  const TravelCostModel* borrowed_travel_ = nullptr;
-  double line_speed_mps_ = 11.0;  ///< straight-line model, when not borrowed
+  double line_speed_mps_ = 11.0;  ///< the straight-line model's parameters
   double line_detour_ = 1.3;
   const DemandForecast* borrowed_forecast_ = nullptr;
   std::shared_ptr<const DemandForecast> owned_forecast_;

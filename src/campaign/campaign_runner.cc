@@ -102,7 +102,7 @@ StatusOr<CampaignReport> CampaignRunner::Execute(
     }
   }
 
-  // Execute pending cells shard-parallel. Each cell resolves and runs
+  // Execute pending cells in parallel. Each cell resolves and runs
   // through RunOne into its own pre-sized outcome slot, so the pool's
   // schedule cannot affect any result.
   if (!pending.empty()) {

@@ -1,5 +1,5 @@
-// CampaignRunner: executes an expanded campaign grid shard-parallel on the
-// existing ThreadPool, with content-addressed resume.
+// CampaignRunner: executes an expanded campaign grid in parallel on a
+// ThreadPool, with content-addressed resume.
 //
 // Execution contract:
 //   * each workload's Simulation is built ONCE (catalog factories are the

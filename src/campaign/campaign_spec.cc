@@ -1,7 +1,6 @@
 #include "campaign/campaign_spec.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "api/dispatcher_registry.h"
@@ -12,22 +11,18 @@ namespace mrvd {
 
 namespace {
 
-/// One known SimConfig override key.
+/// One known SimConfig override key; every one is a double.
 struct DeltaField {
   const char* name;
-  bool is_int;
-  double SimConfig::* dfield;
-  int SimConfig::* ifield;
+  double SimConfig::* field;
 };
 
 constexpr DeltaField kDeltaFields[] = {
-    {"batch_interval", false, &SimConfig::batch_interval, nullptr},
-    {"window_seconds", false, &SimConfig::window_seconds, nullptr},
-    {"horizon_seconds", false, &SimConfig::horizon_seconds, nullptr},
-    {"alpha", false, &SimConfig::alpha, nullptr},
-    {"reneging_beta", false, &SimConfig::reneging_beta, nullptr},
-    {"num_threads", true, nullptr, &SimConfig::num_threads},
-    {"num_shards", true, nullptr, &SimConfig::num_shards},
+    {"batch_interval", &SimConfig::batch_interval},
+    {"window_seconds", &SimConfig::window_seconds},
+    {"horizon_seconds", &SimConfig::horizon_seconds},
+    {"alpha", &SimConfig::alpha},
+    {"reneging_beta", &SimConfig::reneging_beta},
 };
 
 std::string KnownDeltaKeys() {
@@ -46,16 +41,14 @@ const DeltaField* FindDeltaField(std::string_view key) {
   return nullptr;
 }
 
-/// One config-delta entry, parsed at its field's type.
+/// One parsed config-delta entry.
 struct DeltaValue {
   const DeltaField* field = nullptr;
-  int i = 0;       ///< the value of an int field
-  double d = 0.0;  ///< the value of a double field
+  double value = 0.0;
 };
 
 /// Splits "key=value,..." via the shared spec-grammar parser and parses
-/// each value at its field's type; an int value must fit an int, since
-/// that is what the field holds. Empty input -> empty list.
+/// each value as a double. Empty input -> empty list.
 StatusOr<std::vector<DeltaValue>> ParseDelta(const std::string& delta) {
   std::vector<std::pair<std::string, std::string>> pairs;
   std::string_view rest = StripAsciiWhitespace(delta);
@@ -72,26 +65,12 @@ StatusOr<std::vector<DeltaValue>> ParseDelta(const std::string& delta) {
       return Status::InvalidArgument("unknown config-delta key '" + key +
                                      "'; known keys: " + KnownDeltaKeys());
     }
-    if (value.field->is_int) {
-      StatusOr<int64_t> v = ParseInt64(raw);
-      if (!v.ok()) {
-        return Status::InvalidArgument("config-delta key '" + key +
-                                       "': not an int: '" + raw + "'");
-      }
-      if (*v < std::numeric_limits<int>::min() ||
-          *v > std::numeric_limits<int>::max()) {
-        return Status::InvalidArgument("config-delta key '" + key + "': " +
-                                       raw + " does not fit an int");
-      }
-      value.i = static_cast<int>(*v);
-    } else {
-      StatusOr<double> v = ParseDouble(raw);
-      if (!v.ok()) {
-        return Status::InvalidArgument("config-delta key '" + key +
-                                       "': not a number: '" + raw + "'");
-      }
-      value.d = *v;
+    StatusOr<double> v = ParseDouble(raw);
+    if (!v.ok()) {
+      return Status::InvalidArgument("config-delta key '" + key +
+                                     "': not a number: '" + raw + "'");
     }
+    value.value = *v;
     values.push_back(value);
   }
   return values;
@@ -102,13 +81,7 @@ StatusOr<std::vector<DeltaValue>> ParseDelta(const std::string& delta) {
 Status ApplyConfigDelta(const std::string& delta, SimConfig* config) {
   StatusOr<std::vector<DeltaValue>> values = ParseDelta(delta);
   if (!values.ok()) return values.status();
-  for (const DeltaValue& v : *values) {
-    if (v.field->is_int) {
-      config->*(v.field->ifield) = v.i;
-    } else {
-      config->*(v.field->dfield) = v.d;
-    }
-  }
+  for (const DeltaValue& v : *values) config->*(v.field->field) = v.value;
   return Status::OK();
 }
 
@@ -119,9 +92,7 @@ StatusOr<std::string> CanonicalizeConfigDelta(const std::string& delta) {
   std::vector<std::pair<std::string, std::string>> canonical;
   canonical.reserve(values->size());
   for (const DeltaValue& v : *values) {
-    canonical.emplace_back(v.field->name, v.field->is_int
-                                              ? std::to_string(v.i)
-                                              : FormatDouble(v.d));
+    canonical.emplace_back(v.field->name, FormatDouble(v.value));
   }
   std::sort(canonical.begin(), canonical.end());
 

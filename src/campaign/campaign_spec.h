@@ -49,11 +49,10 @@ struct CampaignCell {
   int seed_index = 0;
 };
 
-/// Applies a "key=value,..." override string onto `config`. Known keys:
-/// batch_interval, window_seconds, horizon_seconds, alpha, reneging_beta
-/// (doubles) and num_threads, num_shards (ints). Unknown keys fail listing
-/// the known set; the merged config is NOT validated here (the run path
-/// calls SimConfig::Validate()).
+/// Applies a "key=value,..." override string onto `config`. Known keys,
+/// all doubles: batch_interval, window_seconds, horizon_seconds, alpha,
+/// reneging_beta. Unknown keys fail listing the known set; the merged
+/// config is NOT validated here (the run path calls SimConfig::Validate()).
 Status ApplyConfigDelta(const std::string& delta, SimConfig* config);
 
 /// Validates a delta's syntax/keys and returns its canonical form (sorted

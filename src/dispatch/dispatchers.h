@@ -11,12 +11,9 @@
 //            SimConfig::zero_pickup_travel)
 //
 // Every dispatcher but UPPER reads the batch's valid pairs from
-// BatchContext::ValidPairs(), one list per batch, built serially. When the
-// BatchContext carries a BatchExecution (thread pool + region partitioner,
-// see sim/batch.h), IRG, SHORT and LS solve the greedy's initial ET(k, 0)
-// values per region shard on the pool and then select sequentially,
-// producing bit-identical assignments to the serial path. Without an
-// execution the same code runs serially.
+// BatchContext::ValidPairs(), one list per batch, and runs in one serial
+// pass: IRG and SHORT select greedily over it, and LS then sweeps its
+// swaps (Algorithm 1, line 7).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 // IRG (Algorithm 2) and SHORT (Appendix C) dispatchers.
 #include "dispatch/dispatchers.h"
 #include "dispatch/irg_core.h"
-#include "dispatch/pipeline.h"
 
 namespace mrvd {
 
@@ -14,22 +13,14 @@ class IrgDispatcher final : public Dispatcher {
 
   std::string name() const override { return name_; }
 
-  const DispatchCounters* counters() const override { return &counters_; }
-
   void Dispatch(const BatchContext& ctx, std::vector<Assignment>* out) override {
-    // Sharded preparation (parallel when the batch carries an execution),
-    // then the exact sequential selection over the canonical pair list.
-    counters_ = {};
-    PreparedBatch prepared = PrepareShardedBatch(ctx);
-    counters_.shards = std::move(prepared.shard_stats);
-    IrgState state = RunGreedySelection(ctx, prepared.pairs, objective_);
+    IrgState state = RunGreedySelection(ctx, ctx.ValidPairs(), objective_);
     *out = std::move(state.assignments);
   }
 
  private:
   GreedyObjective objective_;
   std::string name_;
-  DispatchCounters counters_;  ///< shard telemetry of the latest Dispatch
 };
 
 }  // namespace

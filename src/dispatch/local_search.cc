@@ -19,7 +19,6 @@
 #include "dispatch/dispatchers.h"
 #include "dispatch/irg_core.h"
 #include "dispatch/ls_plan.h"
-#include "dispatch/pipeline.h"
 
 namespace mrvd {
 
@@ -107,11 +106,10 @@ class LocalSearchDispatcher final : public Dispatcher {
 
   void Dispatch(const BatchContext& ctx, std::vector<Assignment>* out) override {
     counters_ = {};
-    PreparedBatch prepared = PrepareShardedBatch(ctx);
-    counters_.shards = std::move(prepared.shard_stats);
+    const std::vector<CandidatePair>& pairs = ctx.ValidPairs();
     IrgState state =
-        RunGreedySelection(ctx, prepared.pairs, GreedyObjective::kIdleRatio);
-    RunSweeps(ctx, prepared.pairs, max_sweeps_, &state, &counters_);
+        RunGreedySelection(ctx, pairs, GreedyObjective::kIdleRatio);
+    RunSweeps(ctx, pairs, max_sweeps_, &state, &counters_);
     *out = std::move(state.assignments);
   }
 

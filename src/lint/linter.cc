@@ -660,8 +660,8 @@ void CheckHardwareConcurrency(const SourceViews& v,
   for (size_t pos : FindWord(v.code, "hardware_concurrency")) {
     out->push_back({"", LineOf(v, pos), kHardwareConcurrency,
                     "direct hardware_concurrency read — thread-count "
-                    "policy belongs in SimConfig::ResolveShards / the "
-                    "single ThreadPool::HardwareThreads wrapper",
+                    "policy belongs in the single "
+                    "ThreadPool::HardwareThreads wrapper",
                     false, ""});
   }
 }
@@ -720,8 +720,7 @@ const std::vector<RuleInfo>& Rules() {
       {kPointerKey,
        "no std::map/std::set keyed by pointers (address-ordered iteration)"},
       {kHardwareConcurrency,
-       "hardware_concurrency only via ThreadPool::HardwareThreads / "
-       "SimConfig::ResolveShards"},
+       "hardware_concurrency only via ThreadPool::HardwareThreads"},
       {kNakedNew, "no naked new; use std::make_unique"},
       {kUsingNamespaceHeader, "no 'using namespace' in headers"},
       {kUnknownRule, "suppressions must name known rules"},

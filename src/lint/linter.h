@@ -1,9 +1,9 @@
 // mrvd_lint: the determinism & concurrency static-analysis pass.
 //
 // A token/line scanner (no libclang) over the source tree that enforces the
-// invariants every headline claim rests on — sharded == serial, streamed ==
-// materialised, resumed == from-scratch — *at review time* instead of
-// waiting for an equivalence test to flake:
+// invariants every headline claim rests on — streamed == materialised,
+// resumed == from-scratch, any campaign thread count == serial — *at review
+// time* instead of waiting for an equivalence test to flake:
 //
 //   include-layering          the ARCHITECTURE.md layer DAG: a file may only
 //                             include headers from layers strictly below its
@@ -18,8 +18,7 @@
 //   pointer-key               std::map/std::set keyed by a pointer type —
 //                             iteration order follows allocation addresses
 //   hardware-concurrency      direct std::thread::hardware_concurrency —
-//                             thread-count policy lives in
-//                             SimConfig::ResolveShards / the single
+//                             thread-count policy lives in the single
 //                             ThreadPool::HardwareThreads wrapper
 //   naked-new                 a `new` expression outside a smart-pointer
 //                             constructor idiom

@@ -42,8 +42,7 @@ SurgeWindow RushHourSurge(double start_seconds, double end_seconds,
 
 /// Surge window covering every region of grid rows [row_lo, row_hi]
 /// (inclusive; clamped to the grid) — the spatially concentrated analogue
-/// of RushHourSurge, and the demand signal that makes uniform row-band
-/// sharding collapse into one hot shard.
+/// of RushHourSurge.
 SurgeWindow RowBandSurge(const Grid& grid, int row_lo, int row_hi,
                          double start_seconds, double end_seconds,
                          double multiplier);

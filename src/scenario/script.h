@@ -1,7 +1,7 @@
 // ScenarioScript: a builder for time-ordered scenario event streams, and
 // EventStream, the cursor Simulator::Run drains as batch time advances.
 // Scripts are data, not behaviour — the engine owns all semantics — so the
-// same script can replay against any dispatcher or thread count.
+// same script can replay against any dispatcher.
 #pragma once
 
 #include <cstddef>

@@ -5,15 +5,7 @@
 #include <cassert>
 #include <limits>
 
-#include "geo/region_partitioner.h"
-#include "util/thread_pool.h"
-
 namespace mrvd {
-
-bool BatchExecution::Parallel() const {
-  return pool != nullptr && pool->num_threads() > 1 && partitioner != nullptr &&
-         partitioner->num_shards() > 1;
-}
 
 namespace {
 
@@ -80,7 +72,6 @@ void BatchContext::Reset(double now) {
   join_bits_since_ = search_memo_.empty()
                          ? std::numeric_limits<double>::infinity()
                          : search_memo_now_;
-  shard_index_.partitioner = nullptr;
   has_source_ = false;
   pairs_current_ = false;
   searched_this_batch_ = false;
@@ -308,29 +299,6 @@ const std::vector<RegionSnapshot>& BatchContext::snapshots() const {
   return snapshots_;
 }
 
-const BatchContext::ShardIndex* BatchContext::EnsureShardIndex() const {
-  if (execution_ == nullptr || execution_->partitioner == nullptr) {
-    return nullptr;
-  }
-  const RegionPartitioner* parts = execution_->partitioner;
-  if (shard_index_.partitioner == parts) return &shard_index_;
-  assert(parts->num_regions() == grid_.num_regions());
-  const size_t num_shards = static_cast<size_t>(parts->num_shards());
-  shard_index_.partitioner = parts;
-  shard_index_.riders.assign(num_shards, {});
-  shard_index_.drivers.assign(num_shards, {});
-  const std::vector<WaitingRider>& riders = this->riders();
-  for (int i = 0; i < static_cast<int>(riders.size()); ++i) {
-    int s = parts->shard_of(riders[static_cast<size_t>(i)].pickup_region);
-    shard_index_.riders[static_cast<size_t>(s)].push_back(i);
-  }
-  for (int j = 0; j < static_cast<int>(drivers_.size()); ++j) {
-    int s = parts->shard_of(drivers_[static_cast<size_t>(j)].region);
-    shard_index_.drivers[static_cast<size_t>(s)].push_back(j);
-  }
-  return &shard_index_;
-}
-
 BatchContext::RegionQueue BatchContext::QueueFor(RegionId region,
                                                   int extra_drivers) const {
   const bool ring = candidate_mode_ == CandidateMode::kRingExpand;
@@ -408,12 +376,6 @@ double BatchContext::ExpectedIdleSeconds(RegionId region,
     entry = {ComputeIdleSeconds(region, extra_drivers), memo_epoch_};
   }
   return entry.seconds;
-}
-
-void BatchContext::WarmIdleCache(RegionId region, int extra_drivers,
-                                 double et) const {
-  IdleMemoEntry& entry = MemoEntry(region, extra_drivers);
-  if (entry.epoch != memo_epoch_) entry = {et, memo_epoch_};
 }
 
 }  // namespace mrvd

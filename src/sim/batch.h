@@ -20,25 +20,9 @@
 
 namespace mrvd {
 
-class ThreadPool;
-class RegionPartitioner;
-
 namespace telemetry {
 class TelemetrySession;
 }  // namespace telemetry
-
-/// Parallel-execution context for one batch: a reusable worker pool plus
-/// the region sharding. When a BatchContext carries one (see
-/// BatchContext::SetExecution), dispatchers shard candidate generation
-/// and idle-time evaluation across the pool; without one every dispatcher
-/// runs the serial path. Both owned objects must outlive the batch.
-struct BatchExecution {
-  ThreadPool* pool = nullptr;
-  const RegionPartitioner* partitioner = nullptr;
-
-  /// True if this execution can actually fan out work.
-  bool Parallel() const;
-};
 
 /// A rider waiting in the current batch.
 struct WaitingRider {
@@ -157,41 +141,24 @@ class BatchContext {
   /// Expected idle time ET(λ(k), μ(k)) in seconds for a driver rejoining
   /// `region`, given `extra_drivers` >= 0 additional rejoiners (cached in a
   /// dense region × extra table; a solve never allocates, a row grows the
-  /// first time a larger `extra_drivers` is asked for). NOT thread-safe
-  /// (the memo table is shared); parallel workers call ComputeIdleSeconds
-  /// and hand the values to WarmIdleCache.
+  /// first time a larger `extra_drivers` is asked for). NOT thread-safe.
   double ExpectedIdleSeconds(RegionId region, int extra_drivers = 0) const;
 
   /// Same value as ExpectedIdleSeconds but bypassing the memo table: a pure
-  /// function of the batch's snapshots. It computes the snapshots it reads
-  /// if the batch has not read them yet, so it is safe to call concurrently
-  /// only once snapshots() has been called in the batch (or for a context
-  /// with no SnapshotSource). Under
-  /// kRingExpand the queue is the region's 3x3 service neighbourhood; λ(k)
-  /// and μ(k) (Eqs. 18/19) get `extra_drivers` more rejoining drivers, and
-  /// K is the neighbourhood's available drivers plus predicted rejoiners
-  /// plus `extra_drivers` (at least 1). The chain is solved in per-minute
-  /// rates with a 60-minute cap, reading the growth table; no allocation.
+  /// function of the batch's snapshots, computing the ones it reads if the
+  /// batch has not read them yet. NOT thread-safe. Under kRingExpand the
+  /// queue is the region's 3x3 service neighbourhood; λ(k) and μ(k)
+  /// (Eqs. 18/19) get `extra_drivers` more rejoining drivers, and K is the
+  /// neighbourhood's available drivers plus predicted rejoiners plus
+  /// `extra_drivers` (at least 1). The chain is solved in per-minute rates
+  /// with a 60-minute cap, reading the growth table; no allocation.
   double ComputeIdleSeconds(RegionId region, int extra_drivers = 0) const;
-
-  /// Inserts a precomputed ET value into the memo table (first write wins).
-  /// Called serially with values that parallel workers computed by
-  /// ComputeIdleSeconds; warming never changes results because the cached
-  /// value is the pure ComputeIdleSeconds of the same snapshot.
-  void WarmIdleCache(RegionId region, int extra_drivers, double et) const;
 
   /// One integer key for (region, extra_drivers), extra_drivers < 2^20,
   /// for callers that keep an ET memo of their own.
   static int64_t IdleCacheKey(RegionId region, int extra_drivers) {
     return (static_cast<int64_t>(region) << 20) | extra_drivers;
   }
-
-  /// Optional parallel execution (null = serial). The pointed-to object is
-  /// not owned and must outlive the batch.
-  void SetExecution(const BatchExecution* execution) {
-    execution_ = execution;
-  }
-  const BatchExecution* execution() const { return execution_; }
 
   /// Optional telemetry session (null = telemetry off), set by the engine
   /// so dispatchers can emit trace spans and phase histograms without any
@@ -246,13 +213,13 @@ class BatchContext {
   /// Starts the next batch at `now` in place: drops any lent rider pool
   /// and empties the context's own riders, the drivers and the region
   /// buckets the last batch filled (keeping their capacity), clears the
-  /// join bits the last batch set, drops the shard index and the
-  /// SnapshotSource, and invalidates every memoised ET. The snapshots
-  /// stay as they were until the caller sets them (SetSnapshotSource or
-  /// SetSnapshots), which it must do before any snapshot or ET is read.
-  /// A context refilled this way must give each
-  /// driver the time it became available at its current location (see
-  /// AvailableDriver::available_since), which ValidPairs' memo relies on.
+  /// join bits the last batch set, drops the SnapshotSource, and
+  /// invalidates every memoised ET. The snapshots stay as they were until
+  /// the caller sets them (SetSnapshotSource or SetSnapshots), which it
+  /// must do before any snapshot or ET is read. A context refilled this
+  /// way must give each driver the time it became available at its current
+  /// location (see AvailableDriver::available_since), which ValidPairs'
+  /// memo relies on.
   void Reset(double now);
 
   /// Mutable setup API (used by the engine when building the batch).
@@ -271,7 +238,6 @@ class BatchContext {
     }
 #endif
     lent_riders_ = &riders;
-    shard_index_.partitioner = nullptr;  // invalidate any cached index
     pairs_current_ = false;
   }
   /// Appends to the context's own rider array: for a context assembled by
@@ -281,7 +247,6 @@ class BatchContext {
     assert(r.pickup_region != kInvalidRegion &&
            r.dropoff_region != kInvalidRegion);
     riders_.push_back(r);
-    shard_index_.partitioner = nullptr;  // invalidate any cached index
     pairs_current_ = false;
   }
   void AddDriver(const AvailableDriver& d) {
@@ -289,7 +254,6 @@ class BatchContext {
     drivers_by_region_[static_cast<size_t>(d.region)].push_back(
         static_cast<int>(drivers_.size()));
     drivers_.push_back(d);
-    shard_index_.partitioner = nullptr;  // invalidate any cached index
     pairs_current_ = false;
     if (d.available_since >= join_bits_since_) MarkJoined(d.region);
     // This batch's searches ran without the driver, whenever it joined.
@@ -305,26 +269,6 @@ class BatchContext {
   /// every snapshot here, and assert that each row computed later equals
   /// them bit for bit.
   void SetSnapshotSource(const SnapshotSource& source);
-
-  /// Per-shard context-index lists, shared by every shard worker of the
-  /// batch. Built in ONE pass over riders + drivers.
-  struct ShardIndex {
-    const RegionPartitioner* partitioner = nullptr;
-    std::vector<std::vector<int>> riders;   ///< by pickup-region shard
-    std::vector<std::vector<int>> drivers;  ///< by current-region shard
-  };
-
-  /// Returns the shard index for execution()->partitioner, building it in
-  /// one pass if absent. Serial and not thread-safe: call from the
-  /// coordinating thread before fanning out shard work. Null when the
-  /// context has no parallel execution attached.
-  const ShardIndex* EnsureShardIndex() const;
-
-  /// The shard index if one has been built/installed, else null (never
-  /// builds; see EnsureShardIndex).
-  const ShardIndex* shard_index() const {
-    return shard_index_.partitioner == nullptr ? nullptr : &shard_index_;
-  }
 
  private:
   /// The queue a driver rejoining `region` joins: its rates (Eqs. 18/19)
@@ -404,9 +348,7 @@ class BatchContext {
   mutable std::vector<double> row_counts_;  ///< one row's forecast, reused
   /// Builds without NDEBUG: every snapshot as SetSnapshotSource saw it.
   std::vector<RegionSnapshot> reference_snapshots_;
-  const BatchExecution* execution_ = nullptr;
   telemetry::TelemetrySession* telemetry_ = nullptr;  ///< borrowed; may be null
-  mutable ShardIndex shard_index_;  ///< lazily built; see EnsureShardIndex
 
   /// [region][extra] -> ET; an entry (and a snapshot row of row_epoch_)
   /// is current iff stamped memo_epoch_.
@@ -432,15 +374,6 @@ class BatchContext {
   mutable int64_t skipped_searches_ = 0;
 };
 
-/// Per-shard pipeline telemetry for one Dispatch: the shard's batch sizes
-/// and the wall time its parallel-phase work took. max/mean over `seconds`
-/// is the load-imbalance factor adaptive sharding exists to close.
-struct ShardLoadStat {
-  int64_t riders = 0;    ///< context riders whose pickup is in the shard
-  int64_t drivers = 0;   ///< context drivers located in the shard
-  double seconds = 0.0;  ///< shard's parallel-phase wall time
-};
-
 /// Per-Dispatch work counters for iterative dispatchers (currently LS):
 /// convergence behaviour observable without a profiler. Sweep-less
 /// dispatchers leave everything zero.
@@ -448,9 +381,6 @@ struct DispatchCounters {
   int64_t sweeps = 0;          ///< refinement sweeps actually run
   int64_t swaps_applied = 0;   ///< improving swaps committed
   int64_t proposals = 0;       ///< best-swap evaluations proposed
-  /// One entry per pipeline shard (empty on the serial path), filled by
-  /// PrepareShardedBatch for every dispatcher that runs through it.
-  std::vector<ShardLoadStat> shards;
 };
 
 /// A batch dispatching algorithm (§5, §6.3).

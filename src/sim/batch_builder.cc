@@ -32,25 +32,20 @@ void CheckDriversMatchFleetScan(const BatchContext& ctx,
 BatchBuilder::BatchBuilder(const Grid& grid, const TravelCostModel& cost_model,
                            const DemandForecast* forecast,
                            double window_seconds, double reneging_beta,
-                           CandidateMode candidate_mode,
-                           const BatchExecution* execution)
+                           CandidateMode candidate_mode)
     : grid_(grid),
       cost_model_(cost_model),
       forecast_(forecast),
       window_seconds_(window_seconds),
       growth_(reneging_beta),
-      candidate_mode_(candidate_mode),
-      execution_(execution) {
+      candidate_mode_(candidate_mode) {
   assert(forecast_ == nullptr ||
          forecast_->num_regions() == grid_.num_regions());
 }
 
 std::unique_ptr<BatchContext> BatchBuilder::NewContext() const {
-  auto ctx = std::make_unique<BatchContext>(0.0, window_seconds_, growth_,
-                                            grid_, cost_model_,
-                                            candidate_mode_);
-  if (execution_ != nullptr) ctx->SetExecution(execution_);
-  return ctx;
+  return std::make_unique<BatchContext>(0.0, window_seconds_, growth_, grid_,
+                                        cost_model_, candidate_mode_);
 }
 
 void BatchBuilder::Fill(double now, const OrderBook& orders,
@@ -75,9 +70,6 @@ void BatchBuilder::Fill(double now, const OrderBook& orders,
                           &fleet.available_by_region(),
                           &fleet.rejoining_in_window(), forecast_,
                           demand_multipliers});
-  if (execution_ != nullptr && execution_->Parallel()) {
-    ctx->EnsureShardIndex();
-  }
 }
 
 std::unique_ptr<BatchContext> BatchBuilder::Build(

@@ -39,16 +39,15 @@ namespace mrvd {
 
 class BatchBuilder {
  public:
-  /// `forecast` and `execution` may be null (no prediction / serial build).
-  /// All referenced objects must outlive the builder. The builder owns the
-  /// run's RenegingGrowthTable for `reneging_beta`.
+  /// `forecast` may be null (no prediction). All referenced objects must
+  /// outlive the builder. The builder owns the run's RenegingGrowthTable
+  /// for `reneging_beta`.
   BatchBuilder(const Grid& grid, const TravelCostModel& cost_model,
                const DemandForecast* forecast, double window_seconds,
-               double reneging_beta, CandidateMode candidate_mode,
-               const BatchExecution* execution);
+               double reneging_beta, CandidateMode candidate_mode);
 
   /// An empty context for this builder's run (its grid, cost model, window,
-  /// growth table, candidate mode and execution), to be refilled by Fill
+  /// growth table and candidate mode), to be refilled by Fill
   /// every batch. It borrows the builder's growth table, so it must not
   /// outlive the builder.
   std::unique_ptr<BatchContext> NewContext() const;
@@ -64,8 +63,7 @@ class BatchBuilder {
   /// `fleet` and `demand_multipliers` again when a snapshot is first read,
   /// so they must outlive the batch, and the pool and counters must not
   /// change until its assignments are applied (OrderBook::MarkServed moves
-  /// no rider). With a parallel execution attached the shard index is
-  /// built as well.
+  /// no rider).
   void Fill(double now, const OrderBook& orders, const FleetState& fleet,
             const std::vector<double>* demand_multipliers, BatchContext* ctx);
 
@@ -81,7 +79,6 @@ class BatchBuilder {
   const double window_seconds_;
   const RenegingGrowthTable growth_;
   const CandidateMode candidate_mode_;
-  const BatchExecution* execution_;
 };
 
 }  // namespace mrvd

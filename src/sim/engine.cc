@@ -10,18 +10,15 @@
 #include <unordered_map>
 #include <vector>
 
-#include "geo/region_partitioner.h"
 #include "sim/assignment_applier.h"
 #include "sim/batch_builder.h"
 #include "sim/fleet_state.h"
 #include "sim/order_book.h"
-#include "sim/shard_load_tracker.h"
 #include "telemetry/session.h"
 #include "telemetry/trace.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace mrvd {
 
@@ -165,31 +162,6 @@ Status SimConfig::Validate() const {
         "%g; the batch clock could not advance",
         batch_interval, horizon_seconds, min_interval));
   }
-  if (num_threads < 0) {
-    return Status::InvalidArgument(
-        "num_threads must be >= 0 (0 = hardware concurrency), got " +
-        std::to_string(num_threads));
-  }
-  if (num_shards < 0) {
-    return Status::InvalidArgument(
-        "num_shards must be >= 0 (0 = derive from threads), got " +
-        std::to_string(num_shards));
-  }
-  if (!(rebalance_threshold >= 1.0) || !std::isfinite(rebalance_threshold)) {
-    return Status::InvalidArgument(
-        "rebalance_threshold must be >= 1 and finite, got " +
-        std::to_string(rebalance_threshold));
-  }
-  if (!(load_ewma_alpha > 0.0) || load_ewma_alpha > 1.0) {
-    return Status::InvalidArgument(
-        "load_ewma_alpha must be in (0, 1], got " +
-        std::to_string(load_ewma_alpha));
-  }
-  if (!(forecast_blend >= 0.0) || !std::isfinite(forecast_blend)) {
-    return Status::InvalidArgument(
-        "forecast_blend must be >= 0 and finite, got " +
-        std::to_string(forecast_blend));
-  }
   if (!(alpha > 0.0) || !std::isfinite(alpha)) {
     return Status::InvalidArgument("alpha (fee rate) must be positive and "
                                    "finite, got " + std::to_string(alpha));
@@ -284,30 +256,8 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
   OrderBook orders(*source, grid_, cost_model_, config_.alpha);
   ScenarioState scenario(script, drivers_, grid_);
 
-  // Parallel dispatch plumbing, created once and reused by every batch.
-  int threads = config_.num_threads == 0 ? ThreadPool::HardwareThreads()
-                                         : config_.num_threads;
-  std::unique_ptr<ThreadPool> pool;
-  std::unique_ptr<RegionPartitioner> partitioner;
-  std::unique_ptr<ShardLoadTracker> load_tracker;
-  BatchExecution execution;
-  int shards = 0;
-  if (threads > 1) {
-    shards = config_.ResolveShards(threads);
-    pool = std::make_unique<ThreadPool>(threads);
-    partitioner = std::make_unique<RegionPartitioner>(
-        RegionPartitioner::RowBands(grid_, shards));
-    execution.pool = pool.get();
-    execution.partitioner = partitioner.get();
-    if (config_.adaptive_sharding) {
-      load_tracker = std::make_unique<ShardLoadTracker>(
-          grid_.num_regions(), config_.load_ewma_alpha,
-          config_.forecast_blend);
-    }
-  }
   BatchBuilder builder(grid_, cost_model_, forecast_, config_.window_seconds,
-                       config_.reneging_beta, config_.candidate_mode,
-                       pool != nullptr ? &execution : nullptr);
+                       config_.reneging_beta, config_.candidate_mode);
   AssignmentApplier applier(dispatcher.name(), config_.zero_pickup_travel);
 
   // The session (null = none) only traces and exports: each stage scope
@@ -365,33 +315,13 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
       break;  // nothing left to do
     }
 
-    // 3. Load-aware repartition: when the tracked demand's imbalance over
-    //    the current shard map crosses the hysteresis threshold, rebuild
-    //    the row bands weight-balanced and install them before this batch's
-    //    context (and its cached shard index) is materialised. Results are
-    //    partition-invariant, so this only moves work between workers.
-    if (load_tracker != nullptr && load_tracker->has_signal()) {
-      const double imbalance =
-          ShardLoadTracker::Imbalance(*partitioner, load_tracker->weights());
-      if (imbalance > config_.rebalance_threshold) {
-        auto rebalanced =
-            std::make_unique<RegionPartitioner>(RegionPartitioner::RowBands(
-                grid_, shards, load_tracker->weights()));
-        if (!rebalanced->SamePartition(*partitioner)) {
-          partitioner = std::move(rebalanced);
-          execution.partitioner = partitioner.get();
-          metrics.RecordRepartition();
-        }
-      }
-    }
-
-    // 4. Refill the batch context off the incremental counters, then
-    // 5. capture idle-time estimates for freshly (re)joined drivers when
+    // 3. Refill the batch context off the incremental counters, then
+    // 4. capture idle-time estimates for freshly (re)joined drivers when
     //    the run records idle samples: their ET solves may be the batch's
     //    first snapshot reads. Either way the fresh list is consumed, as
     //    the end-of-day check reads it. The build stage starts where
-    //    expire ended, so it also times the end-of-day check, step 3 and
-    //    the rejoin-window advance.
+    //    expire ended, so it also times the end-of-day check and the
+    //    rejoin-window advance.
     fleet.AdvanceRejoinWindow(now, config_.window_seconds);
     {
       telemetry::TraceSpan span(tele, "batch_build", &timings.build_seconds,
@@ -402,9 +332,8 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
                                                              : nullptr);
     }
     observers.OnBatchBuilt(now, timings.build_seconds, *ctx);
-    if (load_tracker != nullptr) load_tracker->Observe(ctx->snapshots());
 
-    // 6. Dispatch, timed from a fresh reading so that it leaves out the
+    // 5. Dispatch, timed from a fresh reading so that it leaves out the
     //    hooks above.
     std::vector<Assignment> assignments;
     clock_ns = Stopwatch::NowNanos();
@@ -415,15 +344,13 @@ SimResult Simulator::RunImpl(Dispatcher& dispatcher,
     }
     observers.OnDispatchDone(now, timings.dispatch_seconds, assignments);
 
-    // 7. Apply assignments and compact the served riders out of the book.
+    // 6. Apply assignments and compact the served riders out of the book.
     {
       telemetry::TraceSpan span(tele, "assignment_apply",
                                 &timings.apply_seconds, &clock_ns);
       applier.Apply(now, *ctx, assignments, &fleet, &orders, &observers);
     }
 
-    // Per-shard wall times reach the registry here, on the coordinating
-    // thread: pool workers never touch it.
     metrics.RecordBatch(timings, assignments.size(), dispatcher.counters());
     observers.OnBatchTimings(now, timings);
     observers.OnBatchEnd(now);

@@ -57,37 +57,11 @@ struct SimConfig {
   /// (a copy of Simulation::config()).
   bool record_idle_samples = false;
 
-  /// Dispatch parallelism: worker threads for the region-sharded batch
-  /// pipeline. 1 = serial (default); 0 = hardware concurrency. Any value
-  /// produces bit-identical results — sharding only moves the expensive
-  /// candidate generation and idle-time solves onto the pool.
+  /// Not read by the engine: every batch runs one serial path. Kept only
+  /// because the benchmark harness (perfbench/main.cc) still sets them;
+  /// ROADMAP item 1 stops setting them and item 10 then deletes them.
   int num_threads = 1;
-
-  /// Region shards for the pipeline; 0 derives 2x the worker count
-  /// (clamped to the grid's row count by the partitioner).
-  int num_shards = 0;
-
-  /// Load-aware adaptive sharding: the engine tracks per-region demand (an
-  /// EWMA of each batch's observed waiting riders blended with the
-  /// surge-scaled forecast of the scheduling window) and rebuilds the
-  /// row-band partition weight-balanced between batches whenever the
-  /// tracked load's imbalance over the current shard map (max-shard weight
-  /// over mean-shard weight) exceeds rebalance_threshold. Results are
-  /// bit-identical either way — sharding is exact for any partition — so
-  /// this is purely a parallel-throughput knob. No effect on serial runs.
   bool adaptive_sharding = false;
-
-  /// Hysteresis trigger for adaptive_sharding, >= 1: a repartition is
-  /// considered only when measured imbalance exceeds this factor, and only
-  /// installed when the rebuilt bands actually move a region.
-  double rebalance_threshold = 1.25;
-
-  /// EWMA weight of the newest batch's observed rider counts, in (0, 1].
-  double load_ewma_alpha = 0.3;
-
-  /// Weight of forecast demand (already surge-scaled by the BatchBuilder)
-  /// blended on top of the observed EWMA, >= 0.
-  double forecast_blend = 1.0;
 
   /// Borrowed telemetry session (SimulationBuilder::WithTelemetry), or
   /// null. It only traces and exports: every run keeps its own metrics
@@ -99,21 +73,12 @@ struct SimConfig {
   /// tests/telemetry_test.cc).
   telemetry::TelemetrySession* telemetry = nullptr;
 
-  /// Shard count the engine's pipeline uses with `threads` workers:
-  /// num_shards when set, else 2x the workers (the partitioner clamps to
-  /// the grid's row count). Benches and tests route their shard choice
-  /// through this so they measure the configuration the engine runs.
-  int ResolveShards(int threads) const {
-    return num_shards > 0 ? num_shards : 2 * threads;
-  }
-
   /// Rejects configs the engine cannot run: non-positive batch_interval /
-  /// window_seconds / horizon_seconds, negative num_threads / num_shards,
-  /// out-of-range adaptive-sharding knobs, negative reneging_beta or
-  /// non-positive alpha. Called by
-  /// SimulationBuilder::Build() (returning the Status to the caller) and by
-  /// Simulator's constructor (which aborts on an invalid config — reaching
-  /// the engine with one is a programming error).
+  /// window_seconds / horizon_seconds, a batch_interval too small to
+  /// advance the clock, negative reneging_beta or non-positive alpha.
+  /// Called by SimulationBuilder::Build() (returning the Status to the
+  /// caller) and by Simulator's constructor (which aborts on an invalid
+  /// config — reaching the engine with one is a programming error).
   Status Validate() const;
 };
 

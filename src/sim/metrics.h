@@ -67,20 +67,15 @@ struct SimResult {
   int64_t dispatch_sweeps = 0;
   int64_t dispatch_swaps_applied = 0;
   int64_t dispatch_proposals = 0;
-  /// Always 0: LS's single sweep never recomputes a proposal. Kept only
-  /// because the benchmark harness (perfbench/main.cc) still reads it.
+  // Always zero or empty: LS's single sweep never recomputes a proposal,
+  // and every batch runs one serial path, so no run repartitions or has
+  // shards to balance. Kept only because the benchmark harness
+  // (perfbench/main.cc) still reads them; ROADMAP item 1 stops reading them
+  // and item 10 then deletes them.
   int64_t dispatch_proposals_recomputed = 0;
-
-  // Shard-load telemetry of the parallel pipeline (empty/zero on serial
-  // runs — this is diagnostics about HOW the run executed, not about its
-  // outcome, which is partition-invariant). Per batch, imbalance = max
-  // shard over mean shard of the pipeline's per-shard rider counts
-  // (shard_size_imbalance) and parallel-phase wall times
-  // (shard_time_imbalance); repartitions counts the adaptive-sharding
-  // rebuilds (SimConfig::adaptive_sharding).
+  int64_t repartitions = 0;
   RunningStats shard_size_imbalance;
   RunningStats shard_time_imbalance;
-  int64_t repartitions = 0;
 
   double ServiceRate() const {
     return total_orders == 0

@@ -1,7 +1,5 @@
 #include "sim/observer.h"
 
-#include <algorithm>
-
 #include "sim/batch.h"
 
 namespace mrvd {
@@ -12,14 +10,11 @@ MetricsCollector::MetricsCollector(const std::string& dispatcher_name,
     : record_idle_samples_(record_idle_samples),
       batches_(registry_.counter("engine.batches")),
       assignments_(registry_.counter("engine.assignments")),
-      repartitions_(registry_.counter("engine.repartitions",
-                                      telemetry::MetricScope::kExecution)),
       dispatch_seconds_(registry_.histogram(
           "engine.dispatch_seconds", telemetry::MetricScope::kDeterministic)),
       build_seconds_(
           registry_.histogram("engine.batch_build_seconds",
-                              telemetry::MetricScope::kDeterministic)),
-      shard_seconds_(registry_.histogram("pipeline.shard_seconds")) {
+                              telemetry::MetricScope::kDeterministic)) {
   result_.dispatcher = dispatcher_name;
   result_.total_orders = total_orders;
   result_.region_idle.assign(static_cast<size_t>(num_regions), {});
@@ -36,26 +31,6 @@ void MetricsCollector::RecordBatch(const BatchTimings& timings,
   result_.dispatch_sweeps += counters->sweeps;
   result_.dispatch_swaps_applied += counters->swaps_applied;
   result_.dispatch_proposals += counters->proposals;
-  if (counters->shards.empty()) return;
-  int64_t max_riders = 0;
-  int64_t total_riders = 0;
-  double max_seconds = 0.0;
-  double total_seconds = 0.0;
-  for (const ShardLoadStat& s : counters->shards) {
-    max_riders = std::max(max_riders, s.riders);
-    total_riders += s.riders;
-    max_seconds = std::max(max_seconds, s.seconds);
-    total_seconds += s.seconds;
-    shard_seconds_->Add(s.seconds);
-  }
-  const auto n = static_cast<double>(counters->shards.size());
-  if (total_riders > 0) {
-    result_.shard_size_imbalance.Add(static_cast<double>(max_riders) * n /
-                                     static_cast<double>(total_riders));
-  }
-  if (total_seconds > 0.0) {
-    result_.shard_time_imbalance.Add(max_seconds * n / total_seconds);
-  }
 }
 
 void MetricsCollector::OnAssignmentApplied(double /*now*/,
@@ -102,7 +77,6 @@ void MetricsCollector::OnRunEnd(double /*end_time*/,
                                 int64_t never_dispatched) {
   result_.reneged_orders += never_dispatched;
   result_.num_batches = batches_->value();
-  result_.repartitions = repartitions_->value();
   result_.batch_seconds = *dispatch_seconds_;
   result_.batch_build_seconds = *build_seconds_;
 }

@@ -39,12 +39,11 @@ struct BatchTimings {
   double inject_seconds = 0.0;    ///< OrderBook::InjectArrivals
   double scenario_seconds = 0.0;  ///< ScenarioState::ApplyDueEvents
   double expire_seconds = 0.0;    ///< OrderBook::RemoveExpired
-  /// The end-of-day check, adaptive sharding's repartition check,
-  /// FleetState::AdvanceRejoinWindow, BatchBuilder::Fill and
-  /// FleetState::CaptureIdleEstimates. The capture solves ET only when the
-  /// run records idle samples (SimConfig::record_idle_samples); those
-  /// solves may compute the batch's first snapshots, which otherwise fall
-  /// to dispatch.
+  /// The end-of-day check, FleetState::AdvanceRejoinWindow,
+  /// BatchBuilder::Fill and FleetState::CaptureIdleEstimates. The capture
+  /// solves ET only when the run records idle samples
+  /// (SimConfig::record_idle_samples); those solves may compute the
+  /// batch's first snapshots, which otherwise fall to dispatch.
   double build_seconds = 0.0;
   double dispatch_seconds = 0.0;  ///< Dispatcher::Dispatch
   double apply_seconds = 0.0;     ///< AssignmentApplier::Apply
@@ -83,7 +82,7 @@ class SimObserver {
  public:
   virtual ~SimObserver() = default;
 
-  /// The batch context is complete (riders, drivers, snapshots, sharding).
+  /// The batch context is complete (riders, drivers, snapshot source).
   /// `build_seconds` is the wall time of the incremental construction.
   /// The engine refills one context in place every batch, so `ctx` is
   /// valid only until the next batch starts; copy what must outlive it.
@@ -209,7 +208,7 @@ class ObserverList : public SimObserver {
 /// event hooks, in event order (so the Welford accumulators are
 /// bit-identical to the former inline bookkeeping of the monolithic engine
 /// loop), and the batch-processing figures from the run's own metrics
-/// registry, which the engine feeds through RecordBatch/RecordRepartition.
+/// registry, which the engine feeds through RecordBatch.
 class MetricsCollector final : public SimObserver {
  public:
   MetricsCollector(const std::string& dispatcher_name, int64_t total_orders,
@@ -220,13 +219,10 @@ class MetricsCollector final : public SimObserver {
   /// that tracks none).
   void RecordBatch(const BatchTimings& timings, size_t assignments,
                    const DispatchCounters* counters);
-  /// Adaptive sharding installed a new shard map.
-  void RecordRepartition() { repartitions_->Add(); }
 
   /// The run's registry: engine.batches, engine.assignments,
   /// engine.dispatch_seconds and engine.batch_build_seconds, whose values
-  /// or sample counts are deterministic, and the execution metadata
-  /// engine.repartitions and pipeline.shard_seconds.
+  /// or sample counts are deterministic.
   const telemetry::MetricsRegistry& registry() const { return registry_; }
 
   void OnAssignmentApplied(double now, const AssignmentEvent& e) override;
@@ -248,10 +244,8 @@ class MetricsCollector final : public SimObserver {
   telemetry::MetricsRegistry registry_;
   telemetry::Counter* const batches_;
   telemetry::Counter* const assignments_;
-  telemetry::Counter* const repartitions_;
   telemetry::LogHistogram* const dispatch_seconds_;
   telemetry::LogHistogram* const build_seconds_;
-  telemetry::LogHistogram* const shard_seconds_;
 };
 
 }  // namespace mrvd

@@ -6,21 +6,19 @@
 //
 //   * kDeterministic — the metric's *value* (counters) or *sample count*
 //     (histograms) is a pure function of the simulated inputs: identical
-//     across thread counts, shard maps and execution schedules. These are
-//     what tests/telemetry_test.cc compares across threads {1, 4} via
-//     MetricsRegistry::DeterministicSignature().
-//   * kExecution — diagnostics about HOW the run executed (wall times,
-//     per-shard loads, parallel-phase splits). Legitimately varies with
-//     thread count and hardware; excluded from the signature and from any
-//     content-addressed key.
+//     across repeated runs and execution schedules. These are what
+//     MetricsRegistry::DeterministicSignature() projects, and what
+//     tests/telemetry_test.cc compares with tracing on and off.
+//   * kExecution — diagnostics about HOW the run executed (wall times).
+//     Legitimately varies with hardware; excluded from the signature and
+//     from any content-addressed key.
 //
 // Histogram *values* are wall-clock measurements and therefore always
 // execution metadata — only the counts participate in the contract.
 //
 // Thread model: the registry and its metrics are written by one thread at a
-// time (the engine's batch loop). Cross-thread telemetry (per-shard wall
-// times) reaches the registry through DispatchCounters on the coordinating
-// thread, never from pool workers, so no metric needs atomics or locks.
+// time (the engine's batch loop, which runs every batch serially), so no
+// metric needs atomics or locks.
 #pragma once
 
 #include <cstdint>
@@ -153,8 +151,8 @@ class MetricsRegistry {
 
   /// The deterministic projection, one line per metric in name order:
   /// kDeterministic counter values and kDeterministic histogram counts.
-  /// Two runs of the same inputs must produce identical signatures at any
-  /// thread count (tests/telemetry_test.cc enforces threads {1, 4}).
+  /// Two runs of the same inputs must produce identical signatures, with
+  /// or without tracing (tests/telemetry_test.cc enforces it).
   std::string DeterministicSignature() const;
 
   /// Full registry as a JSON object: {"counters": {...}, "gauges": {...},

@@ -84,8 +84,8 @@ void TelemetrySession::DrainLoop() {
 void TelemetrySession::Finish() {
   if (finished_) return;
   // Flush every thread's partial chunk. The caller guarantees no
-  // instrumented work is in flight (the engine joins its pool's work
-  // before Run returns), so touching other threads' buffers is safe.
+  // instrumented work is in flight (the engine records every span on the
+  // thread that called Run), so touching other threads' buffers is safe.
   // Flush -> EnqueueChunk takes mu_, so collect the pointers first.
   std::vector<ThreadTraceBuffer*> to_flush;
   {

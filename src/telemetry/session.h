@@ -17,7 +17,7 @@
 //
 // Lifecycle: record -> Finish() -> read. Finish() must be called when no
 // instrumented work is in flight (after Simulator::Run returns this always
-// holds: the engine joins its pool's work before returning); it flushes
+// holds: the engine records every span on the calling thread); it flushes
 // every thread's partial chunk, stops and joins the drainer, and freezes
 // the session. WriteChromeTrace/drained_events require a finished session.
 // Metric counts are deterministic; trace timing values are execution

@@ -1,6 +1,5 @@
 #include "util/rng.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace mrvd {
@@ -105,29 +104,6 @@ double Rng::Normal(double mean, double stddev) {
   spare_normal_ = r * std::sin(theta);
   has_spare_normal_ = true;
   return mean + stddev * r * std::cos(theta);
-}
-
-int64_t Rng::Zipf(int64_t n, double s) {
-  ZipfTable table(n, s);
-  return table.Sample(*this);
-}
-
-ZipfTable::ZipfTable(int64_t n, double s) {
-  assert(n > 0);
-  cdf_.resize(static_cast<size_t>(n));
-  double acc = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cdf_[static_cast<size_t>(i)] = acc;
-  }
-  for (auto& c : cdf_) c /= acc;
-}
-
-int64_t ZipfTable::Sample(Rng& rng) const {
-  double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return static_cast<int64_t>(cdf_.size()) - 1;
-  return static_cast<int64_t>(it - cdf_.begin());
 }
 
 }  // namespace mrvd

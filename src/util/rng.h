@@ -16,8 +16,7 @@ namespace mrvd {
 uint64_t SplitMix64(uint64_t& state);
 
 /// xoshiro256** generator with helpers for the distributions the simulator
-/// needs (uniform, exponential inter-arrival, Poisson counts, normal noise,
-/// Zipf hotspot skew).
+/// needs (uniform, exponential inter-arrival, Poisson counts, normal noise).
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
@@ -49,12 +48,6 @@ class Rng {
   /// Standard normal via Box–Muller (cached spare deviate).
   double Normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Zipf-like rank sampler over {0, .., n-1} with exponent s (s=0 uniform).
-  /// Used for hotspot region popularity. O(1) amortised after O(n) setup is
-  /// not needed here; this uses inverse-CDF over precomputable weights, so
-  /// prefer ZipfTable for hot loops.
-  int64_t Zipf(int64_t n, double s);
-
   /// True with probability p.
   bool Bernoulli(double p) { return NextDouble() < p; }
 
@@ -71,17 +64,6 @@ class Rng {
   uint64_t s_[4];
   bool has_spare_normal_ = false;
   double spare_normal_ = 0.0;
-};
-
-/// Precomputed inverse-CDF table for repeated Zipf sampling over a fixed n/s.
-class ZipfTable {
- public:
-  ZipfTable(int64_t n, double s);
-  /// Samples a rank in [0, n).
-  int64_t Sample(Rng& rng) const;
-
- private:
-  std::vector<double> cdf_;
 };
 
 }  // namespace mrvd

@@ -19,8 +19,6 @@ const char* StatusCodeName(StatusCode code) {
       return "FailedPrecondition";
     case StatusCode::kIoError:
       return "IoError";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kInternal:
       return "Internal";
   }

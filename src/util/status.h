@@ -19,7 +19,6 @@ enum class StatusCode {
   kOutOfRange,
   kFailedPrecondition,
   kIoError,
-  kUnimplemented,
   kInternal,
 };
 
@@ -53,9 +52,6 @@ class [[nodiscard]] Status {
   }
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));

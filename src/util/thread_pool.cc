@@ -30,7 +30,7 @@ ThreadPool::~ThreadPool() {
 
 int ThreadPool::HardwareThreads() {
   // mrvd-lint: allow(hardware-concurrency) — this wrapper IS the one
-  // sanctioned read; everything else resolves shards through SimConfig
+  // sanctioned read; everything else calls it
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
@@ -61,7 +61,7 @@ void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
     return;
   }
   // Dynamic self-scheduling: workers (and this thread) pull the next index,
-  // so uneven shard costs balance out. Exceptions are collected per index
+  // so uneven task costs balance out. Exceptions are collected per index
   // and the lowest-index one rethrown for determinism.
   auto next = std::make_shared<std::atomic<int>>(0);
   std::vector<std::exception_ptr> errors(static_cast<size_t>(n));

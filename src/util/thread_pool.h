@@ -1,10 +1,12 @@
-// Reusable fixed-size worker pool for the batch-dispatch pipeline.
+// Reusable fixed-size worker pool. CampaignRunner runs a campaign's cells
+// on one (CampaignOptions::num_threads); the engine itself runs every batch
+// on one serial path and starts no thread.
 //
-// The pool is created once (per Simulator::Run or per bench) and reused
-// across every batch: submitting work never spawns threads. With
-// `num_threads <= 1` no workers are started and every task runs inline on
-// the caller's thread, so the serial path has zero threading overhead and
-// the parallel code can be written against one interface.
+// The pool is created once per campaign run and reused across its cells:
+// submitting work never spawns threads. With `num_threads <= 1` no workers
+// are started and every task runs inline on the caller's thread, so the
+// serial path has zero threading overhead and the parallel code can be
+// written against one interface.
 #pragma once
 
 #include <deque>

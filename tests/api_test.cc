@@ -98,22 +98,6 @@ TEST(SimConfigValidateTest, RejectsAnIntervalTooSmallToAdvanceTheClock) {
   EXPECT_FALSE(smallest.Validate().ok());
 }
 
-TEST(SimConfigValidateTest, RejectsNegativeParallelism) {
-  SimConfig cfg;
-  cfg.num_threads = -1;
-  EXPECT_FALSE(cfg.Validate().ok());
-
-  cfg = SimConfig{};
-  cfg.num_shards = -2;
-  EXPECT_FALSE(cfg.Validate().ok());
-
-  // 0 is the documented "derive" value for both.
-  cfg = SimConfig{};
-  cfg.num_threads = 0;
-  cfg.num_shards = 0;
-  EXPECT_TRUE(cfg.Validate().ok());
-}
-
 TEST(SimConfigValidateTest, RejectsBadRates) {
   SimConfig cfg;
   cfg.alpha = 0.0;
@@ -416,6 +400,29 @@ TEST_F(ApiTest, BuildRejectsInvalidConfig) {
   }
   SimulationBuilder direct = *builder_;
   EXPECT_TRUE(direct.WithStraightLineTravel(0.5, 1.0).Build().ok());
+}
+
+TEST_F(ApiTest, BuildRejectsAGravityScaleTheGeneratorCannotDraw) {
+  // exp(-ring / scale) is NaN or infinite for a scale of 0 or below (or
+  // NaN); +inf means no decay and stays valid.
+  GeneratorConfig city;
+  city.grid_rows = 4;
+  city.grid_cols = 4;
+  city.orders_per_day = 200;
+  for (double scale : {0.0, -0.01, std::nan("")}) {
+    city.gravity_scale_cells = scale;
+    StatusOr<Simulation> sim =
+        SimulationBuilder().GenerateNycDay(0, 5, city).Build();
+    ASSERT_FALSE(sim.ok()) << scale;
+    EXPECT_EQ(sim.status().code(), StatusCode::kInvalidArgument) << scale;
+    EXPECT_NE(sim.status().message().find("gravity_scale_cells"),
+              std::string::npos)
+        << scale;
+  }
+  city.gravity_scale_cells = std::numeric_limits<double>::infinity();
+  StatusOr<Simulation> no_decay =
+      SimulationBuilder().GenerateNycDay(0, 5, city).Build();
+  EXPECT_TRUE(no_decay.ok()) << no_decay.status();
 }
 
 TEST_F(ApiTest, BuildRejectsForecastGridMismatch) {

@@ -319,16 +319,16 @@ TEST(ScenarioCatalogTest, RosterAndFactories) {
 TEST(ConfigDeltaTest, AppliesAndCanonicalises) {
   SimConfig cfg;
   Status st = ApplyConfigDelta(
-      "horizon_seconds=7200, batch_interval=10,num_threads=4", &cfg);
+      "horizon_seconds=7200, batch_interval=10,alpha=1.5", &cfg);
   ASSERT_TRUE(st.ok()) << st;
   EXPECT_EQ(cfg.horizon_seconds, 7200.0);
   EXPECT_EQ(cfg.batch_interval, 10.0);
-  EXPECT_EQ(cfg.num_threads, 4);
+  EXPECT_EQ(cfg.alpha, 1.5);
 
-  StatusOr<std::string> canonical = CanonicalizeConfigDelta(
-      " num_threads = 04 , batch_interval=10.0 ");
+  StatusOr<std::string> canonical =
+      CanonicalizeConfigDelta(" alpha = 01.50 , batch_interval=10.0 ");
   ASSERT_TRUE(canonical.ok()) << canonical.status();
-  EXPECT_EQ(*canonical, "batch_interval=10,num_threads=4");
+  EXPECT_EQ(*canonical, "alpha=1.5,batch_interval=10");
   StatusOr<std::string> empty = CanonicalizeConfigDelta("  ");
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(*empty, "");
@@ -338,7 +338,7 @@ TEST(ConfigDeltaTest, AppliesAndCanonicalises) {
   EXPECT_NE(unknown.status().message().find("batch_interval"),
             std::string::npos);
   EXPECT_FALSE(ApplyConfigDelta("warp_speed=9", &cfg).ok());
-  EXPECT_FALSE(ApplyConfigDelta("num_threads=many", &cfg).ok());
+  EXPECT_FALSE(ApplyConfigDelta("alpha=many", &cfg).ok());
 }
 
 // ---------------------------------------------------------- grid expansion
@@ -387,14 +387,14 @@ TEST(GridExpansionTest, KeysAreSpellingInvariant) {
   a.workloads = {"nyc:orders=4000,drivers=60"};
   a.dispatchers = {"LS:max_sweeps=8"};
   a.seeds = {7};
-  a.config_deltas = {"batch_interval=10,num_threads=2"};
+  a.config_deltas = {"batch_interval=10,reneging_beta=0.02"};
 
   CampaignSpec b;
   b.workloads = {"nyc: drivers = 60 , orders=4000, day=1"};  // default day
   b.scenarios = {"none"};  // the implicit default, spelled out
   b.dispatchers = {" LS : max_sweeps = 08 "};  // respelled numeric
   b.seeds = {7};
-  b.config_deltas = {" num_threads=2 , batch_interval=10.0 "};
+  b.config_deltas = {" reneging_beta=0.020 , batch_interval=10.0 "};
 
   StatusOr<std::vector<CampaignCell>> cells_a = ExpandGrid(a);
   StatusOr<std::vector<CampaignCell>> cells_b = ExpandGrid(b);
@@ -546,18 +546,21 @@ TEST(GridExpansionTest, RejectsBadAndDuplicateAxes) {
   EXPECT_EQ(sweeps.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(sweeps.status().message().find("max_sweeps"), std::string::npos);
 
-  // So does a delta int past int, which would run as what it narrows to
-  // (2^32 + 1 threads as 1) under its own key.
+  // So does an unknown delta key, with a message that lists the five
+  // known ones.
   spec = SmallSpec();
-  spec.config_deltas = {"", "num_threads=4294967297"};
+  spec.config_deltas = {"", "num_threads=4"};
   StatusOr<std::vector<CampaignCell>> threads = ExpandGrid(spec);
   ASSERT_FALSE(threads.ok());
   EXPECT_EQ(threads.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(threads.status().message().find("num_threads"),
-            std::string::npos);
+  EXPECT_NE(threads.status().message().find(
+                "unknown config-delta key 'num_threads'; known keys: "
+                "batch_interval, window_seconds, horizon_seconds, alpha, "
+                "reneging_beta"),
+            std::string::npos)
+      << threads.status();
   SimConfig cfg;
-  EXPECT_FALSE(ApplyConfigDelta("num_threads=4294967297", &cfg).ok());
-  EXPECT_EQ(cfg.num_threads, SimConfig{}.num_threads);
+  EXPECT_FALSE(ApplyConfigDelta("num_threads=4", &cfg).ok());
 }
 
 // ---------------------------------------------------------- campaign runner

@@ -1,10 +1,10 @@
 // Golden equivalence for the staged engine: Simulator::Run (FleetState +
 // OrderBook + BatchBuilder + AssignmentApplier + observers) must reproduce
 // the pre-refactor monolithic engine loop bit-for-bit — same assignments,
-// same SimResult aggregates down to the last ulp — for every dispatcher at
-// any thread count. ReferenceRun below is a faithful copy of the monolith
-// (full per-batch recounts, O(W²) served-rider erases and all), kept as the
-// executable specification the staged engine is checked against.
+// same SimResult aggregates down to the last ulp — for every dispatcher.
+// ReferenceRun below is a faithful copy of the monolith (full per-batch
+// recounts, O(W²) served-rider erases and all), kept as the executable
+// specification the staged engine is checked against.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "api/dispatcher_registry.h"
-#include "geo/region_partitioner.h"
 #include "registry_test_helpers.h"
 #include "geo/travel.h"
 #include "prediction/forecast.h"
@@ -27,7 +26,6 @@
 #include "sim/batch.h"
 #include "sim/engine.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace mrvd {
@@ -87,20 +85,6 @@ SimResult ReferenceRun(const SimConfig& config, const Workload& workload,
   const double delta = config.batch_interval;
   const double horizon = config.horizon_seconds;
 
-  int threads = config.num_threads == 0 ? ThreadPool::HardwareThreads()
-                                        : config.num_threads;
-  std::unique_ptr<ThreadPool> pool;
-  std::unique_ptr<RegionPartitioner> partitioner;
-  BatchExecution execution;
-  if (threads > 1) {
-    int shards = config.num_shards > 0 ? config.num_shards : 2 * threads;
-    pool = std::make_unique<ThreadPool>(threads);
-    partitioner = std::make_unique<RegionPartitioner>(
-        RegionPartitioner::RowBands(grid, shards));
-    execution.pool = pool.get();
-    execution.partitioner = partitioner.get();
-  }
-
   for (double now = 0.0; now < horizon; now += delta) {
     while (!busy_heap.empty() && busy_heap.top().first <= now) {
       int j = busy_heap.top().second;
@@ -141,7 +125,6 @@ SimResult ReferenceRun(const SimConfig& config, const Workload& workload,
 
     BatchContext ctx(now, config.window_seconds, config.reneging_beta, grid,
                      cost_model, config.candidate_mode);
-    if (pool != nullptr) ctx.SetExecution(&execution);
     std::vector<int> rider_backing;
     rider_backing.reserve(waiting.size());
     for (size_t i = 0; i < waiting.size(); ++i) {
@@ -339,41 +322,34 @@ class EngineEquivalenceTest : public ::testing::Test {
     if (DispatcherRegistry::Global().RequiresZeroPickupTravel(name)) {
       cfg.zero_pickup_travel = true;
     }
-    for (int threads : {1, 4}) {
-      cfg.num_threads = threads;
-      auto ref_dispatcher = MakeSeeded(name);
-      auto staged_dispatcher = MakeSeeded(name);
-      ASSERT_NE(ref_dispatcher, nullptr) << name;
-      SimResult want = ReferenceRun(cfg, workload_, gen_->grid(), cost_,
-                                    forecast, *ref_dispatcher);
-      // Guard against a vacuous pass: the scenario must actually serve and
-      // renege orders across many batches.
-      ASSERT_GT(want.served_orders, 0) << name;
-      ASSERT_GT(want.reneged_orders, 0) << name;
-      ASSERT_GT(want.num_batches, 100) << name;
-      Simulator staged(cfg, workload_, gen_->grid(), cost_, forecast);
-      SimResult got = staged.Run(*staged_dispatcher);
-      ExpectBitIdentical(
-          want, got, name + " @" + std::to_string(threads) + " threads");
-      // The staged engine additionally times its batch construction.
-      EXPECT_EQ(got.batch_build_seconds.count(), got.num_batches) << name;
+    auto ref_dispatcher = MakeSeeded(name);
+    auto staged_dispatcher = MakeSeeded(name);
+    ASSERT_NE(ref_dispatcher, nullptr) << name;
+    SimResult want = ReferenceRun(cfg, workload_, gen_->grid(), cost_,
+                                  forecast, *ref_dispatcher);
+    // Guard against a vacuous pass: the scenario must actually serve and
+    // renege orders across many batches.
+    ASSERT_GT(want.served_orders, 0) << name;
+    ASSERT_GT(want.reneged_orders, 0) << name;
+    ASSERT_GT(want.num_batches, 100) << name;
+    Simulator staged(cfg, workload_, gen_->grid(), cost_, forecast);
+    SimResult got = staged.Run(*staged_dispatcher);
+    ExpectBitIdentical(want, got, name);
+    // The staged engine additionally times its batch construction.
+    EXPECT_EQ(got.batch_build_seconds.count(), got.num_batches) << name;
 
-      // An *empty* ScenarioScript must leave the scripted engine path —
-      // event merge, surge multipliers, sign-on/off lifecycle — completely
-      // dormant: every aggregate stays bit-identical to the monolith.
-      ScenarioScript empty_script;
-      auto scripted_dispatcher = MakeSeeded(name);
-      Simulator scripted(cfg, workload_, gen_->grid(), cost_, forecast);
-      SimResult got_scripted =
-          scripted.Run(*scripted_dispatcher, empty_script);
-      ExpectBitIdentical(want, got_scripted,
-                         name + " empty-script @" + std::to_string(threads) +
-                             " threads");
-      EXPECT_EQ(got_scripted.cancelled_orders, 0) << name;
-      EXPECT_EQ(got_scripted.driver_sign_ons, 0) << name;
-      EXPECT_EQ(got_scripted.driver_sign_offs, 0) << name;
-      EXPECT_EQ(got_scripted.surge_changes, 0) << name;
-    }
+    // An *empty* ScenarioScript must leave the scripted engine path —
+    // event merge, surge multipliers, sign-on/off lifecycle — completely
+    // dormant: every aggregate stays bit-identical to the monolith.
+    ScenarioScript empty_script;
+    auto scripted_dispatcher = MakeSeeded(name);
+    Simulator scripted(cfg, workload_, gen_->grid(), cost_, forecast);
+    SimResult got_scripted = scripted.Run(*scripted_dispatcher, empty_script);
+    ExpectBitIdentical(want, got_scripted, name + " empty-script");
+    EXPECT_EQ(got_scripted.cancelled_orders, 0) << name;
+    EXPECT_EQ(got_scripted.driver_sign_ons, 0) << name;
+    EXPECT_EQ(got_scripted.driver_sign_offs, 0) << name;
+    EXPECT_EQ(got_scripted.surge_changes, 0) << name;
   }
 
   StraightLineCostModel cost_;

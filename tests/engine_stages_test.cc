@@ -2,15 +2,13 @@
 // region counters of FleetState/OrderBook and FleetState's
 // dispatchable-driver set must track the brute-force recounts the
 // monolithic engine used to perform every batch, OrderBook's early-outs
-// must renege exactly what a full scan of the pool would, the
-// BatchBuilder's build with a parallel execution attached must equal the
-// serial build, the one context the engine refills in place must read the
-// book's pool and equal a freshly built context on every batch (with
-// snapshots computed on demand by ET solves first), a
-// snapshot first read after the batch's assignments were applied must trip
-// the eager reference check of builds without NDEBUG, and the SimObserver
-// hooks must fire consistently with the aggregates the MetricsCollector
-// reports.
+// must renege exactly what a full scan of the pool would, the one context
+// the engine refills in place must read the book's pool and equal a
+// freshly built context on every batch (with snapshots computed on demand
+// by ET solves first), a snapshot first read after the batch's assignments
+// were applied must trip the eager reference check of builds without
+// NDEBUG, and the SimObserver hooks must fire consistently with the
+// aggregates the MetricsCollector reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +21,6 @@
 
 #include "dispatch/candidates.h"
 #include "dispatch/dispatchers.h"
-#include "geo/region_partitioner.h"
 #include "geo/travel.h"
 #include "prediction/forecast.h"
 #include "prediction/predictor.h"
@@ -32,7 +29,6 @@
 #include "sim/engine.h"
 #include "sim/fleet_state.h"
 #include "sim/order_book.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace mrvd {
@@ -447,125 +443,6 @@ TEST_F(OrderBookTest, EarlyOutsRenegeExactlyWhatAFullScanWould) {
   EXPECT_TRUE(book.Exhausted());
 }
 
-// ----------------------------------------------------------- BatchBuilder
-
-TEST(BatchBuilderTest, ShardParallelBuildMatchesSerialBuild) {
-  GeneratorConfig gcfg;
-  gcfg.orders_per_day = 40000.0;  // enough waiting riders to fill
-  gcfg.seed = 7;                  // every shard
-  NycLikeGenerator gen(gcfg);
-  Workload workload = gen.GenerateDay(/*day_index=*/2, /*num_drivers=*/600);
-  const Grid& grid = gen.grid();
-  StraightLineCostModel cost(7.0, 1.3);
-  const double now = 7200.0, window = 1200.0;
-
-  FleetState fleet(workload, grid);
-  // Send a third of the fleet out on trips with completion times around the
-  // window boundary, then slide the window to `now`.
-  for (int j = 0; j < fleet.size(); j += 3) {
-    const Order& o =
-        workload.orders[static_cast<size_t>(j) % workload.orders.size()];
-    double busy_until = now - 600.0 + 7.5 * static_cast<double>(j);
-    fleet.MarkBusy(j, busy_until, o.dropoff, grid.RegionOf(o.dropoff));
-  }
-  fleet.ReleaseFinished(now);
-  fleet.AdvanceRejoinWindow(now, window);
-
-  OrderBook orders(workload, grid, cost, /*alpha=*/1.0);
-  orders.InjectArrivals(now);
-  ASSERT_GE(orders.waiting().size(), 512u) << "too few riders per shard";
-  ASSERT_GE(fleet.drivers().size(), 512u);
-
-  BatchBuilder serial_builder(grid, cost, nullptr, window, 0.02,
-                              CandidateMode::kRingExpand, nullptr);
-  auto serial_ctx = serial_builder.Build(now, orders, fleet);
-
-  ThreadPool pool(4);
-  RegionPartitioner parts = RegionPartitioner::RowBands(grid, 8);
-  BatchExecution exec{&pool, &parts};
-  BatchBuilder sharded_builder(grid, cost, nullptr, window, 0.02,
-                               CandidateMode::kRingExpand, &exec);
-  auto sharded_ctx = sharded_builder.Build(now, orders, fleet);
-
-  // Riders: identical contents in identical (arrival) order.
-  ASSERT_EQ(serial_ctx->riders().size(), sharded_ctx->riders().size());
-  for (size_t i = 0; i < serial_ctx->riders().size(); ++i) {
-    EXPECT_EQ(serial_ctx->riders()[i].order_id,
-              sharded_ctx->riders()[i].order_id);
-    EXPECT_EQ(serial_ctx->riders()[i].revenue,
-              sharded_ctx->riders()[i].revenue);
-    EXPECT_EQ(serial_ctx->riders()[i].pickup_region,
-              sharded_ctx->riders()[i].pickup_region);
-  }
-  // Drivers: ascending fleet index, available only.
-  ASSERT_EQ(serial_ctx->drivers().size(), sharded_ctx->drivers().size());
-  for (size_t j = 0; j < serial_ctx->drivers().size(); ++j) {
-    EXPECT_EQ(serial_ctx->drivers()[j].driver_id,
-              sharded_ctx->drivers()[j].driver_id);
-    EXPECT_EQ(serial_ctx->drivers()[j].region,
-              sharded_ctx->drivers()[j].region);
-    EXPECT_EQ(serial_ctx->drivers()[j].available_since,
-              sharded_ctx->drivers()[j].available_since);
-  }
-  EXPECT_EQ(serial_ctx->drivers_by_region(),
-            sharded_ctx->drivers_by_region());
-  // Snapshots off the incremental counters match in every field.
-  for (int k = 0; k < grid.num_regions(); ++k) {
-    const RegionSnapshot& a = serial_ctx->snapshots()[static_cast<size_t>(k)];
-    const RegionSnapshot& b =
-        sharded_ctx->snapshots()[static_cast<size_t>(k)];
-    EXPECT_EQ(a.waiting_riders, b.waiting_riders) << k;
-    EXPECT_EQ(a.available_drivers, b.available_drivers) << k;
-    EXPECT_EQ(a.predicted_riders, b.predicted_riders) << k;
-    EXPECT_EQ(a.predicted_drivers, b.predicted_drivers) << k;
-  }
-
-  // The prebuilt shard index equals a brute-force membership scan.
-  const BatchContext::ShardIndex* index = sharded_ctx->shard_index();
-  ASSERT_NE(index, nullptr);
-  ASSERT_EQ(index->partitioner, &parts);
-  for (int s = 0; s < parts.num_shards(); ++s) {
-    std::vector<int> rider_scan, driver_scan;
-    for (int i = 0; i < static_cast<int>(sharded_ctx->riders().size()); ++i) {
-      if (parts.shard_of(
-              sharded_ctx->riders()[static_cast<size_t>(i)].pickup_region) ==
-          s) {
-        rider_scan.push_back(i);
-      }
-    }
-    for (int j = 0; j < static_cast<int>(sharded_ctx->drivers().size());
-         ++j) {
-      if (parts.shard_of(
-              sharded_ctx->drivers()[static_cast<size_t>(j)].region) == s) {
-        driver_scan.push_back(j);
-      }
-    }
-    EXPECT_EQ(index->riders[static_cast<size_t>(s)], rider_scan) << s;
-    EXPECT_EQ(index->drivers[static_cast<size_t>(s)], driver_scan) << s;
-  }
-
-  // Snapshot counters also equal the monolith's per-batch entity recount.
-  std::vector<int64_t> waiting_recount(
-      static_cast<size_t>(grid.num_regions()), 0);
-  std::vector<int64_t> available_recount(
-      static_cast<size_t>(grid.num_regions()), 0);
-  for (const auto& r : serial_ctx->riders()) {
-    ++waiting_recount[static_cast<size_t>(r.pickup_region)];
-  }
-  for (const auto& d : serial_ctx->drivers()) {
-    ++available_recount[static_cast<size_t>(d.region)];
-  }
-  for (int k = 0; k < grid.num_regions(); ++k) {
-    EXPECT_EQ(serial_ctx->snapshots()[static_cast<size_t>(k)].waiting_riders,
-              waiting_recount[static_cast<size_t>(k)])
-        << k;
-    EXPECT_EQ(
-        serial_ctx->snapshots()[static_cast<size_t>(k)].available_drivers,
-        available_recount[static_cast<size_t>(k)])
-        << k;
-  }
-}
-
 // ------------------------------------------------ in-place context reuse
 
 bool SameBits(double a, double b) {
@@ -616,13 +493,6 @@ void ExpectSameContext(const BatchContext& got, const BatchContext& want,
                 SameBits(a.predicted_drivers, b.predicted_drivers))
         << "batch " << batch << " region " << k;
   }
-  const BatchContext::ShardIndex* gi = got.shard_index();
-  const BatchContext::ShardIndex* wi = want.shard_index();
-  ASSERT_NE(gi, nullptr) << "batch " << batch;
-  ASSERT_NE(wi, nullptr) << "batch " << batch;
-  EXPECT_EQ(gi->partitioner, wi->partitioner);
-  EXPECT_EQ(gi->riders, wi->riders) << "batch " << batch;
-  EXPECT_EQ(gi->drivers, wi->drivers) << "batch " << batch;
 }
 
 TEST(BatchContextReuseTest, RefilledContextEqualsAFreshBuildEveryBatch) {
@@ -640,13 +510,10 @@ TEST(BatchContextReuseTest, RefilledContextEqualsAFreshBuildEveryBatch) {
       DemandForecast::Build(*oracle, history, /*eval_day=*/1);
   ASSERT_TRUE(forecast.ok()) << forecast.status();
 
-  ThreadPool pool(2);
-  RegionPartitioner parts = RegionPartitioner::RowBands(grid, 4);
-  BatchExecution exec{&pool, &parts};
   BatchBuilder builder(grid, cost, &*forecast, window, beta,
-                       CandidateMode::kRingExpand, &exec);
+                       CandidateMode::kRingExpand);
   BatchBuilder fresh_builder(grid, cost, &*forecast, window, beta,
-                             CandidateMode::kRingExpand, &exec);
+                             CandidateMode::kRingExpand);
   std::unique_ptr<BatchContext> ctx = builder.NewContext();
 
   FleetState fleet(workload, grid);
@@ -743,7 +610,7 @@ TEST(BatchContextDeathTest, SnapshotReadAfterApplyTripsTheEagerCheck) {
   orders.InjectArrivals(now);
   fleet.AdvanceRejoinWindow(now, window);
   BatchBuilder builder(grid, cost, nullptr, window, /*reneging_beta=*/0.02,
-                       CandidateMode::kRingExpand, nullptr);
+                       CandidateMode::kRingExpand);
   std::unique_ptr<BatchContext> ctx = builder.Build(now, orders, fleet);
   std::vector<Assignment> assignments;
   MakeNearestDispatcher()->Dispatch(*ctx, &assignments);

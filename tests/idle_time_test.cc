@@ -1,13 +1,12 @@
 // BatchContext::ComputeIdleSeconds, the dispatch path's ET(k, extra) solve:
 // its one walk over the service neighbourhood against the Grid::Neighbors
-// aggregation it replaced, and concurrent solves through one shared growth
-// table and one shared context.
+// aggregation it replaced, and a context that borrows the growth table
+// against one that owns it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "geo/grid.h"
@@ -137,52 +136,6 @@ TEST(IdleTimeTest, HandAssembledContextMatchesBorrowedTable) {
     ASSERT_TRUE(SameBits(moved.ComputeIdleSeconds(r, 3),
                          borrowed.ComputeIdleSeconds(r, 3)))
         << "region=" << r;
-  }
-}
-
-TEST(IdleTimeConcurrencyTest, SharedTableAndContextGiveSerialBits) {
-  // Four threads solve every (region, extra) key through one growth table
-  // and one context, each in its own order; every value must equal the
-  // serial pass's bits. The pure ComputeIdleSeconds path writes nothing.
-  const StraightLineCostModel cost;
-  const Grid grid(kNycBoundingBox, 16, 16);
-  const RenegingGrowthTable growth(kBeta);
-  Rng rng(20260417);
-  BatchContext ctx(0.0, kWindowSeconds, growth, grid, cost);
-  ctx.SetSnapshots(RandomSnapshots(grid.num_regions(), rng));
-
-  constexpr int kExtras = 8;
-  const int keys = grid.num_regions() * kExtras;
-  auto solve = [&](int key) {
-    return ctx.ComputeIdleSeconds(key / kExtras, key % kExtras);
-  };
-  std::vector<double> serial(static_cast<size_t>(keys));
-  for (int key = 0; key < keys; ++key) {
-    serial[static_cast<size_t>(key)] = solve(key);
-  }
-
-  constexpr int kThreads = 4;
-  std::vector<std::vector<double>> results(
-      kThreads, std::vector<double>(static_cast<size_t>(keys)));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < keys; ++i) {
-        const int key = (i + t * keys / kThreads) % keys;
-        results[static_cast<size_t>(t)][static_cast<size_t>(key)] = solve(key);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  for (int t = 0; t < kThreads; ++t) {
-    for (int key = 0; key < keys; ++key) {
-      ASSERT_TRUE(
-          SameBits(results[static_cast<size_t>(t)][static_cast<size_t>(key)],
-                   serial[static_cast<size_t>(key)]))
-          << "thread=" << t << " region=" << key / kExtras
-          << " extra=" << key % kExtras;
-    }
   }
 }
 

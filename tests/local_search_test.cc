@@ -5,7 +5,7 @@
 //   * the candidate layout the sweep scans follows the canonical pair order,
 //   * the dispatcher's sweep over dense ET tables reproduces a verbatim
 //     copy of the per-candidate ScorePair sweep bit for bit — assignments,
-//     sweeps, swaps and proposals — at several thread counts and sweep caps.
+//     sweeps, swaps and proposals — at several sweep caps.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,11 +16,9 @@
 #include "dispatch/dispatchers.h"
 #include "dispatch/irg_core.h"
 #include "dispatch/ls_plan.h"
-#include "geo/region_partitioner.h"
 #include "geo/travel.h"
+#include "random_batch_test_helpers.h"
 #include "sim/batch.h"
-#include "util/rng.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace mrvd {
@@ -355,53 +353,7 @@ TEST_F(LocalSearchSwapTest, RidersAndDriversWithoutAValidPairAssignNothing) {
 
 // -------------------------------------------------- randomized batches
 
-std::unique_ptr<BatchContext> MakeRandomBatch(const Grid& grid,
-                                              const TravelCostModel& cost,
-                                              uint64_t seed, int num_riders,
-                                              int num_drivers) {
-  auto ctx = std::make_unique<BatchContext>(
-      /*now=*/3600.0, /*window=*/1200.0, /*beta=*/0.02, grid, cost);
-  Rng rng(seed);
-  auto random_point = [&] {
-    return LatLon{rng.Uniform(kNycBoundingBox.lat_min, kNycBoundingBox.lat_max),
-                  rng.Uniform(kNycBoundingBox.lon_min,
-                              kNycBoundingBox.lon_max)};
-  };
-  for (int i = 0; i < num_riders; ++i) {
-    WaitingRider r;
-    r.order_id = i;
-    r.pickup = random_point();
-    r.dropoff = random_point();
-    r.request_time = 3600.0 - rng.Uniform(0.0, 120.0);
-    r.pickup_deadline = 3600.0 + rng.Uniform(60.0, 600.0);
-    r.trip_seconds = cost.TravelSeconds(r.pickup, r.dropoff);
-    r.revenue = r.trip_seconds;
-    r.pickup_region = grid.RegionOf(r.pickup);
-    r.dropoff_region = grid.RegionOf(r.dropoff);
-    ctx->AddRider(r);
-  }
-  for (int j = 0; j < num_drivers; ++j) {
-    AvailableDriver d;
-    d.driver_id = j;
-    d.location = random_point();
-    d.region = grid.RegionOf(d.location);
-    d.available_since = 3600.0 - rng.Uniform(0.0, 300.0);
-    ctx->AddDriver(d);
-  }
-  std::vector<RegionSnapshot> snaps(static_cast<size_t>(grid.num_regions()));
-  for (const auto& r : ctx->riders()) {
-    ++snaps[static_cast<size_t>(r.pickup_region)].waiting_riders;
-  }
-  for (const auto& d : ctx->drivers()) {
-    ++snaps[static_cast<size_t>(d.region)].available_drivers;
-  }
-  for (auto& s : snaps) {
-    s.predicted_riders = rng.Uniform(0.0, 30.0);
-    s.predicted_drivers = rng.Uniform(0.0, 10.0);
-  }
-  ctx->SetSnapshots(std::move(snaps));
-  return ctx;
-}
+using test::MakeRandomBatch;
 
 TEST(LsSwapPlanTest, CandidateListsMatchTheMatchedPairs) {
   Grid grid = MakeNycGrid16x16();
@@ -475,18 +427,10 @@ TEST(LocalSearchReferenceTest, MatchesTheReferenceSweep) {
       auto ref_ctx = MakeRandomBatch(grid, cost, seed, 220, 160);
       const LsOutcome want = RunReference(*ref_ctx, max_sweeps);
       ASSERT_GT(want.counters.swaps_applied, 0) << "seed " << seed;
-      for (int threads : {1, 2, 4}) {
-        const std::string label =
-            "seed " + std::to_string(seed) + ", max_sweeps=" +
-            std::to_string(max_sweeps) + ", " + std::to_string(threads) +
-            " threads";
-        ThreadPool pool(threads);
-        RegionPartitioner parts = RegionPartitioner::RowBands(grid, 8);
-        BatchExecution exec{&pool, &parts};
-        auto ctx = MakeRandomBatch(grid, cost, seed, 220, 160);
-        ctx->SetExecution(&exec);
-        ExpectSameOutcome(want, RunDispatcher(*ctx, max_sweeps), label);
-      }
+      const std::string label = "seed " + std::to_string(seed) +
+                                ", max_sweeps=" + std::to_string(max_sweeps);
+      auto ctx = MakeRandomBatch(grid, cost, seed, 220, 160);
+      ExpectSameOutcome(want, RunDispatcher(*ctx, max_sweeps), label);
     }
   }
 }

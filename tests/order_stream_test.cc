@@ -3,7 +3,7 @@
 // header/version/truncation corruption handling, refill-on-drain buffer
 // boundaries down to one byte, the OrderSource seam, and the headline
 // guarantee — a streamed run is bit-identical to a materialised run of the
-// same trace across the dispatcher roster and thread counts.
+// same trace across the dispatcher roster.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -420,8 +420,8 @@ TEST(OrderSourceTest, StreamingAndMaterializedAgree) {
 }
 
 /// The headline guarantee: one trace, two ingestion paths, identical
-/// simulation — across dispatchers and engine thread counts.
-TEST(StreamedRunTest, BitIdenticalToMaterialisedAcrossRosterAndThreads) {
+/// simulation — across dispatchers.
+TEST(StreamedRunTest, BitIdenticalToMaterialisedAcrossRoster) {
   GeneratorConfig gen_cfg;
   gen_cfg.orders_per_day = 800.0;
   NycLikeGenerator generator(gen_cfg);
@@ -447,27 +447,22 @@ TEST(StreamedRunTest, BitIdenticalToMaterialisedAcrossRosterAndThreads) {
   EXPECT_FALSE(materialised->streaming());
 
   for (const char* name : {"NEAR", "IRG", "LS", "SHORT"}) {
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE(std::string(name) + "@" + std::to_string(threads));
-      SimConfig run_cfg = cfg;
-      run_cfg.num_threads = threads;
-      auto d1 = DispatcherRegistry::Global().Create(name);
-      auto d2 = DispatcherRegistry::Global().Create(name);
-      ASSERT_TRUE(d1.ok() && d2.ok());
-      StatusOr<SimResult> a =
-          materialised->RunWith(run_cfg, **d1, /*scenario=*/nullptr);
-      StatusOr<SimResult> b =
-          streamed->RunWith(run_cfg, **d2, /*scenario=*/nullptr);
-      ASSERT_TRUE(a.ok()) << a.status();
-      ASSERT_TRUE(b.ok()) << b.status();
-      EXPECT_EQ(a->served_orders, b->served_orders);
-      EXPECT_EQ(a->reneged_orders, b->reneged_orders);
-      EXPECT_EQ(a->total_orders, b->total_orders);
-      EXPECT_EQ(a->num_batches, b->num_batches);
-      EXPECT_EQ(a->total_revenue, b->total_revenue);
-      EXPECT_EQ(a->served_wait_seconds.mean(), b->served_wait_seconds.mean());
-      EXPECT_EQ(a->driver_idle_seconds.mean(), b->driver_idle_seconds.mean());
-    }
+    SCOPED_TRACE(name);
+    auto d1 = DispatcherRegistry::Global().Create(name);
+    auto d2 = DispatcherRegistry::Global().Create(name);
+    ASSERT_TRUE(d1.ok() && d2.ok());
+    StatusOr<SimResult> a =
+        materialised->RunWith(cfg, **d1, /*scenario=*/nullptr);
+    StatusOr<SimResult> b = streamed->RunWith(cfg, **d2, /*scenario=*/nullptr);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    EXPECT_EQ(a->served_orders, b->served_orders);
+    EXPECT_EQ(a->reneged_orders, b->reneged_orders);
+    EXPECT_EQ(a->total_orders, b->total_orders);
+    EXPECT_EQ(a->num_batches, b->num_batches);
+    EXPECT_EQ(a->total_revenue, b->total_revenue);
+    EXPECT_EQ(a->served_wait_seconds.mean(), b->served_wait_seconds.mean());
+    EXPECT_EQ(a->driver_idle_seconds.mean(), b->driver_idle_seconds.mean());
   }
 }
 

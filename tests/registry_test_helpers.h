@@ -1,7 +1,7 @@
 // Shared DispatcherRegistry helpers for the roster-sweeping test suites
-// (equivalence, scenario, sharded-pipeline, param-sweep, api): one place
-// for "build a seeded dispatcher from the registry" and the roster
-// filters, so seeding or trait changes never have to be applied per file.
+// (equivalence, scenario, param-sweep): one place for "build a seeded
+// dispatcher from the registry" and the roster filters, so seeding or
+// trait changes never have to be applied per file.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -224,35 +224,30 @@ TEST_F(ScenarioEngineTest, SignedOffDriversNeverReceiveAssignments) {
     if (DispatcherRegistry::Global().RequiresZeroPickupTravel(name)) {
       cfg.zero_pickup_travel = true;
     }
-    for (int threads : {1, 4}) {
-      cfg.num_threads = threads;
-      auto dispatcher = MakeSeeded(name, /*seed=*/5);
-      ASSERT_NE(dispatcher, nullptr);
-      Simulator sim(cfg, workload_, gen_->grid(), cost_, nullptr);
-      AssignmentRecorder rec;
-      SimResult r = sim.Run(*dispatcher, script, &rec);
-      const std::string label =
-          name + " @" + std::to_string(threads);
+    auto dispatcher = MakeSeeded(name, /*seed=*/5);
+    ASSERT_NE(dispatcher, nullptr);
+    Simulator sim(cfg, workload_, gen_->grid(), cost_, nullptr);
+    AssignmentRecorder rec;
+    SimResult r = sim.Run(*dispatcher, script, &rec);
 
-      ASSERT_GT(r.served_orders, 0) << label;
-      EXPECT_EQ(r.driver_sign_offs, num_off) << label;
-      EXPECT_EQ(r.driver_sign_ons, num_off) << label;
-      EXPECT_EQ(r.cancelled_orders, 0) << label;
+    ASSERT_GT(r.served_orders, 0) << name;
+    EXPECT_EQ(r.driver_sign_offs, num_off) << name;
+    EXPECT_EQ(r.driver_sign_ons, num_off) << name;
+    EXPECT_EQ(r.cancelled_orders, 0) << name;
 
-      // The invariant: while a driver is off shift, no new assignment may
-      // reference it. (AssignmentEvent::driver_id and the script share the
-      // workload DriverSpec::id space.)
-      bool assigned_during_off = false, assigned_after_on = false;
-      for (const auto& [now, driver] : rec.assignments) {
-        if (driver < num_off && now >= off_at && now < on_at) {
-          assigned_during_off = true;
-        }
-        if (driver < num_off && now >= on_at) assigned_after_on = true;
+    // The invariant: while a driver is off shift, no new assignment may
+    // reference it. (AssignmentEvent::driver_id and the script share the
+    // workload DriverSpec::id space.)
+    bool assigned_during_off = false, assigned_after_on = false;
+    for (const auto& [now, driver] : rec.assignments) {
+      if (driver < num_off && now >= off_at && now < on_at) {
+        assigned_during_off = true;
       }
-      EXPECT_FALSE(assigned_during_off) << label;
-      // The second shift actually comes back to work.
-      EXPECT_TRUE(assigned_after_on) << label;
+      if (driver < num_off && now >= on_at) assigned_after_on = true;
     }
+    EXPECT_FALSE(assigned_during_off) << name;
+    // The second shift actually comes back to work.
+    EXPECT_TRUE(assigned_after_on) << name;
   }
 }
 

@@ -1,12 +1,12 @@
 // Telemetry subsystem (src/telemetry/ and its engine wiring): LogHistogram
 // edge cases (empty / single sample / extreme magnitudes), registry merges,
-// the registry's deterministic-signature contract across engine thread
-// counts {1, 4}, trace-span recording in synchronous and async-drain modes
-// (the drain thread's shutdown handshake runs under TSan in CI), timed
-// spans, Chrome-trace export well-formedness, bit-identity of results and
-// metric signatures with telemetry off, metrics-only and tracing, one stage
-// timing reaching every sink, and
-// ObserverList forwarding of the OnBatchTimings hook.
+// the registry's deterministic-signature contract and its agreement with
+// the run's SimResult, trace-span recording in synchronous and async-drain
+// modes (the drain thread's shutdown handshake runs under TSan in CI),
+// timed spans, Chrome-trace export well-formedness, bit-identity of results
+// and metric signatures with telemetry off, metrics-only and tracing, one
+// stage timing reaching every sink, and ObserverList forwarding of the
+// OnBatchTimings hook.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -151,7 +151,7 @@ TEST(MetricsRegistryTest, LookupsReturnStablePointers) {
 TEST(MetricsRegistryTest, SignatureCoversOnlyDeterministicMetrics) {
   MetricsRegistry reg;
   reg.counter("det.events")->Add(7);
-  reg.counter("exec.repartitions", MetricScope::kExecution)->Add(3);
+  reg.counter("exec.retries", MetricScope::kExecution)->Add(3);
   reg.histogram("det.samples", MetricScope::kDeterministic)->Add(0.25);
   reg.histogram("exec.seconds")->Add(1.5);  // kExecution default
   reg.gauge("exec.depth")->Set(4.0);
@@ -165,7 +165,7 @@ TEST(MetricsRegistryTest, ToJsonParsesAndCarriesScopes) {
   reg.counter("engine.batches")->Add(12);
   reg.histogram("engine.dispatch_seconds", MetricScope::kDeterministic)
       ->Add(0.003);
-  reg.gauge("pipeline.shards")->Set(8.0);
+  reg.gauge("exec.depth")->Set(8.0);
 
   StatusOr<JsonValue> doc = ParseJson(reg.ToJson());
   ASSERT_TRUE(doc.ok()) << doc.status();
@@ -185,20 +185,20 @@ TEST(MetricsRegistryTest, ToJsonParsesAndCarriesScopes) {
 
   const JsonValue* gauges = doc->Find("gauges");
   ASSERT_NE(gauges, nullptr);
-  const JsonValue* shards = gauges->Find("pipeline.shards");
-  ASSERT_NE(shards, nullptr);
-  EXPECT_EQ(*shards->GetDouble("value"), 8.0);
-  EXPECT_EQ(*shards->GetString("scope"), "execution");
+  const JsonValue* depth = gauges->Find("exec.depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_EQ(*depth->GetDouble("value"), 8.0);
+  EXPECT_EQ(*depth->GetString("scope"), "execution");
 }
 
 TEST(MetricsRegistryTest, MergeAddsSamplesAndKeepsScopes) {
   MetricsRegistry run;
   run.counter("engine.batches")->Add(3);
-  run.counter("engine.repartitions", MetricScope::kExecution)->Add(1);
+  run.counter("exec.retries", MetricScope::kExecution)->Add(1);
   LogHistogram* seconds =
       run.histogram("engine.dispatch_seconds", MetricScope::kDeterministic);
   for (double v : {0.5, 0.25, 2.0}) seconds->Add(v);
-  run.histogram("pipeline.shard_seconds");  // created, never fed
+  run.histogram("exec.seconds");  // created, never fed
   run.gauge("depth")->Set(2.0);
 
   MetricsRegistry session;
@@ -215,7 +215,7 @@ TEST(MetricsRegistryTest, MergeAddsSamplesAndKeepsScopes) {
   EXPECT_EQ(merged->min(), 0.25);
   EXPECT_EQ(merged->max(), 2.0);
   EXPECT_EQ(merged->sum(), 5.5);
-  EXPECT_EQ(session.FindHistogram("pipeline.shard_seconds")->count(), 0);
+  EXPECT_EQ(session.FindHistogram("exec.seconds")->count(), 0);
   EXPECT_EQ(session.DeterministicSignature(),
             "counter engine.batches=6\n"
             "histogram engine.dispatch_seconds#6\n");
@@ -436,37 +436,29 @@ TEST_F(EngineTelemetryTest, TelemetryDoesNotChangeResults) {
   EXPECT_EQ(signatures[0], signatures[1]);
 }
 
-TEST_F(EngineTelemetryTest, DeterministicSignatureIdenticalAcrossThreads) {
-  std::vector<std::string> signatures;
-  for (int threads : {1, 4}) {
-    TelemetrySession session;
-    StatusOr<Simulation> sim =
-        MakeBuilder().Threads(threads).WithTelemetry(&session).Build();
-    ASSERT_TRUE(sim.ok()) << sim.status();
-    StatusOr<SimResult> result = sim->Run("LS");
-    ASSERT_TRUE(result.ok()) << result.status();
-    session.Finish();
+TEST_F(EngineTelemetryTest, DeterministicMetricsMatchTheResult) {
+  TelemetrySession session;
+  StatusOr<Simulation> sim = MakeBuilder().WithTelemetry(&session).Build();
+  ASSERT_TRUE(sim.ok()) << sim.status();
+  StatusOr<SimResult> result = sim->Run("LS");
+  ASSERT_TRUE(result.ok()) << result.status();
+  session.Finish();
 
-    const MetricsRegistry& reg = session.metrics();
-    ASSERT_NE(reg.FindCounter("engine.batches"), nullptr);
-    EXPECT_EQ(reg.FindCounter("engine.batches")->value(),
-              result->num_batches);
-    ASSERT_NE(reg.FindCounter("engine.assignments"), nullptr);
-    EXPECT_EQ(reg.FindCounter("engine.assignments")->value(),
-              result->served_orders);
-    ASSERT_NE(reg.FindHistogram("engine.dispatch_seconds"), nullptr);
-    EXPECT_EQ(reg.FindHistogram("engine.dispatch_seconds")->count(),
-              result->num_batches);
-    signatures.push_back(reg.DeterministicSignature());
-    EXPECT_FALSE(signatures.back().empty());
-  }
-  EXPECT_EQ(signatures[0], signatures[1]);
+  const MetricsRegistry& reg = session.metrics();
+  ASSERT_NE(reg.FindCounter("engine.batches"), nullptr);
+  EXPECT_EQ(reg.FindCounter("engine.batches")->value(), result->num_batches);
+  ASSERT_NE(reg.FindCounter("engine.assignments"), nullptr);
+  EXPECT_EQ(reg.FindCounter("engine.assignments")->value(),
+            result->served_orders);
+  ASSERT_NE(reg.FindHistogram("engine.dispatch_seconds"), nullptr);
+  EXPECT_EQ(reg.FindHistogram("engine.dispatch_seconds")->count(),
+            result->num_batches);
+  EXPECT_FALSE(reg.DeterministicSignature().empty());
 }
 
-TEST_F(EngineTelemetryTest, ChromeTraceFromParallelRunIsWellFormed) {
+TEST_F(EngineTelemetryTest, ChromeTraceFromAsyncDrainedRunIsWellFormed) {
   TelemetrySession session;  // tracing on, async drain on
-  StatusOr<Simulation> sim =
-      MakeBuilder().Threads(4).WithTelemetry(&session).Build();
+  StatusOr<Simulation> sim = MakeBuilder().WithTelemetry(&session).Build();
   ASSERT_TRUE(sim.ok()) << sim.status();
   StatusOr<SimResult> result = sim->Run("LS");
   ASSERT_TRUE(result.ok()) << result.status();

@@ -147,15 +147,6 @@ TEST(RngTest, NormalMoments) {
   EXPECT_NEAR(sq / n - m * m, 4.0, 0.1);
 }
 
-TEST(RngTest, ZipfSkewsTowardLowRanks) {
-  Rng rng(11);
-  ZipfTable table(100, 1.2);
-  int64_t low = 0, n = 20000;
-  for (int64_t i = 0; i < n; ++i) low += table.Sample(rng) < 10;
-  // With s=1.2 the first 10 ranks carry well over half the mass.
-  EXPECT_GT(static_cast<double>(low) / static_cast<double>(n), 0.5);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(12);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
