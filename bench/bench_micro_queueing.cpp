@@ -64,22 +64,31 @@ BENCHMARK(BM_EstimateIdleTimeHelper);
 
 // The dispatch path's solve (BatchContext::ComputeIdleSeconds): growth terms
 // read from the run's table, no product chain, per-minute rates, 60-minute
-// cap. Args are λ, μ per minute at SimConfig's default β = 0.02, chosen for
-// positive tails like the repository benchmark's means: 166 terms (about
-// paper_day's 170) and 276 (about city_rush's 278). λ > μ keeps the θ >= 1
-// sum, whose K + 1 exp calls the table cannot replace, out of the timing.
+// cap. Args are λ, μ per minute and K at SimConfig's default β = 0.02. The
+// λ > μ cases time the positive tail alone (its ratios divided in vector
+// lanes): 166 terms (near paper_day's mean of 171), 276 (near city_rush's
+// mean of 286) and 298 (city_rush's median). The λ < μ case times the
+// θ >= 1 sums, one std::exp per state for K + 1 states, at K = 442 (about
+// the mean K, 441, of city_rush's λ <= μ solves) behind a 33-term tail.
+// Tail lengths and K are those of one default-seed day's solves.
 void BM_DispatchPathSolve(benchmark::State& state) {
   const double lambda = static_cast<double>(state.range(0));
   const double mu = static_cast<double>(state.range(1));
+  const int64_t max_drivers = state.range(2);
   const RenegingGrowthTable growth(0.02);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        EstimateIdleTimeSeconds(lambda, mu, 100, growth, 60.0));
+        EstimateIdleTimeSeconds(lambda, mu, max_drivers, growth, 60.0));
   }
   state.counters["tail_len"] = static_cast<double>(
-      BirthDeathChain::Solve({lambda, mu, 0.02, 100})->positive_tail_length());
+      BirthDeathChain::Solve({lambda, mu, 0.02, max_drivers})
+          ->positive_tail_length());
 }
-BENCHMARK(BM_DispatchPathSolve)->Args({10, 1})->Args({20, 5});
+BENCHMARK(BM_DispatchPathSolve)
+    ->Args({10, 1, 100})
+    ->Args({20, 5, 100})
+    ->Args({19, 12, 100})
+    ->Args({1, 2, 442});
 
 // The same solves computing every growth term with std::exp (the β
 // overload), for the table's saving per solve.

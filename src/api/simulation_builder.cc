@@ -183,9 +183,10 @@ StatusOr<Simulation> SimulationBuilder::Build() const {
         std::to_string(generator_->config().gravity_scale_cells));
   }
   MRVD_RETURN_NOT_OK(config_.Validate());
-  // The TravelCostModel::SpeedMps contract that candidate generation prunes
-  // on: a finite positive speed, and no trip shorter than the crow-fly
-  // distance.
+  // The TravelCostModel::CrowFlySpeedMps contract that candidate generation
+  // sizes its reach box with: a finite positive speed, and a detour >= 1,
+  // so no trip is shorter than the crow-fly distance and the crow-fly
+  // speed (speed / detour) is finite, positive and at most SpeedMps().
   if (!(line_speed_mps_ > 0.0) || !std::isfinite(line_speed_mps_)) {
     return Status::InvalidArgument(
         "straight-line travel speed_mps must be positive and finite, got " +

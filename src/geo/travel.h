@@ -22,12 +22,20 @@ class TravelCostModel {
   /// Travel distance in meters (default: seconds * reference speed).
   virtual double TravelMeters(const LatLon& from, const LatLon& to) const;
 
-  /// Reference cruising speed in m/s used for time<->distance conversion.
-  /// Contract: no trip is faster than the crow flies at this speed, i.e.
-  /// TravelSeconds(a, b) >= EquirectangularMeters(a, b) / SpeedMps() for
-  /// all a and b. Candidate generation prunes every driver outside the
-  /// rider's reach box on it, so a model that breaks it loses valid pairs.
+  /// Reference cruising speed in m/s used for time<->distance conversion
+  /// (TravelMeters, POLAR's repositioning times). At least
+  /// CrowFlySpeedMps(), so no trip is faster than the crow flies at this
+  /// speed either.
   virtual double SpeedMps() const = 0;
+
+  /// The crow-fly speed in m/s that no trip exceeds. Contract:
+  /// TravelSeconds(a, b) >= EquirectangularMeters(a, b) / CrowFlySpeedMps()
+  /// for all a and b, up to rounding, and CrowFlySpeedMps() <= SpeedMps().
+  /// Candidate generation sizes every rider's reach box with it and prunes
+  /// each driver outside the box, so a model that breaks it loses valid
+  /// pairs. Default: SpeedMps(), the bound for a model whose trips may run
+  /// straight at cruising speed.
+  virtual double CrowFlySpeedMps() const { return SpeedMps(); }
 };
 
 /// Straight-line cost: equirectangular distance inflated by a fixed detour
@@ -49,6 +57,11 @@ class StraightLineCostModel : public TravelCostModel {
   }
 
   double SpeedMps() const override { return speed_mps_; }
+
+  /// Every trip covers detour_factor times its crow-fly distance.
+  double CrowFlySpeedMps() const override {
+    return speed_mps_ / detour_factor_;
+  }
 
  private:
   double speed_mps_;

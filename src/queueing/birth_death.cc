@@ -45,27 +45,58 @@ struct ChainSolution {
   double scaled_norm_b = 0.0;
 };
 
+/// Two doubles in one vector register (SSE2 on x86-64). Each lane of an
+/// arithmetic operation is one IEEE operation, rounded as the scalar one.
+using Lanes2 = double __attribute__((vector_size(16)));
+
+/// Hard cap on the positive tail's length, a whole number of blocks.
+constexpr int64_t kMaxTailStates = 200000;
+/// Tail states whose ratios are divided together, two lanes at a time.
+constexpr int kTailBlock = 8;
+static_assert(kMaxTailStates % kTailBlock == 0 && kTailBlock % 2 == 0);
+
+/// Σ_{n>=1} p_n / p0, the positive tail of Eq. 6: products
+/// Π_{i=1}^{n} λ/(μ+π(i)), each passed to `on_term` as it is summed. π grows
+/// exponentially (β > 0) or is constant 1/μ (β = 0); in the latter case the
+/// ratio λ/(μ + 1/μ) < 1 is not guaranteed, so the tail is capped at a hard
+/// state limit with a diminishing-term stop.
+///
+/// The ratios do not depend on the running product, so each block of states
+/// has its ratios divided in vector lanes first; the product, the sum and
+/// both exit tests then run per state, in state order, exactly as a
+/// one-state-at-a-time loop. A block may divide up to kTailBlock - 1 ratios
+/// past the state where the tail ends; nothing reads them.
+template <typename Growth, typename OnTerm>
+double PositiveTailSum(double lambda, double mu, const Growth& growth,
+                       OnTerm&& on_term) {
+  double term = 1.0;
+  double sum = 0.0;
+  for (int64_t first = 1; first <= kMaxTailStates; first += kTailBlock) {
+    double ratio[kTailBlock];
+    for (int k = 0; k < kTailBlock; k += 2) {
+      const Lanes2 g = {growth(first + k), growth(first + k + 1)};
+      const Lanes2 r = lambda / (mu + g / mu);
+      ratio[k] = r[0];
+      ratio[k + 1] = r[1];
+    }
+    for (int k = 0; k < kTailBlock; ++k) {
+      term *= ratio[k];
+      if (!(term > 0.0) || !std::isfinite(term)) return sum;
+      on_term(term);
+      sum += term;
+      if (term < sum * 1e-14 && first + k > 4) return sum;
+    }
+  }
+  return sum;
+}
+
 /// Eqs. 6-16 for validated parameters. `growth(n)` is e^{min(βn, 700)};
 /// `on_term(p_n / p0)` sees each positive-state product as it is summed.
 template <typename Growth, typename OnTerm>
 ChainSolution SolveChain(double lambda, double mu, int64_t K,
                          const Growth& growth, OnTerm&& on_term) {
   ChainSolution s;
-
-  // Positive tail: products Π_{i=1}^{n} λ/(μ+π(i))  (Eq. 6). π grows
-  // exponentially (β > 0) or is constant 1/μ (β = 0); in the latter case the
-  // ratio λ/(μ + 1/μ) < 1 is not guaranteed, so cap the tail at a hard
-  // iteration limit with a diminishing-term stop.
-  {
-    double term = 1.0;
-    for (int64_t n = 1; n <= 200000; ++n) {
-      term *= lambda / (mu + growth(n) / mu);
-      if (!(term > 0.0) || !std::isfinite(term)) break;
-      on_term(term);
-      s.pos_sum += term;
-      if (term < s.pos_sum * 1e-14 && n > 4) break;
-    }
-  }
+  s.pos_sum = PositiveTailSum(lambda, mu, growth, on_term);
 
   const double theta = mu / lambda;
 

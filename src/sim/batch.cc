@@ -87,7 +87,7 @@ CellSpan BatchContext::SearchRider(int ri,
   // now + tt <= deadline is evaluated in doubles; 1 µs of slack covers its
   // rounding for clock values below 2^32 s. A speed that bounds nothing
   // (<= 0 or NaN) gives an unbounded box.
-  const double speed = cost_model_.SpeedMps();
+  const double speed = cost_model_.CrowFlySpeedMps();
   const double reach_m = speed > 0.0
                              ? (budget_seconds + 1e-6) * speed
                              : std::numeric_limits<double>::infinity();

@@ -201,10 +201,11 @@ class BatchContext {
   /// to `out` in the canonical order and returns the cells it walked.
   /// Only cells that the rider's reach box touches are walked, and only
   /// drivers inside the box are priced: the box holds every point within
-  /// (deadline - now) * SpeedMps() equirectangular metres of the pickup,
-  /// so by the TravelCostModel speed contract a driver outside it cannot
-  /// make the deadline. Walks nothing (an empty span) once the deadline
-  /// has passed; kRegionLocal walks the pickup region only.
+  /// (deadline - now) * CrowFlySpeedMps() equirectangular metres of the
+  /// pickup, so by the TravelCostModel::CrowFlySpeedMps contract a driver
+  /// outside it cannot make the deadline. Walks nothing (an empty span)
+  /// once the deadline has passed; kRegionLocal walks the pickup region
+  /// only.
   CellSpan SearchRider(int ri, std::vector<CandidatePair>* out) const;
 
   /// Riders whose search ValidPairs has skipped, over the context's life.

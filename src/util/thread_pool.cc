@@ -35,8 +35,6 @@ int ThreadPool::HardwareThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-bool ThreadPool::OnWorkerThread() { return t_on_worker_thread; }
-
 int ThreadPool::CurrentWorkerIndex() { return t_worker_index; }
 
 std::future<void> ThreadPool::Submit(std::function<void()> fn) {

@@ -36,12 +36,6 @@ class ThreadPool {
   /// std::thread::hardware_concurrency with a floor of 1.
   static int HardwareThreads();
 
-  /// True when the calling thread is a pool worker (of any pool). Nested
-  /// Submit/ParallelFor from a worker run inline instead of re-entering the
-  /// queue — blocking a worker on work that sits behind it in its own queue
-  /// would deadlock the pool.
-  static bool OnWorkerThread();
-
   /// The calling worker's index within its pool ([0, num_threads)), or -1
   /// when the caller is not a pool worker. Stable for the thread's
   /// lifetime; telemetry uses it to give trace threads human-readable
@@ -49,7 +43,9 @@ class ThreadPool {
   static int CurrentWorkerIndex();
 
   /// Enqueues `fn` (FIFO). The future rethrows any exception `fn` threw.
-  /// Inline pools run `fn` before returning.
+  /// Inline pools run `fn` before returning. So does a call made on a
+  /// worker of any pool, here and in ParallelFor: blocking a worker on work
+  /// that sits behind it in its own queue would deadlock the pool.
   std::future<void> Submit(std::function<void()> fn) MRVD_EXCLUDES(mu_);
 
   /// Runs fn(0..n-1), blocking until all complete. Iterations are spread

@@ -380,7 +380,7 @@ TEST_F(ApiTest, BuildRejectsInvalidConfig) {
     EXPECT_NE(s.status().message().find("batch_interval"), std::string::npos);
   }
 
-  // Straight-line travel must keep the SpeedMps contract candidate
+  // Straight-line travel must keep the CrowFlySpeedMps contract candidate
   // generation prunes on: a positive finite speed and a detour >= 1.
   const double nan = std::nan("");
   const double inf = std::numeric_limits<double>::infinity();

@@ -339,7 +339,9 @@ INSTANTIATE_TEST_SUITE_P(
 /// canonical pair order: each rider walks the rings around its pickup
 /// region out to floor(reach / smallest cell side) + 2 and prices every
 /// driver on them. It lists each ring itself, so it shares no code with
-/// the search it checks.
+/// the search it checks. Its reach is (deadline - now) * SpeedMps(), wider
+/// than the CrowFlySpeedMps() box the search prunes on, so a pair the
+/// tighter box drops still shows up here.
 std::vector<CandidatePair> RingWalkReference(const BatchContext& ctx) {
   const Grid& grid = ctx.grid();
   auto ring_cells = [&grid](RegionId r, int ring) {

@@ -315,6 +315,29 @@ TEST(TravelTest, NoTripIsFasterThanTheCrowFliesAtSpeedMps) {
   }
 }
 
+TEST(TravelTest, NoTripIsFasterThanTheCrowFliesAtCrowFlySpeedMps) {
+  // The CrowFlySpeedMps contract that sizes candidate generation's reach
+  // box, up to the rounding of speed / detour: a speed too low for its
+  // model (a box that drops valid pairs) fails here. The last two checks
+  // pin the detoured and Manhattan values, so a needlessly wide box fails
+  // too.
+  StraightLineCostModel direct(7.0, 1.0);
+  StraightLineCostModel detoured(11.0, 1.3);
+  ManhattanCostModel manhattan(7.0);
+  const std::vector<const TravelCostModel*> models = {&direct, &detoured,
+                                                      &manhattan};
+  for (const TravelCostModel* m : models) {
+    EXPECT_LE(m->CrowFlySpeedMps(), m->SpeedMps());
+    for (const auto& [a, b] : RandomPointPairs(23)) {
+      EXPECT_GE(m->TravelSeconds(a, b) * (1.0 + 1e-12),
+                EquirectangularMeters(a, b) / m->CrowFlySpeedMps())
+          << a << " " << b;
+    }
+  }
+  EXPECT_EQ(detoured.CrowFlySpeedMps(), 11.0 / 1.3);
+  EXPECT_EQ(manhattan.CrowFlySpeedMps(), manhattan.SpeedMps());
+}
+
 TEST(TravelTest, ZeroDistanceZeroTime) {
   StraightLineCostModel m(7.0, 1.3);
   LatLon p{40.7, -74.0};

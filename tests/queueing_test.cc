@@ -511,8 +511,9 @@ TEST(GrowthTableOracleTest, EdgeCasesMatchReferenceBits) {
       {1.0, 2.0, 10000, 0.05},
       {1.0, 1.0, 10000, 0.05},
       {2.0, 1.0, 10000, 0.05},
-      // β = 0: constant reneging; growing terms overflow to inf past the
-      // table's end, decaying ones end by the relative-size test.
+      // β = 0: constant reneging; growing terms end past the table's end
+      // when their sum overflows to inf (which the relative-size test
+      // reads), decaying ones end by that test too.
       {3.0, 1.0, 20, 0.0},
       {1.0, 1.0, 20, 0.0},
       {0.2, 3.0, 20, 0.0},
@@ -547,6 +548,61 @@ TEST(GrowthTableOracleTest, EdgeCasesMatchReferenceBits) {
   EXPECT_LT(ReferenceTail(2.0, 1.0, 20, 5.0), 8);
   EXPECT_EQ(reference::EstimateIdleTimeSeconds(1e-6, 1.0, 100, 0.02, 1800.0),
             1800.0);
+}
+
+TEST(GrowthTableOracleTest, BlockLoopEdgesMatchReferenceBits) {
+  // The solver divides the tail's ratios eight states at a time, then walks
+  // each block state by state. Each case ends its tail at a chosen place in
+  // a block, which its reference length pins.
+  struct BlockCase {
+    OracleCase c;
+    int64_t length;  ///< of the reference tail
+  };
+  std::vector<BlockCase> cases;
+  // Lengths 5-12 end (by the relative-size test) at each of the eight
+  // offsets of a block.
+  const std::vector<std::pair<double, int64_t>> short_tails = {
+      {2.9, 5},    {2.14, 6},   {1.56, 7},   {1.19, 8},
+      {0.947, 9},  {0.771, 10}, {0.641, 11}, {0.542, 12},
+  };
+  for (const auto& [beta, length] : short_tails) {
+    cases.push_back({{2.0, 1.0, 20, beta}, length});
+  }
+  // 1,020-1,030 states: tails that end in the table's last block (states
+  // 1,017-1,024) and in the first block past it, where every growth term
+  // falls back to std::exp.
+  const std::vector<std::pair<double, int64_t>> table_end_tails = {
+      {1.0233e-4, 1020}, {1.0212e-4, 1021}, {1.0192e-4, 1022},
+      {1.0172e-4, 1023}, {1.0152e-4, 1024}, {1.0132e-4, 1025},
+      {1.0112e-4, 1026}, {1.0092e-4, 1027}, {1.0072e-4, 1028},
+      {1.0053e-4, 1029}, {1.0033e-4, 1030},
+  };
+  for (const auto& [beta, length] : table_end_tails) {
+    cases.push_back({{2.0, 1.0, 40, beta}, length});
+  }
+  // λ = 2, μ = 1, β = 0: every ratio 2 / (1 + 1/1) is exactly 1, so no term
+  // shrinks and the tail runs to its 200,000-state cap.
+  cases.push_back({{2.0, 1.0, 30, 0.0}, 200000});
+  // A term that overflows to inf, or rounds to 0, ends the tail unsummed.
+  // Each break state (length + 1) lands inside a block, at offset 1-5.
+  // To inf: a constant ratio λ/2 whose product jumps past DBL_MAX while
+  // the sum is still finite.
+  cases.push_back({{1e300, 1.0, 10, 0.0}, 1});
+  cases.push_back({{1.68e27, 1.0, 10, 0.0}, 11});
+  cases.push_back({{4.3e14, 1.0, 10, 0.0}, 21});
+  // To 0: the product underflows while the n > 4 guard holds off the
+  // relative-size test, or a growth term over μ = 1e-300 overflows so the
+  // ratio is 0 (rate floor 0 keeps that μ).
+  cases.push_back({{1e6, 1.0, 10, 100.0}, 3});
+  cases.push_back({{3.3e307, 1e-300, 10, 1.5, 3600.0, 0.0}, 12});
+  cases.push_back({{4.7e307, 1e-300, 10, 1.02, 3600.0, 0.0}, 18});
+
+  for (const BlockCase& b : cases) {
+    EXPECT_EQ(ReferenceTail(b.c.lambda, b.c.mu, b.c.max_drivers, b.c.beta),
+              b.length)
+        << "lambda=" << b.c.lambda << " beta=" << b.c.beta;
+    ExpectMatchesReference(b.c);
+  }
 }
 
 TEST(GrowthTableOracleTest, SeededSweepMatchesReferenceBits) {
